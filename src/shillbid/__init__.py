@@ -18,6 +18,7 @@ from .errors import (
 )
 from .ingest import (
     DEFAULT_RAW_SCHEMA,
+    RawScanner,
     read_preprocessed,
     read_raw,
     read_sb_dataset,
@@ -62,6 +63,7 @@ __all__ = [
     "ParseError",
     "PipelineConfig",
     "PREPROCESSED_COLUMNS",
+    "RawScanner",
     "SBInstance",
     "SB_COLUMNS",
     "SchemaError",

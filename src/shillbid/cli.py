@@ -277,7 +277,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.7,
         help="high-value cutoff used by the statistics report",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for interface symmetry; the build is one in-process pass",
+    )
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("synth", help="generate a synthetic raw corpus")

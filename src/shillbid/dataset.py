@@ -6,9 +6,8 @@ finished dataset the way a fraud analyst would eyeball it.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import ConfigError, OutlierError
 from .metrics import (
@@ -29,50 +28,6 @@ from .model import METRIC_COLUMNS, AuctionView, SBInstance
 AGGRESSIVE_SOB_FLOOR = 0.5
 AGGRESSIVE_BR_FLOOR = 0.1
 EARLY_FLOOR = 0.7
-
-
-def _instances_for(
-    auctions: Sequence[AuctionView], aggregates: GlobalAggregates
-) -> list[SBInstance]:
-    out: list[SBInstance] = []
-    for auction in auctions:
-        asp = _starting_price_value(
-            float(auction.starting_price), aggregates.avg_auctions_start_price
-        )
-        ab = _bid_volume_value(auction.num_bids, aggregates.avg_bid_all_auctions)
-        parts = participation_map(auction)
-        for bidder in sorted(parts):
-            part = parts[bidder]
-            # Positional, in METRIC_COLUMNS order: keyword calls to a
-            # frozen dataclass cost twice as much per instance.
-            out.append(
-                SBInstance(
-                    auction.auction_id,
-                    bidder,
-                    bidder_tendency(bidder, auction.seller_id, aggregates),
-                    _early_value(
-                        part.first_bid_time_sec,
-                        auction.start_time_sec,
-                        auction.auction_duration_sec,
-                    ),
-                    part.bid_count / auction.num_bids,
-                    _last_value(
-                        part.last_bid_time_sec,
-                        auction.end_time_sec,
-                        auction.auction_duration_sec,
-                    ),
-                    asp,
-                    _run_band(part.longest_run),
-                    winning_ratio(bidder, aggregates),
-                    ab,
-                )
-            )
-    return out
-
-
-def _chunk_worker(args: tuple[Sequence[AuctionView], GlobalAggregates]) -> list[SBInstance]:
-    auctions, aggregates = args
-    return _instances_for(auctions, aggregates)
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,20 +55,43 @@ def build_sb_dataset(
 ) -> list[SBInstance]:
     """One SBInstance per (auction, bidder) pair, outlier-guarded.
 
-    jobs > 1 splits the auctions over worker processes; chunk results
-    are concatenated in submission order, so the output is identical
-    for every jobs value.
+    The build is one in-process pass in auction order. jobs is accepted
+    for interface symmetry and ignored: a worker pool would pickle the
+    aggregates and every view, which costs more than the build itself.
     """
-    auctions = list(auctions)
-    if jobs > 1 and len(auctions) > 1:
-        chunk_count = min(len(auctions), jobs * 4)
-        size = (len(auctions) + chunk_count - 1) // chunk_count
-        chunks = [auctions[i : i + size] for i in range(0, len(auctions), size)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_chunk_worker, ((c, aggregates) for c in chunks)))
-        instances = [inst for part in parts for inst in part]
-    else:
-        instances = _instances_for(auctions, aggregates)
+    instances: list[SBInstance] = []
+    for auction in auctions:
+        asp = _starting_price_value(
+            float(auction.starting_price), aggregates.avg_auctions_start_price
+        )
+        ab = _bid_volume_value(auction.num_bids, aggregates.avg_bid_all_auctions)
+        parts = participation_map(auction)
+        for bidder in sorted(parts):
+            part = parts[bidder]
+            # Positional, in METRIC_COLUMNS order: keyword calls to a
+            # frozen dataclass cost twice as much per instance.
+            instances.append(
+                SBInstance(
+                    auction.auction_id,
+                    bidder,
+                    bidder_tendency(bidder, auction.seller_id, aggregates),
+                    _early_value(
+                        part.first_bid_time_sec,
+                        auction.start_time_sec,
+                        auction.auction_duration_sec,
+                    ),
+                    part.bid_count / auction.num_bids,
+                    _last_value(
+                        part.last_bid_time_sec,
+                        auction.end_time_sec,
+                        auction.auction_duration_sec,
+                    ),
+                    asp,
+                    _run_band(part.longest_run),
+                    winning_ratio(bidder, aggregates),
+                    ab,
+                )
+            )
     bad = scan_outliers(instances)
     if bad:
         worst = bad[0]

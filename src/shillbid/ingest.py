@@ -283,9 +283,16 @@ def _parse_cents(text: str, what: str, where: str) -> Decimal:
         value = Decimal(text)
     except InvalidOperation:
         raise ParseError(f"{where}: {what} is not a number: {text!r}") from None
-    if not value.is_finite() or value != value.quantize(CENT):
+    if not value.is_finite():
         raise ParseError(f"{where}: {what} is not a 2-digit amount: {text!r}")
-    return value.quantize(CENT)
+    try:
+        cents = value.quantize(CENT)
+    except InvalidOperation:
+        # More digits than the decimal context holds.
+        raise ParseError(f"{where}: {what} is out of range: {text!r}") from None
+    if value != cents:
+        raise ParseError(f"{where}: {what} is not a 2-digit amount: {text!r}")
+    return cents
 
 
 def _parse_preprocessed_row(cells: Sequence[str], where: str) -> BidRecord:

@@ -434,6 +434,3 @@ def validate_weights(weights: Mapping[str, float]) -> None:
         value = weights[name]
         if not isinstance(value, (int, float)) or not 0 < value <= 1:
             raise ConfigError(f"weight for {name!r} must be in (0, 1], got {value!r}")
-
-
-_BID_RECORD_FIELDS = tuple(f.name for f in fields(BidRecord))

@@ -17,7 +17,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from operator import attrgetter, itemgetter
 import re
 from typing import Callable, Iterable, Mapping, Sequence
@@ -102,7 +102,11 @@ def parse_money(text: str) -> Decimal:
         raise ParseError(f"money {text!r}: no number found")
     if len(numbers) > 1:
         raise ParseError(f"money {text!r}: more than one number found")
-    return Decimal(numbers[0]).quantize(_CENT, rounding=ROUND_HALF_UP)
+    try:
+        return Decimal(numbers[0]).quantize(_CENT, rounding=ROUND_HALF_UP)
+    except InvalidOperation:
+        # More digits than the decimal context holds.
+        raise ParseError(f"money {text!r}: amount out of range") from None
 
 
 def money_parser() -> Callable[[str], Decimal]:

@@ -8,7 +8,7 @@ import pytest
 from shillbid.cli import main
 from shillbid.ingest import read_sb_dataset
 from shillbid.metrics import weighted_score
-from shillbid.model import DEFAULT_WEIGHTS
+from shillbid.model import DEFAULT_WEIGHTS, PREPROCESSED_COLUMNS
 
 
 def run(*argv):
@@ -146,6 +146,34 @@ def test_unknown_header_exits_2(tmp_path, capsys):
     path.write_text("a,b\n1,2\n", encoding="utf-8")
     assert run("validate", "--in", str(path)) == 2
     assert "neither" in capsys.readouterr().err
+
+
+def test_huge_bid_amount_in_bid_table_exits_2(tmp_path, capsys):
+    # 1e30 needs more digits than the decimal context holds once
+    # quantized to cents; it must be a parse error, not a traceback.
+    path = tmp_path / "clean.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(PREPROCESSED_COLUMNS)
+        writer.writerow(["1", "1", "s1", "alice", "1e30", "150000", "1", "1",
+                         "5.00", "20.00", "432000", "532000", "100000"])
+    assert run("validate", "--in", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "row 1: bid_amount" in err and "'1e30'" in err
+
+
+def test_huge_price_in_raw_corpus_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus.csv"
+    assert run("synth", "--out", str(corpus), "--auctions", "8") == 0
+    with open(corpus, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    huge = "US $" + "9" * 30
+    rows[1][rows[0].index("Bid Amount")] = huge
+    with open(corpus, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    clean = tmp_path / "clean.csv"
+    assert run("preprocess", "--in", str(corpus), "--out", str(clean)) == 2
+    assert repr(huge) in capsys.readouterr().err
 
 
 def test_corrupted_metric_exits_3(chain, capsys):

@@ -1,0 +1,40 @@
+"""The package surface: the README's library example and import cost."""
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import shillbid
+from shillbid.synth import SynthConfig, write_corpus
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    write_corpus(SynthConfig(seed=3, num_auctions=8), tmp_path / "corpus.csv")
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(snippet, "README.md", "exec"), namespace)
+    assert namespace["records"]
+    assert len(namespace["instances"]) >= len(namespace["auctions"]) > 0
+
+
+def test_cli_import_starts_no_worker_machinery():
+    # The feature build runs in-process; importing the CLI should not
+    # pay for the process-pool modules.
+    src = str(Path(shillbid.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = (
+        "import sys, shillbid.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"

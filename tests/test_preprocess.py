@@ -215,10 +215,15 @@ def test_countdown_parser_matches_merge_then_countdown(date_text, time_texts, re
 _MONEY = st.one_of(
     st.sampled_from(
         ["650.50 $", "US $1,299.99", "1299", "3.995", "3.994", "", "free",
-         "12 to 34", "1.2.3 4", "0.05 $", "EUR 7,000"]
+         "12 to 34", "1.2.3 4", "0.05 $", "EUR 7,000", "US $" + "9" * 30,
+         "9" * 26 + ".99 $", "9" * 26 + ".995 $", "1" + "0" * 27]
     ),
     st.text(alphabet="0123456789.,$ US", max_size=10),
     st.text(max_size=8),
+    # Magnitudes on both sides of the decimal context's 28 digits.
+    st.integers(min_value=0, max_value=10**32).map(
+        lambda n: f"{n // 1000}.{n % 1000:03d} $"
+    ),
 )
 
 
@@ -227,6 +232,7 @@ def test_money_parser_matches_parse_money(texts):
     parse = money_parser()
     for text in texts + texts:
         expected = _outcome(lambda: parse_money(text))
+        assert expected[0] in ("ok", "ParseError"), (text, expected)
         assert _outcome(lambda: parse(text)) == expected, text
         if expected[0] == "ok":
             assert parse(text) is parse(text)  # one shared Decimal per text
@@ -235,9 +241,19 @@ def test_money_parser_matches_parse_money(texts):
 _CELLS = st.one_of(
     st.sampled_from(
         ["20.50", "20.5", "20", "20.001", "1e2", "NaN", "-Infinity", " 3.00",
-         "abc", "", "-0.00", "\u0663.00", "1e30"]
+         "abc", "", "-0.00", "\u0663.00", "1e30", "-1E+26", "9" * 26 + ".99",
+         "1e999999999999999999", "1e-30", "sNaN"]
     ),
     st.text(alphabet="0123456789.-e", max_size=6),
+    # Magnitudes and exponents on both sides of the decimal context's 28 digits.
+    st.builds(
+        "{}e{}".format,
+        st.integers(min_value=-10**6, max_value=10**6),
+        st.integers(min_value=-40, max_value=40),
+    ),
+    st.integers(min_value=0, max_value=10**30).map(
+        lambda n: f"{n // 100}.{n % 100:02d}"
+    ),
 )
 
 
@@ -265,6 +281,7 @@ def test_read_preprocessed_money_cells_match_parse_cents(texts):
             ]
 
         expected = _outcome(reference)
+        assert expected[0] in ("ok", "ParseError"), expected
         actual = _outcome(lambda: [str(r.bid_amount) for r in read_preprocessed(path)])
         assert actual == expected
         if expected[0] == "ok":
