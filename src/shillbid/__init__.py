@@ -19,6 +19,7 @@ from .errors import (
 from .ingest import (
     DEFAULT_RAW_SCHEMA,
     RawScanner,
+    read_auctions,
     read_preprocessed,
     read_raw,
     read_sb_dataset,
@@ -75,6 +76,7 @@ __all__ = [
     "group_bid_records",
     "load_weights",
     "pattern_stats",
+    "read_auctions",
     "read_preprocessed",
     "read_raw",
     "read_sb_dataset",

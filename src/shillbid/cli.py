@@ -20,7 +20,12 @@ from datetime import datetime
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from .dataset import build_sb_dataset, format_stats_table, pattern_stats
+from .dataset import (
+    build_sb_dataset,
+    check_threshold,
+    format_stats_table,
+    pattern_stats,
+)
 from .errors import (
     ConfigError,
     DataConsistencyError,
@@ -33,6 +38,7 @@ from .ingest import (
     RawScanner,
     check_sb_dataset,
     load_raw_schema,
+    read_auctions,
     read_preprocessed,
     read_sb_dataset,
     write_preprocessed,
@@ -40,12 +46,7 @@ from .ingest import (
     write_sb_dataset,
 )
 from .metrics import compute_global_aggregates, load_weights, weighted_score
-from .model import (
-    PREPROCESSED_COLUMNS,
-    SB_COLUMNS,
-    validate_dataset,
-    winner_of,
-)
+from .model import PREPROCESSED_COLUMNS, SB_COLUMNS, winner_of
 from .preprocess import (
     DEFAULT_TZ_OFFSET_HOURS,
     REFERENCE_EPOCH,
@@ -133,13 +134,14 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_features(args: argparse.Namespace) -> int:
-    records = read_preprocessed(args.input)
-    auctions = validate_dataset(records)
+    # Reject the configuration before anything is read or written.
+    weights = load_weights(args.weights) if args.weights else None
+    check_threshold(args.threshold)
+    auctions = read_auctions(args.input)
     aggregates = compute_global_aggregates(auctions)
     instances = build_sb_dataset(auctions, aggregates, jobs=args.jobs)
     write_sb_dataset(instances, args.out)
 
-    weights = load_weights(args.weights) if args.weights else None
     if args.scores:
         pairs = sorted(instances, key=lambda i: (i.auction_id, i.bidder_id))
         with open(args.scores, "w", encoding="utf-8", newline="") as handle:
@@ -194,10 +196,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     instances = read_sb_dataset(args.input)
     winners = None
     if args.preprocessed:
-        records = read_preprocessed(args.preprocessed)
         winners = {
             a.auction_id: winner_of(a).bidder_id
-            for a in validate_dataset(records)
+            for a in read_auctions(args.preprocessed)
         }
     stats = pattern_stats(instances, threshold=args.threshold, winners=winners)
     print(format_stats_table(stats))
@@ -209,9 +210,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     header = _sniff_header(args.input)
     if header == PREPROCESSED_COLUMNS:
-        records = read_preprocessed(args.input)
-        auctions = validate_dataset(records)
-        print(f"ok: {len(records)} rows, {len(auctions)} auctions pass all checks")
+        auctions = read_auctions(args.input)
+        rows = sum(len(a.bids) for a in auctions)
+        print(f"ok: {rows} rows, {len(auctions)} auctions pass all checks")
     elif header == SB_COLUMNS:
         instances = read_sb_dataset(args.input)
         check_sb_dataset(instances)

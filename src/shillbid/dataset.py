@@ -180,6 +180,12 @@ class PatternStats:
         }
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ConfigError unless the high-value cutoff lies in (0, 1)."""
+    if not 0.0 < threshold < 1.0:
+        raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
+
+
 def pattern_stats(
     instances: Iterable[SBInstance],
     threshold: float = 0.7,
@@ -193,8 +199,7 @@ def pattern_stats(
     winners maps auction_id to the winning bidder_id; without it the
     winner-dependent buckets cannot be computed and come back None.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
+    check_threshold(threshold)
     instances = list(instances)
 
     high = dict.fromkeys(METRIC_COLUMNS, 0)

@@ -20,9 +20,14 @@ from .model import (
     METRIC_COLUMNS,
     PREPROCESSED_COLUMNS,
     SB_COLUMNS,
+    AuctionView,
+    Bid,
     BidRecord,
     SBInstance,
+    bid_sort_key,
     check_dataset,
+    validate_bid_record,
+    validate_dataset,
 )
 
 # Logical field -> raw column header. The keys are the contract; the
@@ -375,6 +380,113 @@ def read_preprocessed(path: str | Path) -> list[BidRecord]:
                     firsts[cells[1]] = (cells[2], cells[6:], rec)
             records.append(rec)
     return records
+
+
+def _stream_auctions(path: str | Path) -> list[AuctionView] | None:
+    """The one streaming pass of read_auctions.
+
+    Returns None, having built no view, as soon as the table holds
+    anything it does not take as-is; read_auctions then runs the
+    reference path, which finds and reports it.
+    """
+    width = len(PREPROCESSED_COLUMNS)
+    # auction_id text -> (seller text, auction-level cells, first row, bids)
+    auctions: dict[str, tuple[str, list[str], BidRecord, list[Bid]]] = {}
+    amounts: dict[str, Decimal] = {}
+    record_ids: set[int] = set()
+    current = None
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            if tuple(next(reader, ())) != PREPROCESSED_COLUMNS:
+                return None
+            for cells in reader:
+                if len(cells) != width:
+                    return None
+                if cells[1] != current:
+                    # An auction's rows usually arrive together: look it
+                    # up only when the auction changes.
+                    current = cells[1]
+                    entry = auctions.get(current)
+                    if entry is None:
+                        # Its first row: every rule, auction-level ones too.
+                        head = _parse_preprocessed_row(cells, "")
+                        if validate_bid_record(head):
+                            return None
+                        entry = auctions[current] = (cells[2], cells[6:], head, [])
+                    seller, level, head, bids = entry
+                    winning = head.winning_bid
+                    end, start = head.end_time_sec, head.start_time_sec
+                if cells[2] != seller or cells[6:] != level:
+                    return None
+                record_id = int(cells[0])
+                submitted = int(cells[5])
+                amount = amounts.get(cells[4])
+                if amount is None:
+                    amount = amounts[cells[4]] = _parse_cents(cells[4], "bid_amount", "")
+                bidder = cells[3]
+                if (
+                    record_id < 1
+                    or record_id in record_ids
+                    or not bidder
+                    or bidder.isspace()
+                    or amount > winning
+                    or not end <= submitted <= start
+                ):
+                    return None
+                record_ids.add(record_id)
+                bids.append(Bid(bidder, amount, submitted, record_id))
+    except (ValueError, ParseError, csv.Error):
+        # A cell that does not parse, or a file that does not decode: the
+        # reference path raises the exact error.
+        return None
+    # Every id is positive and unique, so they are dense iff the largest
+    # is their count.
+    if record_ids and max(record_ids) != len(record_ids):
+        return None
+    by_id = {entry[2].auction_id: entry for entry in auctions.values()}
+    if len(by_id) != len(auctions) or by_id.keys() != set(range(1, len(by_id) + 1)):
+        return None
+    views: list[AuctionView] = []
+    for auction_id in range(1, len(by_id) + 1):
+        _, _, head, bids = by_id[auction_id]
+        if len(bids) != head.num_bids or len({b.bidder_id for b in bids}) != head.num_bidders:
+            return None
+        bids.sort(key=bid_sort_key)
+        views.append(
+            AuctionView(
+                auction_id,
+                head.seller_id,
+                head.num_bidders,
+                head.num_bids,
+                head.starting_price,
+                head.winning_bid,
+                head.auction_duration_sec,
+                head.start_time_sec,
+                head.end_time_sec,
+                tuple(bids),
+            )
+        )
+    return views
+
+
+def read_auctions(path: str | Path) -> list[AuctionView]:
+    """Read a bid table into checked auction views in one streaming pass.
+
+    Returns exactly what validate_dataset(read_preprocessed(path))
+    returns, without building a BidRecord per row or regrouping the
+    rows. The first row of each auction_id text is parsed and checked
+    in full; a later row must repeat its seller and auction-level cells
+    as text, and only its own bid cells are parsed and checked. A table
+    this pass does not take as-is (a ragged row, a cell that does not
+    parse, auction-level text that differs, any broken rule, ids that
+    are not dense) goes through the reference path, so every error
+    text and type is the reference's.
+    """
+    views = _stream_auctions(path)
+    if views is None:
+        views = validate_dataset(read_preprocessed(path))
+    return views
 
 
 def check_sb_dataset(instances: Sequence[SBInstance]) -> None:

@@ -7,9 +7,11 @@ reconcile scraped counts against actual rows, drop low-activity
 auctions, drop price-inconsistent auctions, assign dense identifiers.
 
 run_pipeline fuses the row-wise stages into one streaming pass so a
-million-row corpus never holds its raw width in memory twice; the
-result is exactly the composition of the individual operations, which
-the test suite checks.
+million-row corpus never holds its raw width in memory twice. The
+auction-level stages after it are separate functions, each with its
+own unit tests. The fused pass is tested as a whole: the golden files
+pin its bytes, and the removal counts are checked against the defect
+manifest of a synthetic corpus.
 """
 from __future__ import annotations
 
@@ -189,54 +191,6 @@ def to_countdown_seconds(event: datetime, reference: datetime) -> int:
             f"{reference.isoformat()}"
         )
     return seconds
-
-
-def drop_irrelevant_columns(
-    records: Iterable[Mapping[str, str]], keep: Sequence[str]
-) -> list[dict[str, str]]:
-    """Project every record onto the keep-list, in keep-list order."""
-    keep = tuple(keep)
-    out: list[dict[str, str]] = []
-    for n, rec in enumerate(records, 1):
-        try:
-            out.append({name: rec[name] for name in keep})
-        except KeyError as exc:
-            raise SchemaError(
-                f"record {n}: keep-list column {exc.args[0]!r} is absent"
-            ) from None
-    return out
-
-
-def dedup_records(records: Iterable[Mapping[str, str]]) -> list[Mapping[str, str]]:
-    """Collapse exact duplicates, keeping each first occurrence."""
-    seen: set = set()
-    out: list[Mapping[str, str]] = []
-    for rec in records:
-        key = tuple(sorted(rec.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(rec)
-    return out
-
-
-def drop_missing_bidder(
-    records: Iterable[Mapping[str, str]],
-    bidder_column: str = DEFAULT_RAW_SCHEMA["bidder_id"],
-) -> list[Mapping[str, str]]:
-    """Drop rows whose bidder id is empty or whitespace-only."""
-    out: list[Mapping[str, str]] = []
-    for n, rec in enumerate(records, 1):
-        try:
-            bidder = rec[bidder_column]
-        except KeyError:
-            raise SchemaError(
-                f"record {n}: bidder column {bidder_column!r} is absent"
-            ) from None
-        if not bidder or bidder.isspace():
-            continue
-        out.append(rec)
-    return out
 
 
 @fast_frozen_init

@@ -141,6 +141,32 @@ def test_bad_config_exits_2(chain, capsys):
     assert capsys.readouterr().err.count("error:") == 3
 
 
+def test_features_rejects_bad_weights_before_writing(chain, capsys):
+    weights = chain / "bad.txt"
+    weights.write_text("bidding_ratio=7\n", encoding="utf-8")
+    out, scores = chain / "sb2.csv", chain / "scores.csv"
+    code = run(
+        "features", "--in", str(chain / "clean.csv"), "--out", str(out),
+        "--weights", str(weights), "--scores", str(scores),
+    )
+    assert code == 2
+    assert "weight for 'bidding_ratio' must be in (0, 1], got 7.0" in capsys.readouterr().err
+    for path in (out, scores, chain / "sb2.csv.report.json"):
+        assert not path.exists(), path
+
+
+def test_features_rejects_bad_threshold_before_writing(chain, capsys):
+    out, scores, report = chain / "sb2.csv", chain / "scores.csv", chain / "r.json"
+    code = run(
+        "features", "--in", str(chain / "clean.csv"), "--out", str(out),
+        "--scores", str(scores), "--report", str(report), "--threshold", "1.5",
+    )
+    assert code == 2
+    assert "threshold must lie in (0, 1), got 1.5" in capsys.readouterr().err
+    for path in (out, scores, report, chain / "sb2.csv.report.json"):
+        assert not path.exists(), path
+
+
 def test_unknown_header_exits_2(tmp_path, capsys):
     path = tmp_path / "odd.csv"
     path.write_text("a,b\n1,2\n", encoding="utf-8")

@@ -1,9 +1,13 @@
 """CSV readers and writers: raw scrapes, bid tables, feature datasets."""
 import csv
 import random
+import tempfile
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shillbid.errors import (
     InvariantError,
@@ -16,6 +20,7 @@ from shillbid.ingest import (
     RawScanner,
     check_sb_dataset,
     load_raw_schema,
+    read_auctions,
     read_preprocessed,
     read_raw,
     read_sb_dataset,
@@ -23,7 +28,7 @@ from shillbid.ingest import (
     write_rejects,
     write_sb_dataset,
 )
-from shillbid.model import SB_COLUMNS, SBInstance
+from shillbid.model import PREPROCESSED_COLUMNS, SB_COLUMNS, SBInstance, validate_dataset
 from shillbid.preprocess import run_pipeline
 
 from .test_model import record
@@ -252,6 +257,223 @@ def test_read_preprocessed_rejects_bad_cells(tmp_path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ParseError, match="record_id"):
         read_preprocessed(path)
+
+
+# --- checked auction views ---------------------------------------------------
+
+# (seller, starting_price, winning_bid, end_time_sec, duration, bids); each
+# bid is (bidder, amount, bid_submit_time_sec). The windows and prices
+# differ, so a cell copied from another auction can break a rule.
+_BASE_AUCTIONS = (
+    ("s1", "5.00", "24.00", 100_000, 432_000, (
+        ("b0", "20.00", 500_000), ("b1", "21.00", 400_000), ("b2", "22.00", 300_000),
+        ("b0", "23.00", 200_000), ("b1", "24.00", 150_000))),
+    ("s2", "1.00", "14.00", 300_000, 86_400, (
+        ("b3", "10.00", 380_000), ("b0", "12.00", 350_000), ("b3", "14.00", 310_000))),
+    ("s1", "15.00", "19.00", 50_000, 259_200, (
+        ("b1", "15.00", 300_000), ("b2", "16.50", 200_000), ("b1", "17.00", 100_000),
+        ("b2", "19.00", 60_000))),
+)
+
+
+def base_rows():
+    """A valid bid table of three auctions (rows 0-4, 5-7, 8-11), as text."""
+    rows = []
+    for auction_id, (seller, start_price, winning, end, duration, bids) in enumerate(
+        _BASE_AUCTIONS, 1
+    ):
+        bidders = len({bidder for bidder, _, _ in bids})
+        for bidder, amount, submitted in bids:
+            rows.append([
+                str(len(rows) + 1), str(auction_id), seller, bidder, amount,
+                str(submitted), str(bidders), str(len(bids)), start_price,
+                winning, str(duration), str(end + duration), str(end),
+            ])
+    return rows
+
+
+def views_outcome(call):
+    """The views a call returns, or the type and text of what it raised.
+
+    repr keeps a Decimal's scale, which == would not compare.
+    """
+    try:
+        views = call()
+    except Exception as exc:  # compared, not swallowed
+        return (type(exc).__name__, str(exc))
+    return ("ok", repr(views))
+
+
+def reference_outcome(path):
+    return views_outcome(lambda: validate_dataset(read_preprocessed(path)))
+
+
+def one_pass(monkeypatch, path):
+    """read_auctions with the reference path made unusable."""
+    def refuse(path):
+        raise AssertionError("read_auctions fell back to read_preprocessed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("shillbid.ingest.read_preprocessed", refuse)
+        return read_auctions(path)
+
+
+def test_read_auctions_takes_one_pass_on_a_valid_table(tmp_path, monkeypatch):
+    path = tmp_path / "clean.csv"
+    write_csv(path, PREPROCESSED_COLUMNS, base_rows())
+    views = one_pass(monkeypatch, path)
+    expected = reference_outcome(path)
+    assert expected[0] == "ok"
+    assert views_outcome(lambda: views) == expected
+    assert [len(v.bids) for v in views] == [5, 3, 4]
+
+
+def test_read_auctions_on_an_empty_table(tmp_path, monkeypatch):
+    path = tmp_path / "clean.csv"
+    write_csv(path, PREPROCESSED_COLUMNS, [])
+    assert one_pass(monkeypatch, path) == []
+
+
+def test_read_auctions_groups_interleaved_rows(tmp_path, monkeypatch):
+    rows = base_rows()
+    interleaved = [row for pair in zip(rows[:5], rows[5:8]) for row in pair]
+    interleaved += rows[3:5] + rows[8:]
+    path = tmp_path / "clean.csv"
+    write_csv(path, PREPROCESSED_COLUMNS, interleaved)
+    expected = reference_outcome(path)
+    assert expected[0] == "ok"
+    assert views_outcome(lambda: one_pass(monkeypatch, path)) == expected
+
+
+def test_read_auctions_merges_auction_ids_1_and_01(tmp_path):
+    # int() reads both texts as auction 1, so the reference groups them.
+    rows = base_rows()
+    rows[2][1] = rows[4][1] = "01"
+    path = tmp_path / "clean.csv"
+    write_csv(path, PREPROCESSED_COLUMNS, rows)
+    expected = reference_outcome(path)
+    assert expected[0] == "ok"
+    assert views_outcome(lambda: read_auctions(path)) == expected
+
+
+def test_read_auctions_accepts_a_later_amount_without_its_trailing_zero(tmp_path):
+    # "24.0" differs from the first row's "24.00" as text, but not as
+    # the two-digit amount both parse to.
+    rows = base_rows()
+    for row in rows[1:5]:
+        row[9] = "24.0"
+    path = tmp_path / "clean.csv"
+    write_csv(path, PREPROCESSED_COLUMNS, rows)
+    expected = reference_outcome(path)
+    assert expected[0] == "ok"
+    assert views_outcome(lambda: read_auctions(path)) == expected
+
+
+def _edit(row, column, value):
+    def apply(rows):
+        rows[row][column] = value
+    return apply
+
+
+def _edit_auction(auction_id, column, value):
+    def apply(rows):
+        for row in rows:
+            if row[1] == str(auction_id):
+                row[column] = value
+    return apply
+
+
+def _second_copy_as_01(rows):
+    # A full second copy of auction 1 under the text "01", with fresh
+    # record ids: each text alone has its num_bids rows.
+    last = len(rows)
+    rows.extend([str(last + n), "01", *row[2:]] for n, row in enumerate(rows[:5], 1))
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        _edit(6, 4, "24.00"),  # a later bid above its auction's winning_bid
+        _edit(6, 5, "200000"),  # a later bid outside its auction's window
+        _edit(6, 3, " "),  # a later blank bidder
+        _edit(6, 0, "-1"),
+        _edit(11, 0, "3"),  # a copied id in place of the largest
+        _edit(6, 0, "13"),  # record ids 1..13 with a gap
+        _edit_auction(2, 1, "4"),  # auction ids 1, 3, 4
+        _edit(7, 3, "b9"),  # one bidder more than num_bidders
+        _edit(6, 9, "15.00"),  # auction-level text that differs
+        _edit(6, 2, "s1"),
+        _edit_auction(2, 8, "20.00"),  # starting_price above winning_bid
+        _edit_auction(2, 7, "4"),  # num_bids above the row count
+        _second_copy_as_01,
+    ],
+    ids=[
+        "amount", "window", "bidder", "record-id", "duplicate-record-id",
+        "record-id-gap", "auction-id-gap", "num-bidders", "auction-cell", "seller",
+        "auction-rule", "num-bids", "01-copy",
+    ],
+)
+def test_read_auctions_reports_a_broken_rule_like_the_reference(tmp_path, broken):
+    rows = base_rows()
+    broken(rows)
+    path = tmp_path / "clean.csv"
+    write_csv(path, PREPROCESSED_COLUMNS, rows)
+    expected = reference_outcome(path)
+    assert expected[0] == "InvariantError", expected
+    assert views_outcome(lambda: read_auctions(path)) == expected
+
+
+_EDITS = ["", " ", "0", "-1", "01", "20.5", "1e30", "NaN", "99"]
+
+
+@st.composite
+def mutated_tables(draw):
+    """A valid table under a few edits, drops, copies, moves and ragged rows."""
+    rows = base_rows()
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        # Cell edits four times as often as each other kind of change.
+        op = draw(
+            st.sampled_from(
+                ["edit"] * 4
+                + ["auction", "record_id", "auction_id", "drop", "duplicate", "move"]
+            )
+        )
+        # Any column, the bid-level ones twice as often.
+        column = draw(st.sampled_from([0, 1, 3, 4, 5, *range(13)]))
+        # A listed value or the same column's cell from another row.
+        value = draw(
+            st.one_of(st.sampled_from(_EDITS), st.sampled_from(rows).map(lambda row: row[column]))
+        )
+        if op == "edit":
+            rows[i][column] = value
+        elif op == "auction":
+            # One auction's column, on all of its rows.
+            _edit_auction(rows[i][1], column, value)(rows)
+        elif op == "record_id":
+            rows[i][0] = draw(st.sampled_from(rows))[0]
+        elif op == "auction_id":
+            rows[i][1] = rows[i - 1][1]
+        elif op == "drop" and len(rows) > 1:
+            del rows[i]
+        elif op == "duplicate":
+            rows.insert(i, list(rows[i]))
+        elif op == "move":
+            rows.insert(draw(st.integers(min_value=0, max_value=len(rows) - 1)), rows.pop(i))
+    width = draw(st.sampled_from([None] * 27 + [1, 12, 14]))
+    if width is not None:
+        # A ragged row: one copied row cut short or given an extra cell.
+        rows.append((draw(st.sampled_from(rows)) + [""])[:width])
+    return rows
+
+
+@settings(max_examples=500)
+@given(mutated_tables())
+def test_read_auctions_matches_the_reference(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clean.csv"
+        write_csv(path, PREPROCESSED_COLUMNS, rows)
+        assert views_outcome(lambda: read_auctions(path)) == reference_outcome(path)
 
 
 # --- feature dataset round trip ---------------------------------------------

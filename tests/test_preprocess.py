@@ -28,9 +28,6 @@ from shillbid.preprocess import (
     PipelineConfig,
     assign_identifiers,
     countdown_parser,
-    dedup_records,
-    drop_irrelevant_columns,
-    drop_missing_bidder,
     duration_days_to_seconds,
     filter_inconsistent_auctions,
     filter_low_activity_auctions,
@@ -292,24 +289,6 @@ def test_read_preprocessed_money_cells_match_parse_cents(texts):
 
 
 # --- record-list stages -----------------------------------------------------
-
-def test_drop_irrelevant_columns():
-    rows = [{"a": "1", "b": "2", "c": "3"}]
-    assert drop_irrelevant_columns(rows, ["a", "c"]) == [{"a": "1", "c": "3"}]
-    with pytest.raises(SchemaError):
-        drop_irrelevant_columns(rows, ["a", "nope"])
-
-
-def test_dedup_records_keeps_first_and_ignores_key_order():
-    rows = [{"a": "1", "b": "2"}, {"b": "2", "a": "1"}, {"a": "1", "b": "3"}]
-    assert dedup_records(rows) == [rows[0], rows[2]]
-
-
-def test_drop_missing_bidder():
-    name = DEFAULT_RAW_SCHEMA["bidder_id"]
-    rows = [{name: "x"}, {name: ""}, {name: "  "}, {name: "y"}]
-    assert drop_missing_bidder(rows) == [rows[0], rows[3]]
-
 
 def parsed_auction(key="u1", n_bids=5, seller="s1", **overrides):
     bids = [
