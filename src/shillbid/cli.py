@@ -48,7 +48,6 @@ from .ingest import (
 from .metrics import compute_global_aggregates, load_weights, weighted_score
 from .model import PREPROCESSED_COLUMNS, SB_COLUMNS, winner_of
 from .preprocess import (
-    DEFAULT_TZ_OFFSET_HOURS,
     REFERENCE_EPOCH,
     PipelineConfig,
     run_pipeline,
@@ -94,7 +93,6 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     config = PipelineConfig(
         **({"schema": schema} if schema else {}),
         reference_epoch=_parse_epoch(args.epoch),
-        tz_offset_hours=args.tz_offset,
         min_bids=args.min_bids,
         min_winning_price=(
             _parse_price(args.min_winning_price)
@@ -244,12 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--epoch",
         default=REFERENCE_EPOCH.strftime("%Y-%m-%d %H:%M:%S"),
         help="countdown reference time, 'YYYY-MM-DD HH:MM:SS'",
-    )
-    p.add_argument(
-        "--tz-offset",
-        type=float,
-        default=DEFAULT_TZ_OFFSET_HOURS,
-        help="UTC offset in hours recorded for the scrape's clock",
     )
     p.add_argument(
         "--min-bids", type=int, default=5, help="drop auctions with fewer bids"

@@ -10,17 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import ConfigError, OutlierError
-from .metrics import (
-    GlobalAggregates,
-    _bid_volume_value,
-    _early_value,
-    _last_value,
-    _run_band,
-    _starting_price_value,
-    bidder_tendency,
-    participation_map,
-    winning_ratio,
-)
+from .metrics import GlobalAggregates, auction_instances
 from .model import METRIC_COLUMNS, AuctionView, SBInstance
 
 # An instance is "aggressive" when the bidder kept outbidding in
@@ -61,37 +51,7 @@ def build_sb_dataset(
     """
     instances: list[SBInstance] = []
     for auction in auctions:
-        asp = _starting_price_value(
-            float(auction.starting_price), aggregates.avg_auctions_start_price
-        )
-        ab = _bid_volume_value(auction.num_bids, aggregates.avg_bid_all_auctions)
-        parts = participation_map(auction)
-        for bidder in sorted(parts):
-            part = parts[bidder]
-            # Positional, in METRIC_COLUMNS order: keyword calls to a
-            # frozen dataclass cost twice as much per instance.
-            instances.append(
-                SBInstance(
-                    auction.auction_id,
-                    bidder,
-                    bidder_tendency(bidder, auction.seller_id, aggregates),
-                    _early_value(
-                        part.first_bid_time_sec,
-                        auction.start_time_sec,
-                        auction.auction_duration_sec,
-                    ),
-                    part.bid_count / auction.num_bids,
-                    _last_value(
-                        part.last_bid_time_sec,
-                        auction.end_time_sec,
-                        auction.auction_duration_sec,
-                    ),
-                    asp,
-                    _run_band(part.longest_run),
-                    winning_ratio(bidder, aggregates),
-                    ab,
-                )
-            )
+        instances.extend(auction_instances(auction, aggregates))
     bad = scan_outliers(instances)
     if bad:
         worst = bad[0]

@@ -2,7 +2,8 @@
 
 Per-pair metrics read one auction; the cross-auction ones (tendency,
 winning ratio, starting price, bid volume) read GlobalAggregates built
-once over the whole retained auction set. All arithmetic is plain
+once over the whole retained auction set. auction_instances applies
+all eight to every bidder of one auction. All arithmetic is plain
 double precision.
 """
 from __future__ import annotations
@@ -247,6 +248,45 @@ def _bid_volume_value(num_bids: int, average: float) -> float:
     if num_bids <= average:
         return 0.0
     return 1.0 - average / num_bids
+
+
+def auction_instances(
+    auction: AuctionView, aggregates: GlobalAggregates
+) -> list[SBInstance]:
+    """One SBInstance per bidder of the auction, in bidder-id order."""
+    asp = _starting_price_value(
+        float(auction.starting_price), aggregates.avg_auctions_start_price
+    )
+    ab = _bid_volume_value(auction.num_bids, aggregates.avg_bid_all_auctions)
+    parts = participation_map(auction)
+    instances: list[SBInstance] = []
+    for bidder in sorted(parts):
+        part = parts[bidder]
+        # Positional, in METRIC_COLUMNS order: keyword calls to a
+        # frozen dataclass cost twice as much per instance.
+        instances.append(
+            SBInstance(
+                auction.auction_id,
+                bidder,
+                bidder_tendency(bidder, auction.seller_id, aggregates),
+                _early_value(
+                    part.first_bid_time_sec,
+                    auction.start_time_sec,
+                    auction.auction_duration_sec,
+                ),
+                part.bid_count / auction.num_bids,
+                _last_value(
+                    part.last_bid_time_sec,
+                    auction.end_time_sec,
+                    auction.auction_duration_sec,
+                ),
+                asp,
+                _run_band(part.longest_run),
+                winning_ratio(bidder, aggregates),
+                ab,
+            )
+        )
+    return instances
 
 
 def weighted_score(

@@ -1,15 +1,18 @@
 """Cleansing pipeline: raw scrape rows to a validated bid table.
 
-Stage order is fixed: drop irrelevant columns, collapse exact
-duplicates, drop rows with a blank bidder id, merge date/time text,
-parse money, convert durations and timestamps, group into auctions,
-reconcile scraped counts against actual rows, drop low-activity
-auctions, drop price-inconsistent auctions, assign dense identifiers.
+Stage order is fixed. One streaming row pass applies the optional
+winning-price floor, collapses exact duplicates, drops rows with a
+blank bidder id and groups the rest into auctions, checking that each
+auction's rows agree. The auction-level stages follow: reconcile
+scraped counts against actual rows, drop low-activity auctions, drop
+price-inconsistent auctions, assign dense identifiers.
 
-run_pipeline fuses the row-wise stages into one streaming pass so a
-million-row corpus never holds its raw width in memory twice. The
-auction-level stages after it are separate functions, each with its
-own unit tests. The fused pass is tested as a whole: the golden files
+The row pass is written once and shared by both input layouts.
+run_pipeline feeds it raw scrape rows projected to the logical fields,
+parsing date, clock and money text only for rows that survive to be
+grouped; run_pipeline_records feeds it the typed records of a bid
+table. The auction-level stages are separate functions, each with its
+own unit tests. The row pass is tested as a whole: the golden files
 pin its bytes, and the removal counts are checked against the defect
 manifest of a synthetic corpus.
 """
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from operator import attrgetter, itemgetter
@@ -32,14 +35,13 @@ from .errors import (
     SchemaError,
 )
 from .ingest import DEFAULT_RAW_SCHEMA, LOGICAL_FIELDS, RawRecord
-from .model import BidRecord, check_dataset, fast_frozen_init
+from .model import PREPROCESSED_COLUMNS, BidRecord, check_dataset, fast_frozen_init
 
 logger = logging.getLogger(__name__)
 
 # Midnight at the start of the day the scrape was handed over,
 # expressed in the site's fixed-offset local time.
 REFERENCE_EPOCH = datetime(2017, 7, 7, 0, 0, 0)
-DEFAULT_TZ_OFFSET_HOURS = -7.0
 
 STANDARD_DURATIONS_DAYS = (1, 3, 5, 7, 10)
 
@@ -59,7 +61,7 @@ def merge_datetime(date_text: str, time_text: str) -> datetime:
     """Combine a MON-DD-YY date and a HH:MM:SS clock into one datetime.
 
     A trailing timezone token on the clock ("PDT") is consumed; all
-    clock values are read in the single configured fixed-offset zone.
+    clock values are read in the site's single fixed-offset zone.
     Two-digit years mean 2000 + yy.
     """
     parts = date_text.strip().split("-")
@@ -394,7 +396,6 @@ class PipelineConfig:
 
     schema: Mapping[str, str] = field(default_factory=lambda: dict(DEFAULT_RAW_SCHEMA))
     reference_epoch: datetime = REFERENCE_EPOCH
-    tz_offset_hours: float = DEFAULT_TZ_OFFSET_HOURS
     min_bids: int = 5
     min_winning_price: Decimal | None = None
 
@@ -415,7 +416,6 @@ class PipelineConfig:
 
 # Positions inside the projected logical tuple.
 _F = {name: i for i, name in enumerate(LOGICAL_FIELDS)}
-_SELLER = _F["seller_id"]
 _BIDDER = _F["bidder_id"]
 _BID_AMOUNT = _F["bid_amount"]
 _BID_DATE = _F["bid_date"]
@@ -436,10 +436,10 @@ def _dedup_key(cells: tuple[str, ...]):
 
 def _parse_auction_level(
     cells: tuple[str, ...],
-    key,
     config: PipelineConfig,
     money: Callable[[str], Decimal],
 ) -> ParsedAuction:
+    key = cells[0]
     where = f"auction {key!r}"
     start_dt = merge_datetime(cells[_F["start_date"]], cells[_F["start_time"]])
     end_dt = merge_datetime(cells[_F["end_date"]], cells[_F["end_time"]])
@@ -476,9 +476,82 @@ class _Counters:
     price_filtered: int = 0
 
 
+def _group_rows(
+    rows: Iterable[tuple],
+    config: PipelineConfig,
+    level_at: int,
+    winning: Callable[[tuple], Decimal],
+    dedup_key: Callable[[tuple], object],
+    new_auction: Callable[[tuple], ParsedAuction],
+    new_bid: Callable[[tuple], ParsedBid],
+) -> tuple[dict, _Counters, Totals]:
+    """The row-wise stages, one streaming pass shared by both layouts.
+
+    Cells 0, 1 and 2 of a row are its auction key, seller and bidder;
+    every cell from level_at on is auction-level. A row is dropped by
+    the winning-price floor, else counted into the before totals, then
+    dropped if its dedup_key was seen, then if its bidder is blank.
+    What is left joins its auction's group: new_auction builds the
+    group from the first such row, and every later row must repeat its
+    seller and auction-level cells. before.attributes is the bid
+    table's width; the raw adapter sets the scrape's.
+    """
+    min_price = config.min_winning_price
+    counters = _Counters()
+    seen: set = set()
+    keys_seen: set = set()
+    bidders_seen: set[str] = set()
+    sellers_seen: set[str] = set()
+    rows_before = 0
+    groups: dict = {}
+    level_of: dict = {}
+
+    for row in rows:
+        if min_price is not None and winning(row) <= min_price:
+            counters.price_filtered += 1
+            continue
+
+        key = row[0]
+        rows_before += 1
+        keys_seen.add(key)
+        sellers_seen.add(row[1])
+        bidder = row[2]
+        if bidder and not bidder.isspace():
+            bidders_seen.add(bidder)
+
+        dup = dedup_key(row)
+        if dup in seen:
+            counters.duplicates += 1
+            continue
+        seen.add(dup)
+
+        if not bidder or bidder.isspace():
+            counters.missing_bidder += 1
+            continue
+
+        level = row[level_at:]
+        group = groups.get(key)
+        if group is None:
+            groups[key] = group = new_auction(row)
+            level_of[key] = level
+        elif level_of[key] != level or group.seller_id != row[1]:
+            raise DataConsistencyError(
+                f"auction {key!r}: rows disagree on auction-level fields"
+            )
+        group.bids.append(new_bid(row))
+
+    before = Totals(
+        auctions=len(keys_seen),
+        records=rows_before,
+        bidder_ids=len(bidders_seen),
+        seller_ids=len(sellers_seen),
+        attributes=len(PREPROCESSED_COLUMNS),
+    )
+    return groups, counters, before
+
+
 def _finish(
     groups: dict,
-    vanished_auctions: int,
     before: Totals,
     counters: _Counters,
     config: PipelineConfig,
@@ -521,11 +594,14 @@ def _finish(
         duration_days_mode=mode_days,
         avg_winning_price=avg_win,
     )
+    # An auction whose every row was dropped before grouping never
+    # formed a group; it counts as a low-bid removal.
+    vanished = before.auctions - len(auctions)
     report = CleansingReport(
         irrelevant_columns_dropped=counters.columns_dropped,
         duplicate_records_removed=counters.duplicates,
         missing_bidder_rows_removed=counters.missing_bidder,
-        low_bid_auctions_removed=len(thin) + vanished_auctions,
+        low_bid_auctions_removed=len(thin) + vanished,
         low_bid_rows_removed=thin_rows,
         inconsistent_auctions_removed=len(inconsistent),
         inconsistent_rows_removed=inconsistent_rows,
@@ -562,81 +638,40 @@ def run_pipeline(
 
     Accepts any iterable of column-name -> text mappings and streams
     it, so a generator (for instance a RawScanner) keeps peak memory at
-    the projected row width.
+    the projected row width. Each record is projected to the logical
+    fields, in LOGICAL_FIELDS order, and enters the shared row pass;
+    its text is parsed only once a row survives to be grouped.
     """
     config = config or PipelineConfig()
     config.validate()
-    schema = config.schema
-    raw_names = tuple(schema[name] for name in LOGICAL_FIELDS)
-    epoch = config.reference_epoch
-    min_price = config.min_winning_price
-
-    counters = _Counters()
-    seen_keys: set = set()
-    urls_seen: set[str] = set()
-    bidders_seen: set[str] = set()
-    sellers_seen: set[str] = set()
-    rows_before = 0
+    raw_names = tuple(config.schema[name] for name in LOGICAL_FIELDS)
+    money = money_parser()
+    countdown = countdown_parser(config.reference_epoch)
     raw_width = 0
 
-    groups: dict[str, ParsedAuction] = {}
-    level_text: dict[str, tuple[str, ...]] = {}
-    money = money_parser()
-    countdown = countdown_parser(epoch)
-
-    pick: Callable[[tuple[str, ...]], tuple[str, ...]] | None = None
-    pick_for: int | None = None
-
-    for rec in records:
-        if isinstance(rec, RawRecord):
-            index = rec.index
-            if pick_for != id(index):
+    def project(rows: Iterable[Mapping[str, str]]):
+        nonlocal raw_width
+        pick_for: int | None = None
+        for rec in rows:
+            if isinstance(rec, RawRecord):
+                index = rec.index
+                if pick_for != id(index):
+                    try:
+                        pick = itemgetter(*(index[name] for name in raw_names))
+                    except KeyError as exc:
+                        raise SchemaError(f"missing required column {exc.args[0]!r}") from None
+                    pick_for = id(index)
+                cells = rec.project(pick)
+            else:
                 try:
-                    pick = itemgetter(*(index[name] for name in raw_names))
+                    cells = tuple(rec[name] for name in raw_names)
                 except KeyError as exc:
                     raise SchemaError(f"missing required column {exc.args[0]!r}") from None
-                pick_for = id(index)
-            cells = rec.project(pick)
-        else:
-            try:
-                cells = tuple(rec[name] for name in raw_names)
-            except KeyError as exc:
-                raise SchemaError(f"missing required column {exc.args[0]!r}") from None
-        if not raw_width:
-            raw_width = len(rec)
+            if not raw_width:
+                raw_width = len(rec)
+            yield cells
 
-        if min_price is not None and money(cells[_WINNING_PRICE]) <= min_price:
-            counters.price_filtered += 1
-            continue
-
-        url = cells[0]
-        rows_before += 1
-        urls_seen.add(url)
-        sellers_seen.add(cells[_SELLER])
-        bidder = cells[_BIDDER]
-        if bidder and not bidder.isspace():
-            bidders_seen.add(bidder)
-
-        key = _dedup_key(cells)
-        if key in seen_keys:
-            counters.duplicates += 1
-            continue
-        seen_keys.add(key)
-
-        if not bidder or bidder.isspace():
-            counters.missing_bidder += 1
-            continue
-
-        level = cells[_START_DATE:]
-        group = groups.get(url)
-        if group is None:
-            groups[url] = group = _parse_auction_level(cells, url, config, money)
-            level_text[url] = level
-        elif level_text[url] != level or group.seller_id != cells[_SELLER]:
-            raise DataConsistencyError(
-                f"auction {url!r}: rows disagree on auction-level fields"
-            )
-
+    def new_bid(cells: tuple[str, ...]) -> ParsedBid:
         try:
             when = countdown(cells[_BID_DATE], cells[_BID_TIME])
         except ParseError:
@@ -645,100 +680,56 @@ def run_pipeline(
             merge_datetime(cells[_BID_DATE], cells[_BID_TIME])
             money(cells[_BID_AMOUNT])
             raise
-        group.bids.append(ParsedBid(bidder, money(cells[_BID_AMOUNT]), when))
+        return ParsedBid(cells[_BIDDER], money(cells[_BID_AMOUNT]), when)
 
-    counters.columns_dropped = max(0, raw_width - len(LOGICAL_FIELDS))
-    before = Totals(
-        auctions=len(urls_seen),
-        records=rows_before,
-        bidder_ids=len(bidders_seen),
-        seller_ids=len(sellers_seen),
-        attributes=raw_width,
+    groups, counters, before = _group_rows(
+        project(records),
+        config,
+        _START_DATE,
+        lambda cells: money(cells[_WINNING_PRICE]),
+        _dedup_key,
+        lambda cells: _parse_auction_level(cells, config, money),
+        new_bid,
     )
-    vanished = len(urls_seen) - len(groups)
-    # Free the scan's tables (a key per raw row, the parse caches)
-    # before _finish builds the records, so they add nothing to the peak.
-    del seen_keys, level_text, money, countdown
-    return _finish(groups, vanished, before, counters, config)
+    counters.columns_dropped = max(0, raw_width - len(LOGICAL_FIELDS))
+    before = replace(before, attributes=raw_width)
+    # Free the parse caches before _finish builds the records, so they
+    # add nothing to the peak.
+    del money, countdown
+    return _finish(groups, before, counters, config)
+
+
+# A typed record enters the row pass as its fields after record_id.
+_record_cells = attrgetter(*PREPROCESSED_COLUMNS[1:])
+_R = {name: i for i, name in enumerate(PREPROCESSED_COLUMNS[1:])}
+_record_bid = itemgetter(_R["bidder_id"], _R["bid_amount"], _R["bid_submit_time_sec"])
+
+
+def _record_auction(cells: tuple) -> ParsedAuction:
+    key, seller, _, _, _, bidders, bids, starting, winning, duration, start, end = cells
+    return ParsedAuction(key, seller, start, end, duration, starting, winning, bids, bidders)
 
 
 def run_pipeline_records(
     records: Iterable[BidRecord], config: PipelineConfig | None = None
 ) -> tuple[list[BidRecord], CleansingReport]:
-    """Re-run the cleansing stages over already-typed records.
+    """Re-run the cleansing chain over the typed records of a bid table.
 
-    Cleansing is idempotent: feeding the pipeline its own output
-    reproduces it exactly and reports zero removals. Duplicate
-    detection here ignores record_id, since ids are re-assigned anyway.
+    Each record enters the same row pass as a raw row, as the tuple of
+    its fields after record_id. That tuple is its own duplicate key, so
+    record_id, which is re-assigned anyway, never tells two copies of a
+    bid apart. Cleansing is idempotent: feeding the pipeline its own
+    output reproduces it exactly and reports zero removals.
     """
     config = config or PipelineConfig()
     config.validate()
-    min_price = config.min_winning_price
-
-    counters = _Counters()
-    seen: set = set()
-    ids_seen: set[int] = set()
-    bidders_seen: set[str] = set()
-    sellers_seen: set[str] = set()
-    rows_before = 0
-
-    groups: dict[int, ParsedAuction] = {}
-    level: dict[int, tuple] = {}
-
-    for rec in records:
-        if min_price is not None and rec.winning_bid <= min_price:
-            counters.price_filtered += 1
-            continue
-        rows_before += 1
-        ids_seen.add(rec.auction_id)
-        sellers_seen.add(rec.seller_id)
-        if rec.bidder_id and not rec.bidder_id.isspace():
-            bidders_seen.add(rec.bidder_id)
-
-        key = (
-            rec.auction_id, rec.seller_id, rec.bidder_id, rec.bid_amount,
-            rec.bid_submit_time_sec, rec.num_bidders, rec.num_bids,
-            rec.starting_price, rec.winning_bid, rec.auction_duration_sec,
-            rec.start_time_sec, rec.end_time_sec,
-        )
-        if key in seen:
-            counters.duplicates += 1
-            continue
-        seen.add(key)
-
-        if not rec.bidder_id or rec.bidder_id.isspace():
-            counters.missing_bidder += 1
-            continue
-
-        group = groups.get(rec.auction_id)
-        auction_level = key[1:2] + key[5:]
-        if group is None:
-            groups[rec.auction_id] = group = ParsedAuction(
-                key=rec.auction_id,
-                seller_id=rec.seller_id,
-                start_time_sec=rec.start_time_sec,
-                end_time_sec=rec.end_time_sec,
-                duration_sec=rec.auction_duration_sec,
-                starting_price=rec.starting_price,
-                winning_bid=rec.winning_bid,
-                num_bids=rec.num_bids,
-                num_bidders=rec.num_bidders,
-            )
-            level[rec.auction_id] = auction_level
-        elif level[rec.auction_id] != auction_level:
-            raise DataConsistencyError(
-                f"auction {rec.auction_id}: records disagree on auction-level fields"
-            )
-        group.bids.append(
-            ParsedBid(rec.bidder_id, rec.bid_amount, rec.bid_submit_time_sec)
-        )
-
-    before = Totals(
-        auctions=len(ids_seen),
-        records=rows_before,
-        bidder_ids=len(bidders_seen),
-        seller_ids=len(sellers_seen),
-        attributes=13,
+    groups, counters, before = _group_rows(
+        map(_record_cells, records),
+        config,
+        _R["num_bidders"],
+        itemgetter(_R["winning_bid"]),
+        lambda cells: cells,
+        _record_auction,
+        lambda cells: ParsedBid(*_record_bid(cells)),
     )
-    vanished = len(ids_seen) - len(groups)
-    return _finish(groups, vanished, before, counters, config)
+    return _finish(groups, before, counters, config)

@@ -180,10 +180,13 @@ def test_raw_scanner_single_use(tmp_path):
 # --- preprocessed round trip ------------------------------------------------
 
 def sample_records():
-    records, _ = run_pipeline(
+    records, report = run_pipeline(
         five_bid_auction()
-        + five_bid_auction(url="https://x.example/itm/2", seller="s2", base_amount=41)
+        + five_bid_auction(
+            url="https://x.example/itm/2", seller="s2", base_amount=41, winning="50.00 $"
+        )
     )
+    assert report.after.auctions == 2
     return records
 
 

@@ -1,4 +1,6 @@
-"""The package surface: the README's library example and import cost."""
+"""The package surface: the README's library example, import cost and
+module boundaries."""
+import ast
 import os
 import re
 import subprocess
@@ -38,3 +40,23 @@ def test_cli_import_starts_no_worker_machinery():
         env=env, capture_output=True, text=True, check=True, timeout=60,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_no_cross_module_private_imports():
+    # A private name is a module's own business; a formula two modules
+    # need belongs in a public function of one of them.
+    package = Path(shillbid.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "shillbid":
+                continue
+            offenders += [
+                f"{path.name}:{node.lineno}: {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert offenders == []

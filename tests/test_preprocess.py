@@ -1,8 +1,10 @@
 """Parsing helpers and the cleansing pipeline."""
 import csv
+import functools
 import logging
 import random
 import tempfile
+from dataclasses import replace
 from datetime import datetime
 from decimal import Decimal
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from shillbid.cli import main as cli_main
 from shillbid.errors import (
     ConfigError,
     DataConsistencyError,
@@ -18,7 +21,12 @@ from shillbid.errors import (
     ParseError,
     SchemaError,
 )
-from shillbid.ingest import DEFAULT_RAW_SCHEMA, _parse_cents, read_preprocessed
+from shillbid.ingest import (
+    DEFAULT_RAW_SCHEMA,
+    _parse_cents,
+    read_preprocessed,
+    write_preprocessed,
+)
 from shillbid.model import PREPROCESSED_COLUMNS, group_bid_records, validate_dataset
 from shillbid.preprocess import (
     REFERENCE_EPOCH,
@@ -410,7 +418,9 @@ def raw_row(
     }
 
 
-def five_bid_auction(url="https://x.example/itm/1", seller="s1", base_amount=20):
+def five_bid_auction(
+    url="https://x.example/itm/1", seller="s1", base_amount=20, winning="30.00 $"
+):
     rows = []
     for i in range(5):
         rows.append(
@@ -420,6 +430,7 @@ def five_bid_auction(url="https://x.example/itm/1", seller="s1", base_amount=20)
                 bidder=f"bidder{i % 3}",
                 amount=f"{base_amount + i}.00 $",
                 bid_time=f"08:2{i}:50 PDT",
+                winning=winning,
             )
         )
     return rows
@@ -507,10 +518,13 @@ def test_run_pipeline_missing_column_is_schema_error():
 def test_run_pipeline_is_permutation_invariant():
     corpus = (
         five_bid_auction()
-        + five_bid_auction(url="https://x.example/itm/2", seller="s2", base_amount=40)
+        + five_bid_auction(
+            url="https://x.example/itm/2", seller="s2", base_amount=40, winning="50.00 $"
+        )
         + five_bid_auction(url="https://x.example/itm/3", seller="s1", base_amount=9)
     )
     base_records, base_report = run_pipeline(list(corpus))
+    assert base_report.after.auctions == 3
     rng = random.Random(5)
     for _ in range(5):
         shuffled = list(corpus)
@@ -523,9 +537,12 @@ def test_run_pipeline_is_permutation_invariant():
 def test_run_pipeline_records_is_idempotent():
     corpus = (
         five_bid_auction()
-        + five_bid_auction(url="https://x.example/itm/2", seller="s2", base_amount=40)
+        + five_bid_auction(
+            url="https://x.example/itm/2", seller="s2", base_amount=40, winning="50.00 $"
+        )
     )
-    once, _ = run_pipeline(corpus)
+    once, first = run_pipeline(corpus)
+    assert first.after.auctions == 2
     twice, report = run_pipeline_records(once)
     assert twice == once
     removed = report.to_dict()["removed"]
@@ -535,6 +552,145 @@ def test_run_pipeline_records_is_idempotent():
     )
     assert report.num_bids_reconciled == 0
     assert report.num_bidders_reconciled == 0
+
+
+# --- re-cleansing typed records ---------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def typed_base():
+    """Three clean auctions of five bids each, as run_pipeline emits them."""
+    records, report = run_pipeline(
+        five_bid_auction()
+        + five_bid_auction(
+            url="https://x.example/itm/2", seller="s2", base_amount=40, winning="50.00 $"
+        )
+        + five_bid_auction(url="https://x.example/itm/3", seller="s1", base_amount=9)
+    )
+    assert report.after.auctions == 3
+    return tuple(records)
+
+
+def in_auction(records, auction_id, **changes):
+    return [
+        replace(r, **changes) if r.auction_id == auction_id else r for r in records
+    ]
+
+
+def test_run_pipeline_records_ignores_record_id_when_deduplicating():
+    base = list(typed_base())
+    copy = replace(base[3], record_id=len(base) + 1)
+    records, report = run_pipeline_records(base + [copy])
+    assert report.duplicate_records_removed == 1
+    assert report.before.records == len(base) + 1
+    assert records == base
+
+
+def test_run_pipeline_records_drops_blank_bidder():
+    base = list(typed_base())
+    blank = replace(
+        base[0],
+        record_id=len(base) + 1,
+        bidder_id=" ",
+        bid_submit_time_sec=base[0].bid_submit_time_sec - 1,
+    )
+    records, report = run_pipeline_records(base + [blank])
+    assert report.missing_bidder_rows_removed == 1
+    assert report.duplicate_records_removed == 0
+    assert report.before.bidder_ids == report.after.bidder_ids
+    assert records == base
+
+
+def test_run_pipeline_records_drops_thin_auction():
+    base = list(typed_base())
+    assert [r.auction_id for r in base[5:10]] == [2] * 5
+    records, report = run_pipeline_records(base[:5] + base[6:])
+    assert report.low_bid_auctions_removed == 1
+    assert report.low_bid_rows_removed == 4
+    assert report.after.auctions == 2
+    assert len(records) == 10
+
+
+def test_run_pipeline_records_drops_inconsistent_auction():
+    base = list(typed_base())
+    # Auction 1's bids run 20.00..24.00, so its last bid beats 23.00.
+    assert max(r.bid_amount for r in base if r.auction_id == 1) == Decimal("24.00")
+    records, report = run_pipeline_records(
+        in_auction(base, 1, winning_bid=Decimal("23.00"))
+    )
+    assert report.inconsistent_auctions_removed == 1
+    assert report.inconsistent_rows_removed == 5
+    assert report.after.auctions == 2
+    assert len(records) == 10
+
+
+def test_run_pipeline_records_price_floor_is_counted_separately():
+    base = list(typed_base())
+    assert sorted({r.winning_bid for r in base}) == [Decimal("30.00"), Decimal("50.00")]
+    config = PipelineConfig(min_winning_price=Decimal("30.00"))
+    records, report = run_pipeline_records(base, config)
+    assert report.price_filtered_rows == 10
+    assert report.before.records == 5
+    assert report.before.auctions == 1
+    assert {r.winning_bid for r in records} == {Decimal("50.00")}
+
+
+def test_run_pipeline_records_reconciles_stale_counts():
+    base = list(typed_base())
+    records, report = run_pipeline_records(in_auction(base, 2, num_bids=7, num_bidders=9))
+    assert report.num_bids_reconciled == 1
+    assert report.num_bidders_reconciled == 1
+    assert records == base
+
+
+def test_run_pipeline_records_reports_bid_table_shape():
+    _, report = run_pipeline_records(typed_base())
+    assert report.before.attributes == 13
+    assert report.irrelevant_columns_dropped == 0
+
+
+def test_run_pipeline_records_rejects_auction_level_disagreement(tmp_path, capsys):
+    base = list(typed_base())
+    base[1] = replace(base[1], winning_bid=Decimal("31.00"))
+    assert base[1].auction_id == base[0].auction_id
+    with pytest.raises(DataConsistencyError):
+        run_pipeline_records(base)
+
+    clean = tmp_path / "clean.csv"
+    write_preprocessed(list(typed_base()), clean)
+    lines = clean.read_text(encoding="utf-8").splitlines()
+    cells = lines[2].split(",")
+    assert cells[1] == lines[1].split(",")[1]  # same auction as row 1
+    cells[9] = "99999.00"  # winning_bid
+    lines[2] = ",".join(cells)
+    clean.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "again.csv"
+    assert cli_main(["preprocess", "--in", str(clean), "--out", str(out)]) == 2
+    assert "disagree" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@given(
+    st.randoms(use_true_random=False),
+    st.lists(st.integers(min_value=0, max_value=14), max_size=12),
+)
+def test_run_pipeline_records_ignores_order_and_copies(rng, picks):
+    base = list(typed_base())
+    plain_records, plain_report = run_pipeline_records(base)
+    copies = [
+        replace(base[i], record_id=len(base) + n) for n, i in enumerate(picks, 1)
+    ]
+    mixed = base + copies
+    rng.shuffle(mixed)
+    records, report = run_pipeline_records(mixed)
+    assert records == plain_records
+    # Copies are counted among the rows seen, then removed as duplicates.
+    assert report == replace(
+        plain_report,
+        duplicate_records_removed=len(picks),
+        before=replace(
+            plain_report.before, records=plain_report.before.records + len(picks)
+        ),
+    )
 
 
 def test_pipeline_config_validation():
