@@ -107,15 +107,15 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     if header == PREPROCESSED_COLUMNS:
         # Already-cleaned input: re-run the stages on typed records.
         log.info("input is in preprocessed layout, re-cleansing")
-        records, report = run_pipeline_records(
+        auctions, report = run_pipeline_records(
             read_preprocessed(args.input), config
         )
     else:
         scanner = RawScanner(args.input, config.schema)
-        records, report = run_pipeline(scanner, config)
+        auctions, report = run_pipeline(scanner, config)
 
-    # run_pipeline validated this exact list as its final self-check
-    write_preprocessed(records, args.out, validate=False)
+    # The pipeline checked these exact views as its final self-check.
+    write_preprocessed(auctions, args.out, validate=False)
     payload = {"cleansing": report.to_dict()}
     if scanner is not None:
         payload["ingest"] = scanner.report.to_dict()

@@ -17,16 +17,15 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .errors import InvariantError, OutlierError, ParseError, SchemaError
 from .model import (
     CENT,
-    METRIC_COLUMNS,
     PREPROCESSED_COLUMNS,
     SB_COLUMNS,
     AuctionView,
     Bid,
     BidRecord,
     SBInstance,
-    bid_sort_key,
+    auction_ok,
+    auction_view,
     check_dataset,
-    validate_bid_record,
     validate_dataset,
 )
 
@@ -248,32 +247,57 @@ def write_rejects(report: SchemaReport, path: str | Path) -> None:
             writer.writerow([rej.row, rej.reason, buf.getvalue().rstrip("\n")])
 
 
-_preprocessed_cells = attrgetter(*PREPROCESSED_COLUMNS)
+class _CsvCells(dict):
+    """text -> that text as csv.writer writes it inside a row.
+
+    Each distinct text is rendered once, by csv.writer itself.
+    """
+
+    def __missing__(self, text: str) -> str:
+        buffer = io.StringIO()
+        # With an empty cell after it: alone, an empty text is written as "".
+        csv.writer(buffer, lineterminator="").writerow((text, ""))
+        rendered = self[text] = buffer.getvalue()[:-1]
+        return rendered
 
 
-def _preprocessed_sort_key(rec: BidRecord) -> tuple[int, int, int]:
-    return (rec.auction_id, -rec.bid_submit_time_sec, rec.record_id)
+_auction_id = attrgetter("auction_id")
 
 
 def write_preprocessed(
-    records: Sequence[BidRecord], path: str | Path, *, validate: bool = True
+    auctions: Sequence[AuctionView], path: str | Path, *, validate: bool = True
 ) -> None:
-    """Write the cleaned bid table; aborts if any invariant fails.
+    """Write the cleaned bid table, one row per bid; aborts if a check fails.
 
-    Rows are sorted by (auction_id, descending bid_submit_time_sec,
-    record_id), so repeated writes of the same records are
-    byte-identical regardless of input order. A caller that has just
-    validated the records (the pipeline checks its own output) may
-    pass validate=False to skip the duplicate pass.
+    Rows are ordered by (auction_id, descending bid_submit_time_sec,
+    record_id), so repeated writes of the same views are byte-identical
+    whatever the order of the views and of their bids (views sharing an
+    auction_id are written one after the other). The bytes are those
+    csv.writer gives; each view's auction-level cells are rendered once.
+    validate=True runs check_dataset first; a caller that has just
+    checked the views (the pipeline checks its own output) may pass
+    validate=False to skip the duplicate pass.
     """
     if validate:
-        check_dataset(records)
-    ordered = sorted(records, key=_preprocessed_sort_key)
+        check_dataset(auctions)
+    cell = _CsvCells()
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(PREPROCESSED_COLUMNS)
-        # The writer applies str() to each cell itself, Decimals included.
-        writer.writerows(map(_preprocessed_cells, ordered))
+        write = handle.write
+        write(",".join(PREPROCESSED_COLUMNS) + "\n")
+        for view in sorted(auctions, key=_auction_id):
+            auction = f",{view.auction_id},{cell[view.seller_id]},"
+            tail = (
+                f",{view.num_bidders},{view.num_bids},{view.starting_price!s},"
+                f"{view.winning_bid!s},{view.auction_duration_sec},"
+                f"{view.start_time_sec},{view.end_time_sec}\n"
+            )
+            write("".join([
+                f"{bid.record_id}{auction}{cell[bid.bidder_id]},"
+                f"{bid.bid_amount!s},{bid.bid_submit_time_sec}{tail}"
+                for bid in sorted(
+                    view.bids, key=lambda b: (-b.bid_submit_time_sec, b.record_id)
+                )
+            ]))
 
 
 def _parse_int(text: str, what: str, where: str) -> int:
@@ -385,9 +409,9 @@ def read_preprocessed(path: str | Path) -> list[BidRecord]:
 def _stream_auctions(path: str | Path) -> list[AuctionView] | None:
     """The one streaming pass of read_auctions.
 
-    Returns None, having built no view, as soon as the table holds
-    anything it does not take as-is; read_auctions then runs the
-    reference path, which finds and reports it.
+    Returns None as soon as the table holds anything it does not take
+    as-is; read_auctions then runs the reference path, which finds and
+    reports it.
     """
     width = len(PREPROCESSED_COLUMNS)
     # auction_id text -> (seller text, auction-level cells, first row, bids)
@@ -409,33 +433,20 @@ def _stream_auctions(path: str | Path) -> list[AuctionView] | None:
                     current = cells[1]
                     entry = auctions.get(current)
                     if entry is None:
-                        # Its first row: every rule, auction-level ones too.
+                        # Its first row gives the auction-level values.
                         head = _parse_preprocessed_row(cells, "")
-                        if validate_bid_record(head):
-                            return None
                         entry = auctions[current] = (cells[2], cells[6:], head, [])
-                    seller, level, head, bids = entry
-                    winning = head.winning_bid
-                    end, start = head.end_time_sec, head.start_time_sec
+                    seller, level, _, bids = entry
                 if cells[2] != seller or cells[6:] != level:
                     return None
                 record_id = int(cells[0])
-                submitted = int(cells[5])
+                if record_id < 1 or record_id in record_ids:
+                    return None
+                record_ids.add(record_id)
                 amount = amounts.get(cells[4])
                 if amount is None:
                     amount = amounts[cells[4]] = _parse_cents(cells[4], "bid_amount", "")
-                bidder = cells[3]
-                if (
-                    record_id < 1
-                    or record_id in record_ids
-                    or not bidder
-                    or bidder.isspace()
-                    or amount > winning
-                    or not end <= submitted <= start
-                ):
-                    return None
-                record_ids.add(record_id)
-                bids.append(Bid(bidder, amount, submitted, record_id))
+                bids.append(Bid(cells[3], amount, int(cells[5]), record_id))
     except (ValueError, ParseError, csv.Error):
         # A cell that does not parse, or a file that does not decode: the
         # reference path raises the exact error.
@@ -447,27 +458,9 @@ def _stream_auctions(path: str | Path) -> list[AuctionView] | None:
     by_id = {entry[2].auction_id: entry for entry in auctions.values()}
     if len(by_id) != len(auctions) or by_id.keys() != set(range(1, len(by_id) + 1)):
         return None
-    views: list[AuctionView] = []
-    for auction_id in range(1, len(by_id) + 1):
-        _, _, head, bids = by_id[auction_id]
-        if len(bids) != head.num_bids or len({b.bidder_id for b in bids}) != head.num_bidders:
-            return None
-        bids.sort(key=bid_sort_key)
-        views.append(
-            AuctionView(
-                auction_id,
-                head.seller_id,
-                head.num_bidders,
-                head.num_bids,
-                head.starting_price,
-                head.winning_bid,
-                head.auction_duration_sec,
-                head.start_time_sec,
-                head.end_time_sec,
-                tuple(bids),
-            )
-        )
-    return views
+    entries = [by_id[auction_id] for auction_id in range(1, len(by_id) + 1)]
+    views = [auction_view(head, bids) for _, _, head, bids in entries]
+    return views if all(map(auction_ok, views)) else None
 
 
 def read_auctions(path: str | Path) -> list[AuctionView]:
@@ -475,9 +468,10 @@ def read_auctions(path: str | Path) -> list[AuctionView]:
 
     Returns exactly what validate_dataset(read_preprocessed(path))
     returns, without building a BidRecord per row or regrouping the
-    rows. The first row of each auction_id text is parsed and checked
-    in full; a later row must repeat its seller and auction-level cells
-    as text, and only its own bid cells are parsed and checked. A table
+    rows. The first row of each auction_id text is parsed in full; a
+    later row must repeat its seller and auction-level cells as text,
+    and only its own bid cells are parsed. Each view is then checked
+    with model.auction_ok, the predicate check_dataset uses. A table
     this pass does not take as-is (a ragged row, a cell that does not
     parse, auction-level text that differs, any broken rule, ids that
     are not dense) goes through the reference path, so every error

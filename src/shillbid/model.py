@@ -1,5 +1,10 @@
 """Core domain types: bid records, auction views, feature instances.
 
+An AuctionView is the one in-memory shape of an auction: the pipeline
+numbers and checks views, write_preprocessed writes them, read_auctions
+reads them back. A BidRecord, one row of the bid table, is built only
+where a table is read row by row or checked by the reference rules.
+
 Time is stored as countdown seconds: whole seconds remaining until a
 fixed reference moment, so later events carry smaller values. All money
 is fixed-point decimal with exactly two fractional digits.
@@ -162,40 +167,13 @@ _AUCTION_LEVEL = (
 )
 
 
-def _shares_auction_fields(rec: BidRecord, head: BidRecord) -> bool:
-    """True when rec holds the very objects of head's auction-level fields.
-
-    Identity, not equality: Decimal("20.5") == Decimal("20.50"), yet
-    only the latter is a valid amount, so a row whose fields are merely
-    equal to its auction's first row still has to be checked on its own.
-    The pipeline and the reader share one set of objects per auction.
-    """
-    return (
-        rec.seller_id is head.seller_id
-        and rec.num_bidders is head.num_bidders
-        and rec.num_bids is head.num_bids
-        and rec.starting_price is head.starting_price
-        and rec.winning_bid is head.winning_bid
-        and rec.auction_duration_sec is head.auction_duration_sec
-        and rec.start_time_sec is head.start_time_sec
-        and rec.end_time_sec is head.end_time_sec
-    )
-
-
-def _check_group(auction_id: int, rows: list[BidRecord], shared: bool) -> None:
-    """Cross-record rules of one auction: field agreement, stored counts.
-
-    shared says every row holds its first row's auction-level objects,
-    so they cannot disagree and the field comparison is skipped.
-    """
+def _check_group(auction_id: int, rows: list[BidRecord]) -> None:
+    """Cross-record rules of one auction: field agreement, stored counts."""
     head = rows[0]
-    if not shared:
-        for row in rows[1:]:
-            for name in _AUCTION_LEVEL:
-                if getattr(row, name) != getattr(head, name):
-                    raise InvariantError(
-                        f"auction {auction_id}: records disagree on {name}"
-                    )
+    for row in rows[1:]:
+        for name in _AUCTION_LEVEL:
+            if getattr(row, name) != getattr(head, name):
+                raise InvariantError(f"auction {auction_id}: records disagree on {name}")
     if len(rows) != head.num_bids:
         raise InvariantError(
             f"auction {auction_id}: num_bids={head.num_bids} but {len(rows)} rows"
@@ -208,23 +186,20 @@ def _check_group(auction_id: int, rows: list[BidRecord], shared: bool) -> None:
         )
 
 
-def _auction_view(auction_id: int, rows: list[BidRecord]) -> AuctionView:
-    head = rows[0]
-    bids = sorted(
-        (Bid(r.bidder_id, r.bid_amount, r.bid_submit_time_sec, r.record_id) for r in rows),
-        key=bid_sort_key,
-    )
+_auction_fields = attrgetter(*_AUCTION_LEVEL)
+
+
+def auction_view(head: BidRecord, bids: Iterable[Bid]) -> AuctionView:
+    """The view of head's auction holding bids, in canonical order."""
     return AuctionView(
-        auction_id,
-        head.seller_id,
-        head.num_bidders,
-        head.num_bids,
-        head.starting_price,
-        head.winning_bid,
-        head.auction_duration_sec,
-        head.start_time_sec,
-        head.end_time_sec,
-        tuple(bids),
+        head.auction_id, *_auction_fields(head), tuple(sorted(bids, key=bid_sort_key))
+    )
+
+
+def _auction_view(rows: list[BidRecord]) -> AuctionView:
+    return auction_view(
+        rows[0],
+        (Bid(r.bidder_id, r.bid_amount, r.bid_submit_time_sec, r.record_id) for r in rows),
     )
 
 
@@ -241,8 +216,8 @@ def group_bid_records(records: Iterable[BidRecord]) -> list[AuctionView]:
     views: list[AuctionView] = []
     for auction_id in sorted(by_auction):
         rows = by_auction[auction_id]
-        _check_group(auction_id, rows, shared=False)
-        views.append(_auction_view(auction_id, rows))
+        _check_group(auction_id, rows)
+        views.append(_auction_view(rows))
     return views
 
 
@@ -298,54 +273,15 @@ def validate_bid_record(rec: BidRecord) -> list[str]:
 def _checked_groups(records: Sequence[BidRecord]) -> dict[int, list[BidRecord]]:
     """Run every dataset rule and return the rows grouped by auction.
 
-    Auction-level rules run once per auction, on its first row; a later
-    row that shares that row's auction-level objects only needs the
-    bid-level rules. Any row that breaks a rule, belongs to an auction
-    whose first row broke one, or holds auction-level objects of its own
-    goes through validate_bid_record, so the messages are exactly the
-    per-record ones, in record order.
+    The reference check: each record goes through validate_bid_record,
+    in record order, then the ids and each auction's group are checked.
     """
     violations: list[str] = []
     seen_record_ids: set[int] = set()
     by_auction: dict[int, list[BidRecord]] = {}
-    head_ok: dict[int, bool] = {}
-    unshared: set[int] = set()
-    current = object()
     for rec in records:
-        auction_id = rec.auction_id
-        if auction_id != current:
-            # An auction's rows usually arrive together: look it up only
-            # when the auction changes.
-            current = auction_id
-            rows = by_auction.get(auction_id)
-            if rows is None:
-                rows = by_auction[auction_id] = []
-                head = rec
-            else:
-                head = rows[0]
-                ok = head_ok[auction_id]
-        rows.append(rec)
-        amount = rec.bid_amount
-        bidder = rec.bidder_id
-        if rec is head:
-            bad = validate_bid_record(rec)
-            ok = head_ok[auction_id] = not bad
-        elif (
-            ok
-            and _shares_auction_fields(rec, head)
-            and rec.record_id >= 1
-            and bidder
-            and not bidder.isspace()
-            and amount.same_quantum(CENT)
-            and amount <= rec.winning_bid
-            and rec.end_time_sec <= rec.bid_submit_time_sec <= rec.start_time_sec
-        ):
-            bad = ()
-        else:
-            bad = validate_bid_record(rec)
-            if not _shares_auction_fields(rec, head):
-                unshared.add(auction_id)
-        for msg in bad:
+        by_auction.setdefault(rec.auction_id, []).append(rec)
+        for msg in validate_bid_record(rec):
             violations.append(f"record {rec.record_id}: {msg}")
         if rec.record_id in seen_record_ids:
             violations.append(f"record_id {rec.record_id} appears more than once")
@@ -360,8 +296,7 @@ def _checked_groups(records: Sequence[BidRecord]) -> dict[int, list[BidRecord]]:
     if not violations:
         try:
             for auction_id in sorted(by_auction):
-                rows = by_auction[auction_id]
-                _check_group(auction_id, rows, shared=auction_id not in unshared)
+                _check_group(auction_id, by_auction[auction_id])
         except InvariantError as exc:
             violations.append(str(exc))
     if violations:
@@ -373,24 +308,92 @@ def _checked_groups(records: Sequence[BidRecord]) -> dict[int, list[BidRecord]]:
     return by_auction
 
 
-def check_dataset(records: Sequence[BidRecord]) -> None:
-    """Check every record plus the dataset-wide identifier invariants.
-
-    Raises InvariantError with the first few violations; passing means
-    ids are dense 1..N / 1..M and all per-record and cross-record rules
-    hold.
-    """
-    _checked_groups(records)
-
-
 def validate_dataset(records: Sequence[BidRecord]) -> list[AuctionView]:
-    """Run check_dataset and return the grouped auction views.
+    """Check flat records against every dataset rule; return their views.
 
-    The views come from the grouping the checks produce anyway, so
-    callers need not group a second time.
+    The reference check: passing means ids are dense 1..N / 1..M and all
+    per-record and cross-record rules hold; otherwise InvariantError
+    names the first few violations. The views come from the grouping
+    the checks produce anyway.
     """
     by_auction = _checked_groups(records)
-    return [_auction_view(aid, by_auction[aid]) for aid in sorted(by_auction)]
+    return [_auction_view(by_auction[aid]) for aid in sorted(by_auction)]
+
+
+def auction_ok(view: AuctionView) -> bool:
+    """True when a view breaks no dataset rule other than the id rules.
+
+    validate_bid_record's auction-level rules run once, its bid rules
+    once per bid, then the stored counts are compared with the bids;
+    callers check the ids. Each amount's scale is tested before it is
+    compared, so a non-finite amount is refused, never compared. False
+    only says the reference has to decide.
+    """
+    seller = view.seller_id
+    starting = view.starting_price
+    winning = view.winning_bid
+    start = view.start_time_sec
+    end = view.end_time_sec
+    bids = view.bids
+    if not (
+        seller and not seller.isspace()
+        and starting.same_quantum(CENT) and winning.same_quantum(CENT)
+        and winning > 0 and 0 <= starting <= winning
+        and start - end == view.auction_duration_sec > 0 and end >= 0
+        and view.num_bids == len(bids) and view.num_bidders >= 1
+    ):
+        return False
+    for bid in bids:
+        bidder = bid.bidder_id
+        amount = bid.bid_amount
+        if not (
+            bidder and not bidder.isspace()
+            and amount.same_quantum(CENT) and amount <= winning
+            and end <= bid.bid_submit_time_sec <= start
+        ):
+            return False
+    # With the bids counted, this also gives num_bidders <= num_bids.
+    return len({bid.bidder_id for bid in bids}) == view.num_bidders
+
+
+_after_seller = attrgetter(*_AUCTION_LEVEL[1:])
+
+
+def _flatten(auctions: Iterable[AuctionView]) -> list[BidRecord]:
+    """The records of a set of views, in view order, then bid order."""
+    return [
+        BidRecord(
+            bid.record_id, view.auction_id, view.seller_id, bid.bidder_id,
+            bid.bid_amount, bid.bid_submit_time_sec, *_after_seller(view),
+        )
+        for view in auctions
+        for bid in view.bids
+    ]
+
+
+_record_id = attrgetter("record_id")
+
+
+def check_dataset(auctions: Sequence[AuctionView]) -> None:
+    """Raise InvariantError unless the views make a valid bid table.
+
+    Valid means what validate_dataset accepts of their records. The
+    pipeline's own shape is checked directly: views numbered 1..N in
+    order, each passing auction_ok, whose bids hold record ids 1..M in
+    order. Any other set of views goes through the reference, which
+    either accepts it or raises its own error, with its text.
+    """
+    next_id = 1
+    for auction_id, view in enumerate(auctions, 1):
+        count = len(view.bids)
+        if (
+            view.auction_id != auction_id
+            or list(map(_record_id, view.bids)) != list(range(next_id, next_id + count))
+            or not auction_ok(view)
+        ):
+            _checked_groups(_flatten(auctions))
+            return
+        next_id += count
 
 
 @fast_frozen_init

@@ -5,7 +5,9 @@ winning-price floor, collapses exact duplicates, drops rows with a
 blank bidder id and groups the rest into auctions, checking that each
 auction's rows agree. The auction-level stages follow: reconcile
 scraped counts against actual rows, drop low-activity auctions, drop
-price-inconsistent auctions, assign dense identifiers.
+price-inconsistent auctions, assign dense identifiers. The result is
+one AuctionView per kept auction, numbered and checked, which
+ingest.write_preprocessed writes as it is.
 
 The row pass is written once and shared by both input layouts.
 run_pipeline feeds it raw scrape rows projected to the logical fields,
@@ -35,7 +37,9 @@ from .errors import (
     SchemaError,
 )
 from .ingest import DEFAULT_RAW_SCHEMA, LOGICAL_FIELDS, RawRecord
-from .model import PREPROCESSED_COLUMNS, BidRecord, check_dataset, fast_frozen_init
+from .model import (
+    PREPROCESSED_COLUMNS, AuctionView, Bid, BidRecord, check_dataset, fast_frozen_init,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -281,44 +285,35 @@ def filter_inconsistent_auctions(
     return kept, removed
 
 
-def assign_identifiers(auctions: Iterable[ParsedAuction]) -> list[BidRecord]:
-    """Assign dense auction and record ids and flatten to records.
+def assign_identifiers(auctions: Iterable[ParsedAuction]) -> list[AuctionView]:
+    """Assign dense auction and record ids and build the auction views.
 
     Auctions are numbered 1..N from the earliest start (largest start
-    countdown), ties broken by key. Records are numbered 1..M over the
-    canonical global row order, so both numberings depend only on row
-    content, never on input order.
+    countdown), ties broken by key. Each auction's bids are ordered by
+    (descending time, amount, bidder) and records are numbered 1..M in
+    view order, then bid order, so both numberings depend only on row
+    content, never on input order. Along each view the record ids
+    ascend, so its bids are already in canonical bid_sort_key order.
     """
     ordered = sorted(auctions, key=lambda a: (-a.start_time_sec, a.key))
-    records: list[BidRecord] = []
-    record_id = 0
+    views: list[AuctionView] = []
+    record_id = 1
     for auction_id, auction in enumerate(ordered, 1):
         bids = sorted(
             auction.bids,
             key=lambda b: (-b.bid_submit_time_sec, b.bid_amount, b.bidder_id),
         )
-        # Every record of an auction holds the same auction-level
-        # objects, which lets check_dataset test them once per auction.
-        for bid in bids:
-            record_id += 1
-            records.append(
-                BidRecord(
-                    record_id,
-                    auction_id,
-                    auction.seller_id,
-                    bid.bidder_id,
-                    bid.bid_amount,
-                    bid.bid_submit_time_sec,
-                    auction.num_bidders,
-                    auction.num_bids,
-                    auction.starting_price,
-                    auction.winning_bid,
-                    auction.duration_sec,
-                    auction.start_time_sec,
-                    auction.end_time_sec,
-                )
-            )
-    return records
+        views.append(AuctionView(
+            auction_id, auction.seller_id, auction.num_bidders, auction.num_bids,
+            auction.starting_price, auction.winning_bid, auction.duration_sec,
+            auction.start_time_sec, auction.end_time_sec,
+            tuple(
+                Bid(bid.bidder_id, bid.bid_amount, bid.bid_submit_time_sec, rid)
+                for rid, bid in enumerate(bids, record_id)
+            ),
+        ))
+        record_id += len(bids)
+    return views
 
 
 @dataclass(frozen=True, slots=True)
@@ -412,6 +407,9 @@ class PipelineConfig:
             raise ConfigError(f"min_bids must be >= 1, got {self.min_bids}")
         if self.reference_epoch.microsecond:
             raise ConfigError("reference epoch must be a whole second")
+        price = self.min_winning_price
+        if price is not None and not price.is_finite():
+            raise ConfigError(f"min_winning_price must be a finite amount, got {price}")
 
 
 # Positions inside the projected logical tuple.
@@ -555,14 +553,14 @@ def _finish(
     before: Totals,
     counters: _Counters,
     config: PipelineConfig,
-) -> tuple[list[BidRecord], CleansingReport]:
+) -> tuple[list[AuctionView], CleansingReport]:
     auctions = list(groups.values())
     bids_fixed, bidders_fixed = reconcile_counts(auctions)
     kept, thin = filter_low_activity_auctions(auctions, config.min_bids)
     kept, inconsistent = filter_inconsistent_auctions(kept)
 
-    records = assign_identifiers(kept)
-    check_dataset(records)
+    views = assign_identifiers(kept)
+    check_dataset(views)
 
     thin_rows = sum(len(a.bids) for a in thin)
     inconsistent_rows = sum(len(a.bids) for a in inconsistent)
@@ -586,9 +584,9 @@ def _finish(
 
     after = Totals(
         auctions=len(kept),
-        records=len(records),
-        bidder_ids=len({r.bidder_id for r in records}),
-        seller_ids=len({r.seller_id for r in records}),
+        records=sum(len(v.bids) for v in views),
+        bidder_ids=len({b.bidder_id for v in views for b in v.bids}),
+        seller_ids=len({v.seller_id for v in views}),
         attributes=13,
         duration_days_mean=mean_days,
         duration_days_mode=mode_days,
@@ -628,19 +626,20 @@ def _finish(
             "auction accounting broke: "
             f"{before.auctions} - {lost_auctions} != {after.auctions}"
         )
-    return records, report
+    return views, report
 
 
 def run_pipeline(
     records: Iterable[Mapping[str, str]], config: PipelineConfig | None = None
-) -> tuple[list[BidRecord], CleansingReport]:
+) -> tuple[list[AuctionView], CleansingReport]:
     """Run the whole cleansing chain over raw records.
 
     Accepts any iterable of column-name -> text mappings and streams
     it, so a generator (for instance a RawScanner) keeps peak memory at
     the projected row width. Each record is projected to the logical
     fields, in LOGICAL_FIELDS order, and enters the shared row pass;
-    its text is parsed only once a row survives to be grouped.
+    its text is parsed only once a row survives to be grouped. Returns
+    the kept auctions as checked views, in id order, and the report.
     """
     config = config or PipelineConfig()
     config.validate()
@@ -693,7 +692,7 @@ def run_pipeline(
     )
     counters.columns_dropped = max(0, raw_width - len(LOGICAL_FIELDS))
     before = replace(before, attributes=raw_width)
-    # Free the parse caches before _finish builds the records, so they
+    # Free the parse caches before _finish builds the views, so they
     # add nothing to the peak.
     del money, countdown
     return _finish(groups, before, counters, config)
@@ -712,14 +711,15 @@ def _record_auction(cells: tuple) -> ParsedAuction:
 
 def run_pipeline_records(
     records: Iterable[BidRecord], config: PipelineConfig | None = None
-) -> tuple[list[BidRecord], CleansingReport]:
+) -> tuple[list[AuctionView], CleansingReport]:
     """Re-run the cleansing chain over the typed records of a bid table.
 
     Each record enters the same row pass as a raw row, as the tuple of
     its fields after record_id. That tuple is its own duplicate key, so
     record_id, which is re-assigned anyway, never tells two copies of a
-    bid apart. Cleansing is idempotent: feeding the pipeline its own
-    output reproduces it exactly and reports zero removals.
+    bid apart. Returns views and a report, as run_pipeline does.
+    Cleansing is idempotent: feeding the pipeline the records of its
+    own output reproduces that output exactly and reports zero removals.
     """
     config = config or PipelineConfig()
     config.validate()

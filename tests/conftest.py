@@ -7,7 +7,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import HealthCheck, settings
 
-from shillbid.model import AuctionView, Bid
+from shillbid.model import AuctionView, Bid, BidRecord
 
 settings.register_profile(
     "suite",
@@ -64,6 +64,20 @@ def make_view(
         end_time_sec=end_sec,
         bids=bids,
     )
+
+
+def records_of(views) -> list[BidRecord]:
+    """The bid-table rows of a set of views: view order, then bid order."""
+    return [
+        BidRecord(
+            bid.record_id, view.auction_id, view.seller_id, bid.bidder_id,
+            bid.bid_amount, bid.bid_submit_time_sec, view.num_bidders,
+            view.num_bids, view.starting_price, view.winning_bid,
+            view.auction_duration_sec, view.start_time_sec, view.end_time_sec,
+        )
+        for view in views
+        for bid in view.bids
+    ]
 
 
 def random_micro_corpus(rng: random.Random, n_auctions: int) -> list[AuctionView]:

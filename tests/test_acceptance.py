@@ -28,7 +28,6 @@ from shillbid.metrics import (
     successive_outbidding,
     winning_ratio,
 )
-from shillbid.model import group_bid_records
 from shillbid.preprocess import (
     REFERENCE_EPOCH,
     merge_datetime,
@@ -61,8 +60,7 @@ def _verdict(number: int, problems: list, detail: str) -> None:
 def _features_for(config: SynthConfig):
     """Synthetic corpus through the library chain, in memory."""
     result = generate(config)
-    records, report = run_pipeline(result.records())
-    auctions = group_bid_records(records)
+    auctions, report = run_pipeline(result.records())
     aggregates = compute_global_aggregates(auctions)
     instances = build_sb_dataset(auctions, aggregates)
     return result, report, auctions, instances
@@ -180,8 +178,8 @@ def test_criterion_03_bidding_ratios_sum_to_one_per_auction():
 def five_day_corpus():
     """Corpus pinned to five-day listings; each must span 432000 seconds."""
     config = SynthConfig(seed=55, num_auctions=6, duration_weights={5: 1})
-    records, _ = run_pipeline(generate(config).records())
-    return group_bid_records(records)
+    auctions, _ = run_pipeline(generate(config).records())
+    return auctions
 
 
 def test_criterion_04_duration_identity_holds_everywhere(five_day_corpus):
@@ -202,8 +200,7 @@ def test_criterion_04_duration_identity_holds_everywhere(five_day_corpus):
         duration_weights={1: 1, 3: 1, 5: 1, 7: 1, 10: 1},
         **MILD_DEFECTS,
     )
-    records, _ = run_pipeline(generate(config).records())
-    views = group_bid_records(records)
+    views, _ = run_pipeline(generate(config).records())
     days_seen = set()
     for view in views:
         span = view.start_time_sec - view.end_time_sec

@@ -1,7 +1,9 @@
 """CSV readers and writers: raw scrapes, bid tables, feature datasets."""
 import csv
+import io
 import random
 import tempfile
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from shillbid.ingest import (
 from shillbid.model import PREPROCESSED_COLUMNS, SB_COLUMNS, SBInstance, validate_dataset
 from shillbid.preprocess import run_pipeline
 
-from .test_model import record
+from .conftest import make_view, records_of
 from .test_preprocess import five_bid_auction
 
 
@@ -179,23 +181,23 @@ def test_raw_scanner_single_use(tmp_path):
 
 # --- preprocessed round trip ------------------------------------------------
 
-def sample_records():
-    records, report = run_pipeline(
+def sample_views():
+    auctions, report = run_pipeline(
         five_bid_auction()
         + five_bid_auction(
             url="https://x.example/itm/2", seller="s2", base_amount=41, winning="50.00 $"
         )
     )
     assert report.after.auctions == 2
-    return records
+    return auctions
 
 
 def test_preprocessed_round_trip(tmp_path):
-    records = sample_records()
+    views = sample_views()
     path = tmp_path / "clean.csv"
-    write_preprocessed(records, path)
+    write_preprocessed(views, path)
     assert read_preprocessed(path) == sorted(
-        records, key=lambda r: (r.auction_id, -r.bid_submit_time_sec, r.record_id)
+        records_of(views), key=lambda r: (r.auction_id, -r.bid_submit_time_sec, r.record_id)
     )
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == (
@@ -206,17 +208,40 @@ def test_preprocessed_round_trip(tmp_path):
 
 
 def test_write_preprocessed_is_order_insensitive(tmp_path):
-    records = sample_records()
+    views = sample_views()
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_preprocessed(records, a)
-    shuffled = list(records)
-    random.Random(3).shuffle(shuffled)
+    write_preprocessed(views, a)
+    rng = random.Random(3)
+    shuffled = [replace(v, bids=tuple(rng.sample(v.bids, len(v.bids)))) for v in views]
+    rng.shuffle(shuffled)
+    assert shuffled != views
     write_preprocessed(shuffled, b)
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_write_preprocessed_quotes_ids_like_csv_writer(tmp_path):
+    rows = five_bid_auction(seller='se,l"ler')
+    bidders = ["a,b", 'say "hi"', "plain", "a,b", '"q",\nr']
+    for row, bidder in zip(rows, bidders):
+        row[DEFAULT_RAW_SCHEMA["bidder_id"]] = bidder
+    views, _ = run_pipeline(rows)
+    path = tmp_path / "clean.csv"
+    write_preprocessed(views, path)
+
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(PREPROCESSED_COLUMNS)
+    writer.writerows(
+        [getattr(r, name) for name in PREPROCESSED_COLUMNS] for r in records_of(views)
+    )
+    text = path.read_text(encoding="utf-8")
+    assert '"se,l""ler"' in text and '"say ""hi"""' in text
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    assert read_auctions(path) == views
+
+
 def test_write_preprocessed_validates_first(tmp_path):
-    bad = [record(record_id=2)]  # not dense
+    bad = [make_view([("a", "20.00", 150_000)], first_record_id=2)]  # not dense
     with pytest.raises(InvariantError):
         write_preprocessed(bad, tmp_path / "x.csv")
     assert not (tmp_path / "x.csv").exists()
@@ -230,9 +255,9 @@ def test_read_preprocessed_rejects_foreign_header(tmp_path):
 
 
 def test_read_preprocessed_money_normalization(tmp_path):
-    records = sample_records()
+    views = sample_views()
     path = tmp_path / "clean.csv"
-    write_preprocessed(records, path)
+    write_preprocessed(views, path)
     text = path.read_text(encoding="utf-8")
     loose = text.replace("20.00", "20.0", 1)
     path.write_text(loose, encoding="utf-8")
@@ -242,9 +267,9 @@ def test_read_preprocessed_money_normalization(tmp_path):
 
 
 def test_read_preprocessed_rejects_sub_cent_amounts(tmp_path):
-    records = sample_records()
+    views = sample_views()
     path = tmp_path / "clean.csv"
-    write_preprocessed(records, path)
+    write_preprocessed(views, path)
     text = path.read_text(encoding="utf-8").replace("20.00", "20.001", 1)
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError, match="2-digit"):
@@ -252,9 +277,9 @@ def test_read_preprocessed_rejects_sub_cent_amounts(tmp_path):
 
 
 def test_read_preprocessed_rejects_bad_cells(tmp_path):
-    records = sample_records()
+    views = sample_views()
     path = tmp_path / "clean.csv"
-    write_preprocessed(records, path)
+    write_preprocessed(views, path)
     lines = path.read_text(encoding="utf-8").splitlines()
     lines[1] = lines[1].replace(lines[1].split(",")[0], "xx", 1)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

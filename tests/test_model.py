@@ -1,11 +1,15 @@
 """Core type behavior: grouping, winners, validation."""
 import dataclasses
+import random
 import re
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shillbid.errors import ConfigError, EmptyDatasetError, InvariantError
+from shillbid.ingest import read_auctions, write_preprocessed
 from shillbid.model import (
     DEFAULT_WEIGHTS,
     METRIC_COLUMNS,
@@ -13,6 +17,7 @@ from shillbid.model import (
     SB_COLUMNS,
     BidRecord,
     SBInstance,
+    check_dataset,
     fast_frozen_init,
     group_bid_records,
     validate_bid_record,
@@ -21,7 +26,7 @@ from shillbid.model import (
     winner_of,
 )
 
-from .conftest import D, make_view
+from .conftest import D, make_view, random_micro_corpus, records_of
 
 
 def record(
@@ -252,6 +257,178 @@ def test_validate_dataset_rejects_sparse_auction_ids():
 
 def test_validate_dataset_empty_is_fine():
     validate_dataset([])
+
+
+# --- check_dataset: one predicate against the reference ----------------------
+
+def check_outcome(call):
+    """None, or the type and text of what call raised."""
+    try:
+        call()
+    except Exception as exc:  # compared, not swallowed
+        return (type(exc).__name__, str(exc))
+    return None
+
+
+def valid_views():
+    """Three valid auctions, numbered as the pipeline numbers them."""
+    return [
+        make_view([("b0", "20.00", 500_000), ("b1", "21.00", 400_000), ("b0", "22.00", 300_000)],
+                  starting_price="5.00", winning_bid="24.00"),
+        make_view([("b2", "30.00", 450_000), ("b3", "31.00", 350_000), ("b2", "32.00", 250_000)],
+                  auction_id=2, seller_id="s2", starting_price="7.00", first_record_id=4),
+        make_view([("b1", "9.00", 120_000), ("b4", "9.50", 110_000)],
+                  auction_id=3, end_sec=50_000, duration_sec=86_400, starting_price="1.00",
+                  first_record_id=7),
+    ]
+
+
+def renumbered(views):
+    """views with auction ids 1..N and record ids 1..M in order."""
+    out, next_id = [], 1
+    for auction_id, view in enumerate(views, 1):
+        bids = tuple(
+            dataclasses.replace(bid, record_id=rid)
+            for rid, bid in enumerate(view.bids, next_id)
+        )
+        out.append(dataclasses.replace(view, auction_id=auction_id, bids=bids))
+        next_id += len(bids)
+    return out
+
+
+def second(**changes):
+    """valid_views() with auction 2 changed."""
+    views = valid_views()
+    views[1] = dataclasses.replace(views[1], **changes)
+    return views
+
+
+def second_bid(index, **changes):
+    """valid_views() with one bid of auction 2 changed."""
+    bids = list(valid_views()[1].bids)
+    bids[index] = dataclasses.replace(bids[index], **changes)
+    return second(bids=tuple(bids))
+
+
+def second_as(specs, **kwargs):
+    """valid_views() with auction 2 rebuilt from bid specs, renumbered."""
+    views = valid_views()
+    views[1] = make_view(specs, auction_id=2, **kwargs)
+    return renumbered(views)
+
+
+# One case per clause of auction_ok and of check_dataset's id rules; each
+# breaks that clause alone. A scale break ("24.0") reads back from text
+# as the valid two-digit amount, so it is checked in memory only.
+PREDICATE_CASES = [
+    ("seller-empty", second(seller_id=""), True),
+    ("seller-space", second(seller_id=" "), True),
+    ("starting-scale", second(starting_price=Decimal("7.0")), False),
+    ("winning-scale", second(winning_bid=Decimal("32.0")), False),
+    ("winning-positive", second_as(
+        [("b2", "-1.00", 450_000), ("b3", "0.00", 350_000)],
+        starting_price="0.00", winning_bid="0.00"), True),
+    ("starting-negative", second(starting_price=D("-1.00")), True),
+    ("starting-above-winning", second(starting_price=D("32.01")), True),
+    ("duration-positive", second_as(
+        [("b2", "30.00", 200_000), ("b3", "31.00", 200_000)],
+        duration_sec=0, end_sec=200_000), True),
+    ("duration-mismatch", second(start_time_sec=100_000 + 5 * 86400 + 1), True),
+    ("end-negative", second_as(
+        [("b2", "30.00", 300), ("b3", "31.00", 200)], end_sec=-10), True),
+    ("num-bids", second(num_bids=4), True),
+    ("empty-auction", renumbered(
+        [valid_views()[0], second(bids=(), num_bids=0, num_bidders=0)[1], valid_views()[2]]
+    ), True),
+    ("bidder-empty", second_bid(1, bidder_id=""), True),
+    ("bidder-space", second_bid(1, bidder_id=" "), True),
+    ("amount-scale", second_bid(1, bid_amount=Decimal("31.0")), False),
+    ("amount-above-winning", second_bid(2, bid_amount=D("32.01")), True),
+    ("bid-before-window", second_bid(2, bid_submit_time_sec=99_999), True),
+    ("bid-after-window", second_bid(0, bid_submit_time_sec=100_000 + 5 * 86400 + 1), True),
+    ("num-bidders", second(num_bidders=1), True),
+    ("auction-id-gap", [*valid_views()[:2], dataclasses.replace(valid_views()[2], auction_id=4)],
+     True),
+    ("record-id-gap", second_bid(2, record_id=9), True),
+    ("record-id-copy", second_bid(2, record_id=5), True),
+]
+
+
+@pytest.mark.parametrize(
+    "views, from_text", [case[1:] for case in PREDICATE_CASES],
+    ids=[case[0] for case in PREDICATE_CASES],
+)
+def test_check_dataset_breaks_like_the_reference(tmp_path, views, from_text):
+    expected = check_outcome(lambda: validate_dataset(records_of(views)))
+    assert expected is not None and expected[0] == "InvariantError"
+    assert check_outcome(lambda: check_dataset(views)) == expected
+    if from_text:
+        path = tmp_path / "clean.csv"
+        write_preprocessed(views, path, validate=False)
+        assert check_outcome(lambda: read_auctions(path)) == expected
+
+
+def test_check_dataset_accepts_valid_views_off_the_pipeline_shape():
+    views = valid_views()
+    check_dataset(views)
+    # Off the pipeline's shape, the reference decides, and accepts.
+    check_dataset(views[::-1])
+    bids = views[0].bids
+    renumbered_bids = tuple(
+        dataclasses.replace(bid, record_id=rid) for bid, rid in zip(bids, (3, 1, 2))
+    )
+    check_dataset([dataclasses.replace(views[0], bids=renumbered_bids), *views[1:]])
+    check_dataset([])
+
+
+_VIEW_EDITS = {
+    "auction_id": [0, 2, 9],
+    "seller_id": ["", " ", "s9"],
+    "num_bidders": [0, 1, 2, 3, 7],
+    "num_bids": [0, 1, 2, 6, 7],
+    "starting_price": [D("-1.00"), D("0.00"), Decimal("5.0"), D("99.99"), Decimal("NaN")],
+    "winning_bid": [D("0.00"), Decimal("50.0"), D("0.50"), D("99.99")],
+    "auction_duration_sec": [0, -86_400, 86_400],
+    "start_time_sec": [0, 1_000_000],
+    "end_time_sec": [-1, 0, 500_000],
+}
+_BID_EDITS = {
+    "bidder_id": ["", " ", "p1", "p9"],
+    "bid_amount": [D("-1.00"), Decimal("20.5"), D("99.99"), Decimal("sNaN")],
+    "bid_submit_time_sec": [-1, 0, 2_000_000],
+    "record_id": [0, 1, 2, 99],
+}
+
+
+@st.composite
+def edited_corpora(draw):
+    """A micro corpus with at most one field of one view or bid changed."""
+    views = random_micro_corpus(
+        random.Random(draw(st.integers(0, 10**6))), draw(st.integers(1, 5))
+    )
+    kind = draw(st.sampled_from(["none", "view", "bid"]))
+    i = draw(st.integers(0, len(views) - 1))
+    view = views[i]
+    # A listed value, or the same field of another view or bid.
+    if kind == "view":
+        name = draw(st.sampled_from(sorted(_VIEW_EDITS)))
+        value = draw(st.sampled_from(_VIEW_EDITS[name] + [getattr(v, name) for v in views]))
+        views[i] = dataclasses.replace(view, **{name: value})
+    elif kind == "bid":
+        name = draw(st.sampled_from(sorted(_BID_EDITS)))
+        bids = [b for v in views for b in v.bids]
+        value = draw(st.sampled_from(_BID_EDITS[name] + [getattr(b, name) for b in bids]))
+        j = draw(st.integers(0, len(view.bids) - 1))
+        changed = dataclasses.replace(view.bids[j], **{name: value})
+        views[i] = dataclasses.replace(view, bids=view.bids[:j] + (changed,) + view.bids[j + 1:])
+    return views
+
+
+@settings(max_examples=300)
+@given(edited_corpora())
+def test_check_dataset_raises_iff_the_reference_does(views):
+    expected = check_outcome(lambda: validate_dataset(records_of(views)))
+    assert check_outcome(lambda: check_dataset(views)) == expected
 
 
 def test_validate_weights():

@@ -20,7 +20,7 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     namespace: dict = {}
     exec(compile(snippet, "README.md", "exec"), namespace)
-    assert namespace["records"]
+    assert namespace["auctions"]
     assert len(namespace["instances"]) >= len(namespace["auctions"]) > 0
 
 
@@ -59,4 +59,23 @@ def test_no_cross_module_private_imports():
                 for alias in node.names
                 if alias.name.startswith("_")
             ]
+    assert offenders == []
+
+
+def test_bid_records_are_built_only_at_the_edges():
+    # An auction travels from the pipeline to the writer as one view. A
+    # BidRecord is a row of a bid table that is read back (ingest) or
+    # checked by the reference rules (model); no other module builds one.
+    package = Path(shillbid.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("ingest.py", "model.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "BidRecord" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
     assert offenders == []

@@ -27,7 +27,7 @@ from shillbid.ingest import (
     read_preprocessed,
     write_preprocessed,
 )
-from shillbid.model import PREPROCESSED_COLUMNS, group_bid_records, validate_dataset
+from shillbid.model import PREPROCESSED_COLUMNS, check_dataset, validate_dataset
 from shillbid.preprocess import (
     REFERENCE_EPOCH,
     SECONDS_PER_DAY,
@@ -47,8 +47,10 @@ from shillbid.preprocess import (
     run_pipeline_records,
     to_countdown_seconds,
 )
+from shillbid.synth import SynthConfig, write_corpus
 
 from . import _oracle
+from .conftest import records_of
 
 
 # --- scalar parsing ---------------------------------------------------------
@@ -358,11 +360,14 @@ def test_assign_identifiers_orders_and_numbers_densely():
     older = parsed_auction(key="zzz", start_time_sec=700_000,
                            end_time_sec=700_000 - 5 * 86400)
     newer = parsed_auction(key="aaa")
-    records = assign_identifiers([newer, older])
+    views = assign_identifiers([newer, older])
+    records = records_of(views)
     # Larger start countdown = older start, so "zzz" comes first.
     assert [r.auction_id for r in records] == [1] * 5 + [2] * 5
     assert [r.record_id for r in records] == list(range(1, 11))
-    validate_dataset(records)
+    assert views[0].start_time_sec == 700_000
+    check_dataset(views)
+    assert validate_dataset(records) == views
     by_key = {records[0].seller_id}
     assert by_key == {"s1"}
 
@@ -370,7 +375,7 @@ def test_assign_identifiers_orders_and_numbers_densely():
 def test_assign_identifiers_breaks_start_ties_by_key():
     a = parsed_auction(key="b")
     b = parsed_auction(key="a")
-    records = assign_identifiers([a, b])
+    records = records_of(assign_identifiers([a, b]))
     first_auction_rows = [r for r in records if r.auction_id == 1]
     assert len(first_auction_rows) == 5
     # Same start second: the lexically smaller key gets the smaller id.
@@ -437,10 +442,11 @@ def five_bid_auction(
 
 
 def test_run_pipeline_happy_path():
-    records, report = run_pipeline(five_bid_auction())
+    auctions, report = run_pipeline(five_bid_auction())
+    records = records_of(auctions)
     assert len(records) == 5
-    validate_dataset(records)
-    (view,) = group_bid_records(records)
+    assert validate_dataset(records) == auctions
+    (view,) = auctions
     assert view.num_bids == 5
     assert view.num_bidders == 3
     assert view.auction_duration_sec == 432_000
@@ -454,7 +460,8 @@ def test_run_pipeline_counts_duplicates_and_blanks():
     rows = five_bid_auction()
     rows.insert(2, dict(rows[1]))          # exact duplicate
     rows.append(raw_row(bidder="", amount="26.00 $", bid_time="09:00:00 PDT"))
-    records, report = run_pipeline(rows)
+    auctions, report = run_pipeline(rows)
+    records = records_of(auctions)
     assert report.duplicate_records_removed == 1
     assert report.missing_bidder_rows_removed == 1
     assert len(records) == 5
@@ -469,18 +476,18 @@ def test_run_pipeline_drops_thin_and_inconsistent_auctions():
     for row in bad:
         row[DEFAULT_RAW_SCHEMA["starting_price"]] = "44.00 $"
     rows += bad
-    records, report = run_pipeline(rows)
+    auctions, report = run_pipeline(rows)
     assert report.low_bid_auctions_removed == 1
     assert report.low_bid_rows_removed == 3
     assert report.inconsistent_auctions_removed == 1
     assert report.inconsistent_rows_removed == 5
-    assert {r.auction_id for r in records} == {1}
+    assert [view.auction_id for view in auctions] == [1]
 
 
 def test_run_pipeline_counts_vanished_auctions_as_low_bid():
     rows = five_bid_auction()
     rows.append(raw_row(url="https://x.example/itm/9", bidder=""))
-    records, report = run_pipeline(rows)
+    _, report = run_pipeline(rows)
     assert report.missing_bidder_rows_removed == 1
     # The blank-bidder auction lost its only row before grouping.
     assert report.low_bid_auctions_removed == 1
@@ -498,14 +505,14 @@ def test_run_pipeline_rejects_auction_level_disagreement():
 def test_run_pipeline_price_floor_is_counted_separately():
     rows = five_bid_auction()  # winning price 30.00
     config = PipelineConfig(min_winning_price=Decimal("30.00"))
-    records, report = run_pipeline(rows, config)
-    assert records == []
+    auctions, report = run_pipeline(rows, config)
+    assert auctions == []
     assert report.price_filtered_rows == 5
     assert report.before.records == 0
 
     config = PipelineConfig(min_winning_price=Decimal("29.99"))
-    records, report = run_pipeline(rows, config)
-    assert len(records) == 5
+    auctions, report = run_pipeline(rows, config)
+    assert len(records_of(auctions)) == 5
     assert report.price_filtered_rows == 0
 
 
@@ -523,14 +530,14 @@ def test_run_pipeline_is_permutation_invariant():
         )
         + five_bid_auction(url="https://x.example/itm/3", seller="s1", base_amount=9)
     )
-    base_records, base_report = run_pipeline(list(corpus))
+    base_auctions, base_report = run_pipeline(list(corpus))
     assert base_report.after.auctions == 3
     rng = random.Random(5)
     for _ in range(5):
         shuffled = list(corpus)
         rng.shuffle(shuffled)
-        records, report = run_pipeline(shuffled)
-        assert records == base_records
+        auctions, report = run_pipeline(shuffled)
+        assert auctions == base_auctions
         assert report == base_report
 
 
@@ -543,7 +550,7 @@ def test_run_pipeline_records_is_idempotent():
     )
     once, first = run_pipeline(corpus)
     assert first.after.auctions == 2
-    twice, report = run_pipeline_records(once)
+    twice, report = run_pipeline_records(records_of(once))
     assert twice == once
     removed = report.to_dict()["removed"]
     assert all(
@@ -558,8 +565,9 @@ def test_run_pipeline_records_is_idempotent():
 
 @functools.lru_cache(maxsize=None)
 def typed_base():
-    """Three clean auctions of five bids each, as run_pipeline emits them."""
-    records, report = run_pipeline(
+    """The records of three clean auctions of five bids each, as
+    run_pipeline emits them."""
+    auctions, report = run_pipeline(
         five_bid_auction()
         + five_bid_auction(
             url="https://x.example/itm/2", seller="s2", base_amount=40, winning="50.00 $"
@@ -567,7 +575,7 @@ def typed_base():
         + five_bid_auction(url="https://x.example/itm/3", seller="s1", base_amount=9)
     )
     assert report.after.auctions == 3
-    return tuple(records)
+    return tuple(records_of(auctions))
 
 
 def in_auction(records, auction_id, **changes):
@@ -579,10 +587,10 @@ def in_auction(records, auction_id, **changes):
 def test_run_pipeline_records_ignores_record_id_when_deduplicating():
     base = list(typed_base())
     copy = replace(base[3], record_id=len(base) + 1)
-    records, report = run_pipeline_records(base + [copy])
+    auctions, report = run_pipeline_records(base + [copy])
     assert report.duplicate_records_removed == 1
     assert report.before.records == len(base) + 1
-    assert records == base
+    assert records_of(auctions) == base
 
 
 def test_run_pipeline_records_drops_blank_bidder():
@@ -593,53 +601,53 @@ def test_run_pipeline_records_drops_blank_bidder():
         bidder_id=" ",
         bid_submit_time_sec=base[0].bid_submit_time_sec - 1,
     )
-    records, report = run_pipeline_records(base + [blank])
+    auctions, report = run_pipeline_records(base + [blank])
     assert report.missing_bidder_rows_removed == 1
     assert report.duplicate_records_removed == 0
     assert report.before.bidder_ids == report.after.bidder_ids
-    assert records == base
+    assert records_of(auctions) == base
 
 
 def test_run_pipeline_records_drops_thin_auction():
     base = list(typed_base())
     assert [r.auction_id for r in base[5:10]] == [2] * 5
-    records, report = run_pipeline_records(base[:5] + base[6:])
+    auctions, report = run_pipeline_records(base[:5] + base[6:])
     assert report.low_bid_auctions_removed == 1
     assert report.low_bid_rows_removed == 4
     assert report.after.auctions == 2
-    assert len(records) == 10
+    assert len(records_of(auctions)) == 10
 
 
 def test_run_pipeline_records_drops_inconsistent_auction():
     base = list(typed_base())
     # Auction 1's bids run 20.00..24.00, so its last bid beats 23.00.
     assert max(r.bid_amount for r in base if r.auction_id == 1) == Decimal("24.00")
-    records, report = run_pipeline_records(
+    auctions, report = run_pipeline_records(
         in_auction(base, 1, winning_bid=Decimal("23.00"))
     )
     assert report.inconsistent_auctions_removed == 1
     assert report.inconsistent_rows_removed == 5
     assert report.after.auctions == 2
-    assert len(records) == 10
+    assert len(records_of(auctions)) == 10
 
 
 def test_run_pipeline_records_price_floor_is_counted_separately():
     base = list(typed_base())
     assert sorted({r.winning_bid for r in base}) == [Decimal("30.00"), Decimal("50.00")]
     config = PipelineConfig(min_winning_price=Decimal("30.00"))
-    records, report = run_pipeline_records(base, config)
+    auctions, report = run_pipeline_records(base, config)
     assert report.price_filtered_rows == 10
     assert report.before.records == 5
     assert report.before.auctions == 1
-    assert {r.winning_bid for r in records} == {Decimal("50.00")}
+    assert {r.winning_bid for r in records_of(auctions)} == {Decimal("50.00")}
 
 
 def test_run_pipeline_records_reconciles_stale_counts():
     base = list(typed_base())
-    records, report = run_pipeline_records(in_auction(base, 2, num_bids=7, num_bidders=9))
+    auctions, report = run_pipeline_records(in_auction(base, 2, num_bids=7, num_bidders=9))
     assert report.num_bids_reconciled == 1
     assert report.num_bidders_reconciled == 1
-    assert records == base
+    assert records_of(auctions) == base
 
 
 def test_run_pipeline_records_reports_bid_table_shape():
@@ -656,7 +664,7 @@ def test_run_pipeline_records_rejects_auction_level_disagreement(tmp_path, capsy
         run_pipeline_records(base)
 
     clean = tmp_path / "clean.csv"
-    write_preprocessed(list(typed_base()), clean)
+    write_preprocessed(run_pipeline_records(typed_base())[0], clean)
     lines = clean.read_text(encoding="utf-8").splitlines()
     cells = lines[2].split(",")
     assert cells[1] == lines[1].split(",")[1]  # same auction as row 1
@@ -675,14 +683,14 @@ def test_run_pipeline_records_rejects_auction_level_disagreement(tmp_path, capsy
 )
 def test_run_pipeline_records_ignores_order_and_copies(rng, picks):
     base = list(typed_base())
-    plain_records, plain_report = run_pipeline_records(base)
+    plain_auctions, plain_report = run_pipeline_records(base)
     copies = [
         replace(base[i], record_id=len(base) + n) for n, i in enumerate(picks, 1)
     ]
     mixed = base + copies
     rng.shuffle(mixed)
-    records, report = run_pipeline_records(mixed)
-    assert records == plain_records
+    auctions, report = run_pipeline_records(mixed)
+    assert auctions == plain_auctions
     # Copies are counted among the rows seen, then removed as duplicates.
     assert report == replace(
         plain_report,
@@ -705,12 +713,26 @@ def test_pipeline_config_validation():
     PipelineConfig().validate()
 
 
+@pytest.mark.parametrize("text", ["nan", "snan", "inf", "-inf"])
+def test_preprocess_rejects_a_non_finite_price_floor(tmp_path, capsys, text):
+    corpus = tmp_path / "corpus.csv"
+    write_corpus(SynthConfig(seed=3, num_auctions=20), corpus)
+    out = tmp_path / "clean.csv"
+    argv = ["preprocess", "--in", str(corpus), "--out", str(out)]
+    # "=" keeps argparse from reading "-inf" as an option.
+    assert cli_main(argv + [f"--min-winning-price={text}"]) == 2
+    assert "min_winning_price must be a finite amount" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.csv"]
+    with pytest.raises(ConfigError, match="finite"):
+        PipelineConfig(min_winning_price=Decimal(text)).validate()
+
+
 def test_custom_epoch_shifts_all_times_equally():
     rows = five_bid_auction()
-    default_records, _ = run_pipeline(rows)
+    default_auctions, _ = run_pipeline(rows)
     late = PipelineConfig(reference_epoch=datetime(2017, 7, 8))
-    shifted_records, _ = run_pipeline(rows, late)
-    for a, b in zip(default_records, shifted_records):
+    shifted_auctions, _ = run_pipeline(rows, late)
+    for a, b in zip(records_of(default_auctions), records_of(shifted_auctions)):
         assert b.bid_submit_time_sec - a.bid_submit_time_sec == 86400
         assert b.start_time_sec - a.start_time_sec == 86400
         assert b.end_time_sec - a.end_time_sec == 86400
