@@ -256,8 +256,9 @@ class _CsvCells(dict):
     def __missing__(self, text: str) -> str:
         buffer = io.StringIO()
         # With an empty cell after it: alone, an empty text is written as "".
-        csv.writer(buffer, lineterminator="").writerow((text, ""))
-        rendered = self[text] = buffer.getvalue()[:-1]
+        # The row's own terminator matters: it decides which texts are quoted.
+        csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+        rendered = self[text] = buffer.getvalue()[:-2]
         return rendered
 
 

@@ -221,7 +221,7 @@ def test_write_preprocessed_is_order_insensitive(tmp_path):
 
 def test_write_preprocessed_quotes_ids_like_csv_writer(tmp_path):
     rows = five_bid_auction(seller='se,l"ler')
-    bidders = ["a,b", 'say "hi"', "plain", "a,b", '"q",\nr']
+    bidders = ["a,b", 'say "hi"', "x\ny", "a,b", '"q",\nr']
     for row, bidder in zip(rows, bidders):
         row[DEFAULT_RAW_SCHEMA["bidder_id"]] = bidder
     views, _ = run_pipeline(rows)
@@ -235,7 +235,7 @@ def test_write_preprocessed_quotes_ids_like_csv_writer(tmp_path):
         [getattr(r, name) for name in PREPROCESSED_COLUMNS] for r in records_of(views)
     )
     text = path.read_text(encoding="utf-8")
-    assert '"se,l""ler"' in text and '"say ""hi"""' in text
+    assert '"se,l""ler"' in text and '"say ""hi"""' in text and '"x\ny"' in text
     assert path.read_bytes() == expected.getvalue().encode("utf-8")
     assert read_auctions(path) == views
 
