@@ -40,7 +40,6 @@ from .model import (
     Bid,
     BidRecord,
     SBInstance,
-    group_bid_records,
     validate_dataset,
     winner_of,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "build_sb_dataset",
     "compute_global_aggregates",
     "generate",
-    "group_bid_records",
     "load_weights",
     "pattern_stats",
     "read_auctions",

@@ -39,7 +39,6 @@ from .ingest import (
     check_sb_dataset,
     load_raw_schema,
     read_auctions,
-    read_preprocessed,
     read_sb_dataset,
     write_preprocessed,
     write_rejects,
@@ -51,7 +50,7 @@ from .preprocess import (
     REFERENCE_EPOCH,
     PipelineConfig,
     run_pipeline,
-    run_pipeline_records,
+    run_pipeline_table,
 )
 from .synth import SynthConfig, write_corpus
 
@@ -105,11 +104,9 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     header = _sniff_header(args.input)
     scanner = None
     if header == PREPROCESSED_COLUMNS:
-        # Already-cleaned input: re-run the stages on typed records.
+        # Already-cleaned input: re-run the stages on its typed rows.
         log.info("input is in preprocessed layout, re-cleansing")
-        auctions, report = run_pipeline_records(
-            read_preprocessed(args.input), config
-        )
+        auctions, report = run_pipeline_table(args.input, config)
     else:
         scanner = RawScanner(args.input, config.schema)
         auctions, report = run_pipeline(scanner, config)
@@ -354,6 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         DataConsistencyError,
         ConfigError,
         EmptyDatasetError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import ConfigError, OutlierError
+from .errors import ConfigError
 from .metrics import GlobalAggregates, auction_instances
 from .model import METRIC_COLUMNS, AuctionView, SBInstance
 
@@ -43,23 +43,17 @@ def build_sb_dataset(
     aggregates: GlobalAggregates,
     jobs: int = 1,
 ) -> list[SBInstance]:
-    """One SBInstance per (auction, bidder) pair, outlier-guarded.
+    """One SBInstance per (auction, bidder) pair, in auction order.
 
-    The build is one in-process pass in auction order. jobs is accepted
-    for interface symmetry and ignored: a worker pool would pickle the
-    aggregates and every view, which costs more than the build itself.
+    Values are not range-checked here: write_sb_dataset runs
+    check_sb_dataset, so no metric outside [0, 1] reaches disk. The
+    build is one in-process pass. jobs is accepted for interface
+    symmetry and ignored: a worker pool would pickle the aggregates and
+    every view, which costs more than the build itself.
     """
     instances: list[SBInstance] = []
     for auction in auctions:
         instances.extend(auction_instances(auction, aggregates))
-    bad = scan_outliers(instances)
-    if bad:
-        worst = bad[0]
-        raise OutlierError(
-            f"{len(bad)} metric value(s) left [0, 1]; first: auction "
-            f"{worst.auction_id}, bidder {worst.bidder_id!r}, "
-            f"{worst.metric}={worst.value!r}"
-        )
     return instances
 
 

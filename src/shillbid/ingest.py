@@ -3,6 +3,11 @@
 All files are UTF-8, comma separated, double-quote quoted, LF line
 endings. Rows a reader cannot accept are never silently dropped: they
 land in a SchemaReport and can be written to a .rejects.csv sidecar.
+
+A bid table is read in one streaming pass, bid_rows, which parses each
+auction's cells once; read_auctions and the preprocess re-cleanse
+consume it. read_preprocessed parses every row in full, on its own, and
+is the reference both are tested against.
 """
 from __future__ import annotations
 
@@ -256,9 +261,10 @@ class _CsvCells(dict):
     def __missing__(self, text: str) -> str:
         buffer = io.StringIO()
         # With an empty cell after it: alone, an empty text is written as "".
-        # The row's own terminator matters: it decides which texts are quoted.
-        csv.writer(buffer, lineterminator="\n").writerow((text, ""))
-        rendered = self[text] = buffer.getvalue()[:-2]
+        # csv.writer quotes a text holding a character of its terminator;
+        # "\r\n" quotes a bare "\r" too, which a reader would split on.
+        csv.writer(buffer, lineterminator="\r\n").writerow((text, ""))
+        rendered = self[text] = buffer.getvalue()[:-3]
         return rendered
 
 
@@ -347,33 +353,51 @@ def _parse_preprocessed_row(cells: Sequence[str], where: str) -> BidRecord:
     )
 
 
+def _bid_table_cells(handle, path: str | Path) -> Iterator[list[str]]:
+    """The data rows of an open bid table, once its header is checked."""
+    reader = csv.reader(handle)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, no header row") from None
+    if tuple(header) != PREPROCESSED_COLUMNS:
+        raise SchemaError(f"{path}: header does not match the preprocessed layout")
+    return reader
+
+
 def read_preprocessed(path: str | Path) -> list[BidRecord]:
     """Read a previously written bid table back into typed records.
 
-    Auction-level cells are parsed once per auction: a row whose
-    seller and auction-level cells match, as text, those of the first
-    row with its auction_id text shares that row's parsed objects. Any
-    other row is parsed in full, so validate_dataset still sees every
-    disagreement. Bid amounts are parsed once per distinct text.
+    Every row is parsed in full and on its own, with no shared state, so
+    this reader, with validate_dataset, is the reference that the
+    streaming pass of bid_rows is tested against.
     """
-    records: list[BidRecord] = []
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        return [
+            _parse_preprocessed_row(cells, f"{path}:row {n}")
+            for n, cells in enumerate(_bid_table_cells(handle, path), 1)
+        ]
+
+
+def bid_rows(path: str | Path) -> Iterator[tuple[int, BidRecord, str, Decimal, int]]:
+    """Stream a bid table as (record_id, head, bidder_id, amount, time) rows.
+
+    head is a BidRecord whose auction-level fields are the row's. The
+    first row of each auction_id text is parsed in full and is its own
+    head. A later row that repeats that row's seller and auction-level
+    cells as text shares its head, and only its record_id, bid_amount
+    and bid_submit_time_sec are parsed, each distinct amount text once.
+    Any other row is parsed in full and is its own head. A row that
+    does not parse raises what read_preprocessed raises for it.
+    """
+    width = len(PREPROCESSED_COLUMNS)
+    # auction_id text -> (seller text, auction-level cells, head)
     firsts: dict[str, tuple[str, list[str], BidRecord]] = {}
     amounts: dict[str, Decimal] = {}
-    width = len(PREPROCESSED_COLUMNS)
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, no header row") from None
-        if tuple(header) != PREPROCESSED_COLUMNS:
-            raise SchemaError(
-                f"{path}: header does not match the preprocessed layout"
-            )
-        for n, cells in enumerate(reader, 1):
+        for n, cells in enumerate(_bid_table_cells(handle, path), 1):
             first = firsts.get(cells[1]) if len(cells) == width else None
             if first is not None and cells[2] == first[0] and cells[6:] == first[1]:
-                head = first[2]
                 try:
                     record_id = int(cells[0])
                     amount = amounts.get(cells[4])
@@ -382,85 +406,56 @@ def read_preprocessed(path: str | Path) -> list[BidRecord]:
                     submitted = int(cells[5])
                 except (ValueError, ParseError):
                     # Reparse the row in full for the exact error.
-                    rec = _parse_preprocessed_row(cells, f"{path}:row {n}")
-                else:
-                    rec = BidRecord(
-                        record_id,
-                        head.auction_id,
-                        head.seller_id,
-                        cells[3],
-                        amount,
-                        submitted,
-                        head.num_bidders,
-                        head.num_bids,
-                        head.starting_price,
-                        head.winning_bid,
-                        head.auction_duration_sec,
-                        head.start_time_sec,
-                        head.end_time_sec,
-                    )
+                    _parse_preprocessed_row(cells, f"{path}:row {n}")
+                    raise
+                yield record_id, first[2], cells[3], amount, submitted
             else:
-                rec = _parse_preprocessed_row(cells, f"{path}:row {n}")
-                if cells[1] not in firsts:
-                    firsts[cells[1]] = (cells[2], cells[6:], rec)
-            records.append(rec)
-    return records
+                head = _parse_preprocessed_row(cells, f"{path}:row {n}")
+                firsts.setdefault(cells[1], (cells[2], cells[6:], head))
+                yield (
+                    head.record_id, head, head.bidder_id, head.bid_amount,
+                    head.bid_submit_time_sec,
+                )
 
 
 def _stream_auctions(path: str | Path) -> list[AuctionView] | None:
-    """The one streaming pass of read_auctions.
+    """The one streaming pass of read_auctions, over bid_rows.
 
     Returns None as soon as the table holds anything it does not take
     as-is; read_auctions then runs the reference path, which finds and
     reports it.
     """
-    width = len(PREPROCESSED_COLUMNS)
-    # auction_id text -> (seller text, auction-level cells, first row, bids)
-    auctions: dict[str, tuple[str, list[str], BidRecord, list[Bid]]] = {}
-    amounts: dict[str, Decimal] = {}
+    # auction_id -> (head, bids)
+    auctions: dict[int, tuple[BidRecord, list[Bid]]] = {}
     record_ids: set[int] = set()
     current = None
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            if tuple(next(reader, ())) != PREPROCESSED_COLUMNS:
+        for record_id, head, bidder, amount, submitted in bid_rows(path):
+            if head is not current:
+                # An auction's rows usually arrive together: look it
+                # up only when the auction changes.
+                current = head
+                entry = auctions.setdefault(head.auction_id, (head, []))
+                if entry[0] is not head:
+                    # Auction-level text that differs from the auction's
+                    # first row, or a second spelling of its id ("01").
+                    return None
+                bids = entry[1]
+            if record_id < 1 or record_id in record_ids:
                 return None
-            for cells in reader:
-                if len(cells) != width:
-                    return None
-                if cells[1] != current:
-                    # An auction's rows usually arrive together: look it
-                    # up only when the auction changes.
-                    current = cells[1]
-                    entry = auctions.get(current)
-                    if entry is None:
-                        # Its first row gives the auction-level values.
-                        head = _parse_preprocessed_row(cells, "")
-                        entry = auctions[current] = (cells[2], cells[6:], head, [])
-                    seller, level, _, bids = entry
-                if cells[2] != seller or cells[6:] != level:
-                    return None
-                record_id = int(cells[0])
-                if record_id < 1 or record_id in record_ids:
-                    return None
-                record_ids.add(record_id)
-                amount = amounts.get(cells[4])
-                if amount is None:
-                    amount = amounts[cells[4]] = _parse_cents(cells[4], "bid_amount", "")
-                bids.append(Bid(cells[3], amount, int(cells[5]), record_id))
-    except (ValueError, ParseError, csv.Error):
-        # A cell that does not parse, or a file that does not decode: the
-        # reference path raises the exact error.
+            record_ids.add(record_id)
+            bids.append(Bid(bidder, amount, submitted, record_id))
+    except (ParseError, csv.Error):
+        # A cell that does not parse, or a line the csv reader refuses:
+        # the reference path raises the exact error.
         return None
     # Every id is positive and unique, so they are dense iff the largest
     # is their count.
     if record_ids and max(record_ids) != len(record_ids):
         return None
-    by_id = {entry[2].auction_id: entry for entry in auctions.values()}
-    if len(by_id) != len(auctions) or by_id.keys() != set(range(1, len(by_id) + 1)):
+    if auctions.keys() != set(range(1, len(auctions) + 1)):
         return None
-    entries = [by_id[auction_id] for auction_id in range(1, len(by_id) + 1)]
-    views = [auction_view(head, bids) for _, _, head, bids in entries]
+    views = [auction_view(*auctions[aid]) for aid in range(1, len(auctions) + 1)]
     return views if all(map(auction_ok, views)) else None
 
 
@@ -469,9 +464,8 @@ def read_auctions(path: str | Path) -> list[AuctionView]:
 
     Returns exactly what validate_dataset(read_preprocessed(path))
     returns, without building a BidRecord per row or regrouping the
-    rows. The first row of each auction_id text is parsed in full; a
-    later row must repeat its seller and auction-level cells as text,
-    and only its own bid cells are parsed. Each view is then checked
+    rows. The rows come from bid_rows; every row of an auction must
+    share the head of the auction's first row. Each view is then checked
     with model.auction_ok, the predicate check_dataset uses. A table
     this pass does not take as-is (a ragged row, a cell that does not
     parse, auction-level text that differs, any broken rule, ids that

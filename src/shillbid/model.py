@@ -203,24 +203,6 @@ def _auction_view(rows: list[BidRecord]) -> AuctionView:
     )
 
 
-def group_bid_records(records: Iterable[BidRecord]) -> list[AuctionView]:
-    """Group flat records into auction views, validating agreement.
-
-    Every record of an auction must agree on each auction-level field,
-    and the stored counts must match the grouped rows.
-    """
-    by_auction: dict[int, list[BidRecord]] = {}
-    for rec in records:
-        by_auction.setdefault(rec.auction_id, []).append(rec)
-
-    views: list[AuctionView] = []
-    for auction_id in sorted(by_auction):
-        rows = by_auction[auction_id]
-        _check_group(auction_id, rows)
-        views.append(_auction_view(rows))
-    return views
-
-
 def validate_bid_record(rec: BidRecord) -> list[str]:
     """Return human-readable violations for a single record."""
     bad: list[str] = []

@@ -12,9 +12,10 @@ ingest.write_preprocessed writes as it is.
 The row pass is written once and shared by both input layouts.
 run_pipeline feeds it raw scrape rows projected to the logical fields,
 parsing date, clock and money text only for rows that survive to be
-grouped; run_pipeline_records feeds it the typed records of a bid
-table. The auction-level stages are separate functions, each with its
-own unit tests. The row pass is tested as a whole: the golden files
+grouped. run_pipeline_table feeds it the typed rows of a bid table as
+ingest.bid_rows streams them, and run_pipeline_records the fields of
+typed records. The auction-level stages are separate functions, each
+with its own unit tests. The row pass is tested as a whole: the golden files
 pin its bytes, and the removal counts are checked against the defect
 manifest of a synthetic corpus.
 """
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from operator import attrgetter, itemgetter
+from pathlib import Path
 import re
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -36,7 +38,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .ingest import DEFAULT_RAW_SCHEMA, LOGICAL_FIELDS, RawRecord
+from .ingest import DEFAULT_RAW_SCHEMA, LOGICAL_FIELDS, RawRecord, bid_rows
 from .model import (
     PREPROCESSED_COLUMNS, AuctionView, Bid, BidRecord, check_dataset, fast_frozen_init,
 )
@@ -702,11 +704,29 @@ def run_pipeline(
 _record_cells = attrgetter(*PREPROCESSED_COLUMNS[1:])
 _R = {name: i for i, name in enumerate(PREPROCESSED_COLUMNS[1:])}
 _record_bid = itemgetter(_R["bidder_id"], _R["bid_amount"], _R["bid_submit_time_sec"])
+_head_level = attrgetter(*PREPROCESSED_COLUMNS[6:])
 
 
 def _record_auction(cells: tuple) -> ParsedAuction:
     key, seller, _, _, _, bidders, bids, starting, winning, duration, start, end = cells
     return ParsedAuction(key, seller, start, end, duration, starting, winning, bids, bidders)
+
+
+def _run_typed(
+    rows: Iterable[tuple], config: PipelineConfig | None
+) -> tuple[list[AuctionView], CleansingReport]:
+    config = config or PipelineConfig()
+    config.validate()
+    groups, counters, before = _group_rows(
+        rows,
+        config,
+        _R["num_bidders"],
+        itemgetter(_R["winning_bid"]),
+        lambda cells: cells,
+        _record_auction,
+        lambda cells: ParsedBid(*_record_bid(cells)),
+    )
+    return _finish(groups, before, counters, config)
 
 
 def run_pipeline_records(
@@ -721,15 +741,25 @@ def run_pipeline_records(
     Cleansing is idempotent: feeding the pipeline the records of its
     own output reproduces that output exactly and reports zero removals.
     """
-    config = config or PipelineConfig()
-    config.validate()
-    groups, counters, before = _group_rows(
-        map(_record_cells, records),
+    return _run_typed(map(_record_cells, records), config)
+
+
+def run_pipeline_table(
+    path: str | Path, config: PipelineConfig | None = None
+) -> tuple[list[AuctionView], CleansingReport]:
+    """Re-run the cleansing chain over a bid table file, in one stream.
+
+    Each row of ingest.bid_rows enters the row pass as the tuple that
+    run_pipeline_records makes of its record, with no record built, so
+    the result is run_pipeline_records(read_preprocessed(path), config).
+    The one difference is the order of errors: the table is not read
+    whole first, so an auction-level disagreement raises before a cell
+    that does not parse in a later row.
+    """
+    return _run_typed(
+        (
+            (head.auction_id, head.seller_id, bidder, amount, submitted, *_head_level(head))
+            for _, head, bidder, amount, submitted in bid_rows(path)
+        ),
         config,
-        _R["num_bidders"],
-        itemgetter(_R["winning_bid"]),
-        lambda cells: cells,
-        _record_auction,
-        lambda cells: ParsedBid(*_record_bid(cells)),
     )
-    return _finish(groups, before, counters, config)

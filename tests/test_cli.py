@@ -2,6 +2,7 @@
 import csv
 import gc
 import json
+import sys
 
 import pytest
 
@@ -242,6 +243,44 @@ def test_auction_level_disagreement_exits_3(chain, capsys):
     assert run("validate", "--in", str(tampered)) == 3
     assert "disagree on winning_bid" in capsys.readouterr().err
     assert run("features", "--in", str(tampered), "--out", str(chain / "t.csv")) == 3
+
+
+def test_preprocess_recleanses_a_bid_table_without_the_reference_reader(
+    chain, monkeypatch
+):
+    def refuse(path):
+        raise AssertionError("preprocess read the table through read_preprocessed")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "shillbid" and hasattr(module, "read_preprocessed"):
+            monkeypatch.setattr(module, "read_preprocessed", refuse)
+    clean = chain / "clean.csv"
+    again = chain / "again.csv"
+    assert run("preprocess", "--in", str(clean), "--out", str(again)) == 0
+    assert again.read_bytes() == clean.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [
+        ("validate", "clean.csv"),
+        ("features", "clean.csv"),
+        ("preprocess", "clean.csv"),
+        ("preprocess", "corpus.csv"),
+    ],
+)
+def test_input_that_is_not_utf8_exits_2(chain, capsys, command, source):
+    data = (chain / source).read_bytes()
+    last_row = data.rindex(b"\n", 0, len(data) - 1) + 1
+    broken = chain / "broken.csv"
+    broken.write_bytes(data[:last_row] + b"\xff" + data[last_row:])
+    out = chain / "out.csv"
+    argv = [command, "--in", str(broken)]
+    if command != "validate":
+        argv += ["--out", str(out)]
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_rejects_sidecar_written_for_ragged_rows(tmp_path):

@@ -5,6 +5,7 @@ import random
 import tempfile
 from dataclasses import replace
 from decimal import Decimal
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shillbid.errors import (
+    DataConsistencyError,
     InvariantError,
     OutlierError,
     ParseError,
@@ -31,7 +33,7 @@ from shillbid.ingest import (
     write_sb_dataset,
 )
 from shillbid.model import PREPROCESSED_COLUMNS, SB_COLUMNS, SBInstance, validate_dataset
-from shillbid.preprocess import run_pipeline
+from shillbid.preprocess import run_pipeline, run_pipeline_records, run_pipeline_table
 
 from .conftest import make_view, records_of
 from .test_preprocess import five_bid_auction
@@ -219,24 +221,33 @@ def test_write_preprocessed_is_order_insensitive(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def csv_line(cells) -> str:
+    """One row as csv.writer quotes it under a "\r\n" terminator, which
+    quotes a bare "\r" as well as "\n", ended by the table's "\n"."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+    return buffer.getvalue()[:-2] + "\n"
+
+
 def test_write_preprocessed_quotes_ids_like_csv_writer(tmp_path):
-    rows = five_bid_auction(seller='se,l"ler')
-    bidders = ["a,b", 'say "hi"', "x\ny", "a,b", '"q",\nr']
+    rows = five_bid_auction(seller='se,l"ler') + five_bid_auction(
+        url="https://x.example/itm/2", seller="s\r2"
+    )
+    bidders = ["a,b", 'say "hi"', "x\ny", "a,b", '"q",\nr', "x\ry"]
     for row, bidder in zip(rows, bidders):
         row[DEFAULT_RAW_SCHEMA["bidder_id"]] = bidder
     views, _ = run_pipeline(rows)
+    assert len(views) == 2
     path = tmp_path / "clean.csv"
     write_preprocessed(views, path)
 
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(PREPROCESSED_COLUMNS)
-    writer.writerows(
+    expected = "".join(map(csv_line, [PREPROCESSED_COLUMNS] + [
         [getattr(r, name) for name in PREPROCESSED_COLUMNS] for r in records_of(views)
-    )
-    text = path.read_text(encoding="utf-8")
+    ]))
+    text = path.read_bytes().decode("utf-8")
     assert '"se,l""ler"' in text and '"say ""hi"""' in text and '"x\ny"' in text
-    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    assert '"x\ry"' in text and '"s\r2"' in text
+    assert text == expected
     assert read_auctions(path) == views
 
 
@@ -455,10 +466,14 @@ _EDITS = ["", " ", "0", "-1", "01", "20.5", "1e30", "NaN", "99"]
 
 
 @st.composite
-def mutated_tables(draw):
-    """A valid table under a few edits, drops, copies, moves and ragged rows."""
+def counted_mutations(draw):
+    """A valid table under a few edits, drops, copies, moves and ragged rows.
+
+    Returns the rows and how many changes were drawn.
+    """
     rows = base_rows()
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+    changes = draw(st.integers(min_value=0, max_value=3))
+    for _ in range(changes):
         i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
         # Cell edits four times as often as each other kind of change.
         op = draw(
@@ -492,7 +507,12 @@ def mutated_tables(draw):
     if width is not None:
         # A ragged row: one copied row cut short or given an extra cell.
         rows.append((draw(st.sampled_from(rows)) + [""])[:width])
-    return rows
+        changes += 1
+    return rows, changes
+
+
+def mutated_tables():
+    return counted_mutations().map(itemgetter(0))
 
 
 @settings(max_examples=500)
@@ -502,6 +522,46 @@ def test_read_auctions_matches_the_reference(rows):
         path = Path(tmp) / "clean.csv"
         write_csv(path, PREPROCESSED_COLUMNS, rows)
         assert views_outcome(lambda: read_auctions(path)) == reference_outcome(path)
+
+
+# --- re-cleansing a bid table ------------------------------------------------
+
+def pipeline_outcome(call):
+    """The views and report a pipeline call returns, or what it raised."""
+    try:
+        views, report = call()
+    except Exception as exc:  # compared, not swallowed
+        return (type(exc).__name__, str(exc))
+    return ("ok", repr(views), repr(report))
+
+
+@settings(max_examples=300)
+@given(counted_mutations())
+def test_run_pipeline_table_matches_the_reference(table):
+    rows, changes = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clean.csv"
+        write_csv(path, PREPROCESSED_COLUMNS, rows)
+        streamed = pipeline_outcome(lambda: run_pipeline_table(path))
+        reference = pipeline_outcome(lambda: run_pipeline_records(read_preprocessed(path)))
+    if streamed != reference:
+        # The one difference, which takes two changes: the reference reads
+        # the whole table before it groups a row, so there a cell that
+        # does not parse wins over an earlier disagreement. Both exit 2.
+        assert changes > 1
+        assert (streamed[0], reference[0]) == ("DataConsistencyError", "ParseError")
+
+
+def test_run_pipeline_table_reports_a_disagreement_before_a_later_bad_cell(tmp_path):
+    rows = base_rows()[:3]
+    rows[1][9] = "25.00"  # winning_bid that differs from row 1's
+    rows[2][5] = "soon"  # bid_submit_time_sec that does not parse
+    path = tmp_path / "clean.csv"
+    write_csv(path, PREPROCESSED_COLUMNS, rows)
+    with pytest.raises(DataConsistencyError, match="disagree"):
+        run_pipeline_table(path)
+    with pytest.raises(ParseError, match="row 3: bid_submit_time_sec"):
+        run_pipeline_records(read_preprocessed(path))
 
 
 # --- feature dataset round trip ---------------------------------------------

@@ -19,7 +19,6 @@ from shillbid.model import (
     SBInstance,
     check_dataset,
     fast_frozen_init,
-    group_bid_records,
     validate_bid_record,
     validate_dataset,
     validate_weights,
@@ -90,7 +89,7 @@ def test_winner_of_empty_auction_raises():
         winner_of(empty)
 
 
-def test_group_bid_records_sorts_bids_canonically():
+def test_validate_dataset_sorts_bids_canonically():
     records = [
         record(record_id=1, num_bids=3, num_bidders=2, bid_amount="6.00",
                bid_submit_time_sec=120_000, winning_bid="8.00"),
@@ -99,31 +98,31 @@ def test_group_bid_records_sorts_bids_canonically():
         record(record_id=3, num_bids=3, num_bidders=2, bid_amount="4.00",
                bid_submit_time_sec=130_000, winning_bid="8.00"),
     ]
-    (view,) = group_bid_records(records)
+    (view,) = validate_dataset(records)
     assert [b.record_id for b in view.bids] == [3, 1, 2]
     assert winner_of(view).bidder_id == "bob"
 
 
-def test_group_bid_records_rejects_disagreeing_auction_fields():
+def test_validate_dataset_rejects_disagreeing_auction_fields():
     records = [
         record(record_id=1, num_bids=2, num_bidders=1, winning_bid="30.00"),
         record(record_id=2, num_bids=2, num_bidders=1, winning_bid="31.00",
                bid_amount="21.00"),
     ]
     with pytest.raises(InvariantError, match="disagree on winning_bid"):
-        group_bid_records(records)
+        validate_dataset(records)
 
 
-def test_group_bid_records_rejects_count_mismatch():
+def test_validate_dataset_rejects_count_mismatch():
     records = [record(record_id=1, num_bids=2, num_bidders=1)]
     with pytest.raises(InvariantError, match="num_bids"):
-        group_bid_records(records)
+        validate_dataset(records)
     records = [
         record(record_id=1, num_bids=2, num_bidders=2),
         record(record_id=2, num_bids=2, num_bidders=2, bid_amount="19.00"),
     ]
     with pytest.raises(InvariantError, match="num_bidders"):
-        group_bid_records(records)
+        validate_dataset(records)
 
 
 RECORD_VIOLATIONS = [

@@ -62,20 +62,30 @@ def test_no_cross_module_private_imports():
     assert offenders == []
 
 
+def _builds_bid_record(node) -> bool:
+    return isinstance(node, ast.Call) and "BidRecord" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
 def test_bid_records_are_built_only_at_the_edges():
     # An auction travels from the pipeline to the writer as one view. A
     # BidRecord is a row of a bid table that is read back (ingest) or
     # checked by the reference rules (model); no other module builds one.
+    # Inside ingest, only the full parse of one row builds one: the
+    # streaming pass shares the head of each auction's first row.
     package = Path(shillbid.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
-        if path.name in ("ingest.py", "model.py"):
+        if path.name == "model.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if path.name == "ingest.py":
+            tree.body = [
+                node for node in tree.body
+                if getattr(node, "name", None) != "_parse_preprocessed_row"
+            ]
         offenders += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and "BidRecord" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _builds_bid_record(node)
         ]
     assert offenders == []

@@ -24,6 +24,7 @@ from shillbid.errors import (
 from shillbid.ingest import (
     DEFAULT_RAW_SCHEMA,
     _parse_cents,
+    bid_rows,
     read_preprocessed,
     write_preprocessed,
 )
@@ -267,7 +268,8 @@ _CELLS = st.one_of(
 @given(st.lists(_CELLS, min_size=1, max_size=4))
 def test_read_preprocessed_money_cells_match_parse_cents(texts):
     # Row 1 opens the auction; each later row shares its auction-level
-    # cells, so only its bid_amount cell is parsed, through the cache.
+    # cells, so bid_rows parses only its bid cells, amounts through its
+    # cache. read_preprocessed parses every cell of every row.
     first = ["1", "1", "s1", "alice", "18.00", "150000", "2", "3",
              "5.00", "20.00", "432000", "532000", "100000"]
     rows = [first] + [
@@ -291,11 +293,12 @@ def test_read_preprocessed_money_cells_match_parse_cents(texts):
         assert expected[0] in ("ok", "ParseError"), expected
         actual = _outcome(lambda: [str(r.bid_amount) for r in read_preprocessed(path)])
         assert actual == expected
+        assert _outcome(lambda: [str(row[3]) for row in bid_rows(path)]) == expected
         if expected[0] == "ok":
-            records = read_preprocessed(path)
-            for a, b in zip(records[1:], records[1 + len(texts):]):
-                assert a.bid_amount is b.bid_amount
-                assert a.winning_bid is records[0].winning_bid
+            streamed = list(bid_rows(path))
+            for a, b in zip(streamed[1:], streamed[1 + len(texts):]):
+                assert a[3] is b[3]  # one Decimal per amount text
+                assert a[1] is streamed[0][1]  # one head per auction
 
 
 # --- record-list stages -----------------------------------------------------
