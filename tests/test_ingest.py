@@ -526,24 +526,16 @@ def test_read_auctions_matches_the_reference(rows):
 
 # --- re-cleansing a bid table ------------------------------------------------
 
-def pipeline_outcome(call):
-    """The views and report a pipeline call returns, or what it raised."""
-    try:
-        views, report = call()
-    except Exception as exc:  # compared, not swallowed
-        return (type(exc).__name__, str(exc))
-    return ("ok", repr(views), repr(report))
-
-
 @settings(max_examples=300)
-@given(counted_mutations())
+@given(counted_mutations().filter(lambda table: table[1] > 0))
 def test_run_pipeline_table_matches_the_reference(table):
     rows, changes = table
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "clean.csv"
         write_csv(path, PREPROCESSED_COLUMNS, rows)
-        streamed = pipeline_outcome(lambda: run_pipeline_table(path))
-        reference = pipeline_outcome(lambda: run_pipeline_records(read_preprocessed(path)))
+        # Views and report, or the type and text of what was raised.
+        streamed = views_outcome(lambda: run_pipeline_table(path))
+        reference = views_outcome(lambda: run_pipeline_records(read_preprocessed(path)))
     if streamed != reference:
         # The one difference, which takes two changes: the reference reads
         # the whole table before it groups a row, so there a cell that
