@@ -44,7 +44,7 @@ from .ingest import (
     write_rejects,
     write_sb_dataset,
 )
-from .metrics import compute_global_aggregates, load_weights, weighted_score
+from .metrics import compute_global_aggregates, load_weights, weight_scorer
 from .model import PREPROCESSED_COLUMNS, SB_COLUMNS, winner_of
 from .preprocess import (
     REFERENCE_EPOCH,
@@ -63,6 +63,8 @@ def _sniff_header(path: str) -> tuple[str, ...]:
             return tuple(next(csv.reader(handle)))
         except StopIteration:
             raise SchemaError(f"{path}: empty file, no header row") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}:header: {exc}") from None
 
 
 def _write_json(payload: dict, path: str | Path) -> None:
@@ -130,26 +132,23 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 def cmd_features(args: argparse.Namespace) -> int:
     # Reject the configuration before anything is read or written.
-    weights = load_weights(args.weights) if args.weights else None
+    score = weight_scorer(load_weights(args.weights) if args.weights else None)
     check_threshold(args.threshold)
     auctions = read_auctions(args.input)
     aggregates = compute_global_aggregates(auctions)
+    # Views in auction-id order: the instances come in (auction_id,
+    # bidder_id) order, the order of both output files.
     instances = build_sb_dataset(auctions, aggregates, jobs=args.jobs)
     write_sb_dataset(instances, args.out)
 
     if args.scores:
-        pairs = sorted(instances, key=lambda i: (i.auction_id, i.bidder_id))
         with open(args.scores, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["auction_id", "bidder_id", "weighted_score"])
-            for inst in pairs:
-                writer.writerow(
-                    [
-                        inst.auction_id,
-                        inst.bidder_id,
-                        f"{weighted_score(inst, weights):.6f}",
-                    ]
-                )
+            writer.writerows(
+                (inst.auction_id, inst.bidder_id, f"{score(inst):.6f}")
+                for inst in instances
+            )
 
     winners = {a.auction_id: winner_of(a).bidder_id for a in auctions}
     stats = pattern_stats(instances, threshold=args.threshold, winners=winners)
@@ -188,13 +187,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    instances = read_sb_dataset(args.input)
+    # The bid table first: its views are dropped once the winners are
+    # known, before the feature table is read.
     winners = None
     if args.preprocessed:
         winners = {
             a.auction_id: winner_of(a).bidder_id
             for a in read_auctions(args.preprocessed)
         }
+    instances = read_sb_dataset(args.input)
     stats = pattern_stats(instances, threshold=args.threshold, winners=winners)
     print(format_stats_table(stats))
     if args.report:

@@ -1,12 +1,16 @@
 """Feature-dataset assembly and descriptive statistics.
 
 build_sb_dataset turns auction views plus global aggregates into one
-SBInstance per (auction, bidder) pair; pattern_stats summarizes a
-finished dataset the way a fraud analyst would eyeball it.
+SBInstance per (auction, bidder) pair, reusing the participation the
+aggregate pass walked; pattern_stats summarizes a finished dataset the
+way a fraud analyst would eyeball it, counting column by column.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter, lt
 from typing import Iterable, Mapping
 
 from .errors import ConfigError
@@ -44,6 +48,11 @@ def build_sb_dataset(
     jobs: int = 1,
 ) -> list[SBInstance]:
     """One SBInstance per (auction, bidder) pair, in auction order.
+
+    Within an auction the bidders come in id order, so views in
+    auction-id order (as read_auctions returns them) give instances in
+    (auction_id, bidder_id) order. Each auction's participation_map is
+    the one compute_global_aggregates kept for that view.
 
     Values are not range-checked here: write_sb_dataset runs
     check_sb_dataset, so no metric outside [0, 1] reaches disk. The
@@ -140,6 +149,14 @@ def check_threshold(threshold: float) -> None:
         raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
 
 
+_auction_id = attrgetter("auction_id")
+_bidder_id = attrgetter("bidder_id")
+_starting_price = attrgetter("auction_starting_price")
+_bucket_fields = attrgetter(
+    "auction_id", "bidder_id", "early_bidding", "bidding_ratio", "successive_outbidding"
+)
+
+
 def pattern_stats(
     instances: Iterable[SBInstance],
     threshold: float = 0.7,
@@ -152,27 +169,26 @@ def pattern_stats(
 
     winners maps auction_id to the winning bidder_id; without it the
     winner-dependent buckets cannot be computed and come back None.
+    Each count is one pass of C-level map calls over the instances;
+    only the buckets loop in Python, once per instance.
     """
     check_threshold(threshold)
     instances = list(instances)
 
-    high = dict.fromkeys(METRIC_COLUMNS, 0)
-    for inst in instances:
-        for name, value in inst.metric_items():
-            if value > threshold:
-                high[name] += 1
+    above = partial(lt, threshold)
+    high = {
+        name: sum(map(above, map(attrgetter(name), instances)))
+        for name in METRIC_COLUMNS
+    }
 
-    auction_ids: set[int] = set()
-    bidder_ids: set[str] = set()
-    bidders_per_auction: dict[int, int] = {}
-    low_start_auction: dict[int, bool] = {}
-    for inst in instances:
-        auction_ids.add(inst.auction_id)
-        bidder_ids.add(inst.bidder_id)
-        bidders_per_auction[inst.auction_id] = (
-            bidders_per_auction.get(inst.auction_id, 0) + 1
+    bidders_per_auction = Counter(map(_auction_id, instances))
+    # The last instance of an auction decides its side, as a loop would.
+    low_start_auction = dict(
+        zip(
+            map(_auction_id, instances),
+            map(partial(lt, 0.0), map(_starting_price, instances)),
         )
-        low_start_auction[inst.auction_id] = inst.auction_starting_price > 0.0
+    )
 
     low = [a for a, is_low in low_start_auction.items() if is_low]
     regular = [a for a, is_low in low_start_auction.items() if not is_low]
@@ -185,24 +201,19 @@ def pattern_stats(
     buckets: BucketCounts | None = None
     if winners is not None:
         w_aggr = w_calm = l_aggr = l_calm = early_aggr_lost = 0
-        for inst in instances:
-            aggressive = (
-                inst.successive_outbidding >= sob_floor
-                and inst.bidding_ratio > br_floor
-            )
-            is_winner = winners.get(inst.auction_id) == inst.bidder_id
-            if is_winner:
+        for auction_id, bidder_id, early, ratio, sob in map(_bucket_fields, instances):
+            aggressive = sob >= sob_floor and ratio > br_floor
+            if winners.get(auction_id) == bidder_id:
                 if aggressive:
                     w_aggr += 1
                 else:
                     w_calm += 1
+            elif aggressive:
+                l_aggr += 1
+                if early > early_floor:
+                    early_aggr_lost += 1
             else:
-                if aggressive:
-                    l_aggr += 1
-                    if inst.early_bidding > early_floor:
-                        early_aggr_lost += 1
-                else:
-                    l_calm += 1
+                l_calm += 1
         buckets = BucketCounts(
             winners_not_aggressive=w_calm,
             winners_aggressive=w_aggr,
@@ -213,8 +224,8 @@ def pattern_stats(
 
     return PatternStats(
         total_instances=len(instances),
-        total_auctions=len(auction_ids),
-        total_bidders=len(bidder_ids),
+        total_auctions=len(bidders_per_auction),
+        total_bidders=len(set(map(_bidder_id, instances))),
         high_value_threshold=threshold,
         high_values=high,
         buckets=buckets,

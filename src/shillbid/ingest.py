@@ -3,6 +3,8 @@
 All files are UTF-8, comma separated, double-quote quoted, LF line
 endings. Rows a reader cannot accept are never silently dropped: they
 land in a SchemaReport and can be written to a .rejects.csv sidecar.
+A line the csv module refuses, such as a cell longer than
+csv.field_size_limit(), is a ParseError naming the file and the row.
 
 A bid table is read in one streaming pass, bid_rows, which parses each
 auction's cells once; read_auctions and the preprocess re-cleanse
@@ -22,6 +24,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .errors import InvariantError, OutlierError, ParseError, SchemaError
 from .model import (
     CENT,
+    METRIC_COLUMNS,
     PREPROCESSED_COLUMNS,
     SB_COLUMNS,
     AuctionView,
@@ -87,6 +90,16 @@ def load_raw_schema(path: str | Path) -> dict[str, str]:
             )
         seen[value] = key
     return mapping
+
+
+def _header(reader: Iterator[list[str]], path: str | Path) -> list[str]:
+    """The first row of a CSV file, which must exist and parse."""
+    try:
+        return next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, no header row") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}:header: {exc}") from None
 
 
 class RawRecord(Mapping[str, str]):
@@ -183,11 +196,7 @@ class RawScanner:
         self._consumed = True
         with open(self.path, "r", encoding="utf-8", newline="") as handle:
             reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise SchemaError(f"{self.path}: empty file, no header row") from None
-            columns = tuple(header)
+            columns = tuple(_header(reader, self.path))
             index: dict[str, int] = {}
             for pos, name in enumerate(columns):
                 index.setdefault(name, pos)
@@ -210,23 +219,26 @@ class RawScanner:
             width = len(columns)
             n = 0
             accepted = 0
-            for cells in reader:
-                n += 1
-                if len(cells) != width:
-                    report.rejections.append(
-                        RejectedRow(
-                            row=n,
-                            reason=f"column count: expected {width}, got {len(cells)}",
-                            cells=tuple(cells),
+            try:
+                for cells in reader:
+                    n += 1
+                    if len(cells) != width:
+                        report.rejections.append(
+                            RejectedRow(
+                                row=n,
+                                reason=f"column count: expected {width}, got {len(cells)}",
+                                cells=tuple(cells),
+                            )
                         )
-                    )
-                    continue
-                accepted += 1
-                if "" in cells:
-                    for pos, value in enumerate(cells):
-                        if not value:
-                            misses[columns[pos]] += 1
-                yield RawRecord(columns, index, tuple(cells))
+                        continue
+                    accepted += 1
+                    if "" in cells:
+                        for pos, value in enumerate(cells):
+                            if not value:
+                                misses[columns[pos]] += 1
+                    yield RawRecord(columns, index, tuple(cells))
+            except csv.Error as exc:
+                raise ParseError(f"{self.path}:row {n + 1}: {exc}") from None
             report.row_count = n
             report.accepted_count = accepted
             report.missing_values = misses
@@ -356,11 +368,7 @@ def _parse_preprocessed_row(cells: Sequence[str], where: str) -> BidRecord:
 def _bid_table_cells(handle, path: str | Path) -> Iterator[list[str]]:
     """The data rows of an open bid table, once its header is checked."""
     reader = csv.reader(handle)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError(f"{path}: empty file, no header row") from None
-    if tuple(header) != PREPROCESSED_COLUMNS:
+    if tuple(_header(reader, path)) != PREPROCESSED_COLUMNS:
         raise SchemaError(f"{path}: header does not match the preprocessed layout")
     return reader
 
@@ -372,11 +380,15 @@ def read_preprocessed(path: str | Path) -> list[BidRecord]:
     this reader, with validate_dataset, is the reference that the
     streaming pass of bid_rows is tested against.
     """
+    records: list[BidRecord] = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        return [
-            _parse_preprocessed_row(cells, f"{path}:row {n}")
-            for n, cells in enumerate(_bid_table_cells(handle, path), 1)
-        ]
+        n = 0
+        try:
+            for n, cells in enumerate(_bid_table_cells(handle, path), 1):
+                records.append(_parse_preprocessed_row(cells, f"{path}:row {n}"))
+        except csv.Error as exc:
+            raise ParseError(f"{path}:row {n + 1}: {exc}") from None
+    return records
 
 
 def bid_rows(path: str | Path) -> Iterator[tuple[int, BidRecord, str, Decimal, int]]:
@@ -395,27 +407,33 @@ def bid_rows(path: str | Path) -> Iterator[tuple[int, BidRecord, str, Decimal, i
     firsts: dict[str, tuple[str, list[str], BidRecord]] = {}
     amounts: dict[str, Decimal] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        for n, cells in enumerate(_bid_table_cells(handle, path), 1):
-            first = firsts.get(cells[1]) if len(cells) == width else None
-            if first is not None and cells[2] == first[0] and cells[6:] == first[1]:
-                try:
-                    record_id = int(cells[0])
-                    amount = amounts.get(cells[4])
-                    if amount is None:
-                        amount = amounts[cells[4]] = _parse_cents(cells[4], "bid_amount", "")
-                    submitted = int(cells[5])
-                except (ValueError, ParseError):
-                    # Reparse the row in full for the exact error.
-                    _parse_preprocessed_row(cells, f"{path}:row {n}")
-                    raise
-                yield record_id, first[2], cells[3], amount, submitted
-            else:
-                head = _parse_preprocessed_row(cells, f"{path}:row {n}")
-                firsts.setdefault(cells[1], (cells[2], cells[6:], head))
-                yield (
-                    head.record_id, head, head.bidder_id, head.bid_amount,
-                    head.bid_submit_time_sec,
-                )
+        n = 0
+        try:
+            for n, cells in enumerate(_bid_table_cells(handle, path), 1):
+                first = firsts.get(cells[1]) if len(cells) == width else None
+                if first is not None and cells[2] == first[0] and cells[6:] == first[1]:
+                    try:
+                        record_id = int(cells[0])
+                        amount = amounts.get(cells[4])
+                        if amount is None:
+                            amount = amounts[cells[4]] = _parse_cents(
+                                cells[4], "bid_amount", ""
+                            )
+                        submitted = int(cells[5])
+                    except (ValueError, ParseError):
+                        # Reparse the row in full for the exact error.
+                        _parse_preprocessed_row(cells, f"{path}:row {n}")
+                        raise
+                    yield record_id, first[2], cells[3], amount, submitted
+                else:
+                    head = _parse_preprocessed_row(cells, f"{path}:row {n}")
+                    firsts.setdefault(cells[1], (cells[2], cells[6:], head))
+                    yield (
+                        head.record_id, head, head.bidder_id, head.bid_amount,
+                        head.bid_submit_time_sec,
+                    )
+        except csv.Error as exc:
+            raise ParseError(f"{path}:row {n + 1}: {exc}") from None
 
 
 def _stream_auctions(path: str | Path) -> list[AuctionView] | None:
@@ -445,7 +463,7 @@ def _stream_auctions(path: str | Path) -> list[AuctionView] | None:
                 return None
             record_ids.add(record_id)
             bids.append(Bid(bidder, amount, submitted, record_id))
-    except (ParseError, csv.Error):
+    except ParseError:
         # A cell that does not parse, or a line the csv reader refuses:
         # the reference path raises the exact error.
         return None
@@ -481,10 +499,21 @@ def read_auctions(path: str | Path) -> list[AuctionView]:
 def check_sb_dataset(instances: Sequence[SBInstance]) -> None:
     """Raise if a feature dataset breaks its contract.
 
-    Checks that no metric leaves [0, 1], that successive_outbidding is
-    one of {0, 0.5, 1}, and that no (auction, bidder) pair repeats.
+    The instances are checked in turn, and the first one that breaks a
+    rule raises: its (auction, bidder) pair repeats an earlier one
+    (InvariantError); else a metric lies outside [0, 1], NaN included,
+    and the first such in METRIC_COLUMNS order is named (OutlierError);
+    else successive_outbidding is not one of {0, 0.5, 1}
+    (InvariantError).
     """
+    _check_sb_order(instances)
+
+
+def _check_sb_order(instances: Sequence[SBInstance]) -> bool:
+    """check_sb_dataset; True if the pairs already ascend."""
     seen: set[tuple[int, str]] = set()
+    ascending = True
+    last: tuple = ()
     for inst in instances:
         pair = (inst.auction_id, inst.bidder_id)
         if pair in seen:
@@ -492,8 +521,15 @@ def check_sb_dataset(instances: Sequence[SBInstance]) -> None:
                 f"duplicate instance for auction {inst.auction_id}, bidder {inst.bidder_id!r}"
             )
         seen.add(pair)
-        for name, value in inst.metric_items():
+        if pair < last:
+            ascending = False
+        last = pair
+        values = inst.metric_values()
+        for value in values:
+            # Not min/max: NaN compares false, so only this form rejects it.
             if not 0.0 <= value <= 1.0:
+                # Every earlier value passed, so none equals this one.
+                name = METRIC_COLUMNS[values.index(value)]
                 raise OutlierError(
                     f"auction {inst.auction_id}, bidder {inst.bidder_id!r}: "
                     f"{name}={value!r} outside [0, 1]"
@@ -503,55 +539,68 @@ def check_sb_dataset(instances: Sequence[SBInstance]) -> None:
                 f"auction {inst.auction_id}, bidder {inst.bidder_id!r}: "
                 f"successive_outbidding={inst.successive_outbidding!r} not in {{0, 0.5, 1}}"
             )
+    return ascending
 
 
 _sb_pair = attrgetter("auction_id", "bidder_id")
-_six_decimals = "{:.6f}".format
+# One %-format call renders a row's eight metrics as "{:.6f}" would.
+_six_decimal_metrics = ",".join(["%.6f"] * len(METRIC_COLUMNS))
 
 
 def write_sb_dataset(instances: Sequence[SBInstance], path: str | Path) -> None:
     """Write the feature dataset with six fixed decimals per metric.
 
     Runs check_sb_dataset first, so a broken dataset never reaches
-    disk.
+    disk. Rows are ordered by (auction_id, bidder_id); instances already
+    in that order, as build_sb_dataset returns them, are not re-sorted.
+    Each row holds the bytes csv.writer writes for it, except that a
+    bidder id holding a bare carriage return is quoted, so it reads back.
     """
-    check_sb_dataset(instances)
-    ordered = sorted(instances, key=_sb_pair)
+    if not _check_sb_order(instances):
+        instances = sorted(instances, key=_sb_pair)
+    cell = _CsvCells()
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SB_COLUMNS)
-        writer.writerows(
-            (inst.auction_id, inst.bidder_id, *map(_six_decimals, inst.metric_values()))
-            for inst in ordered
-        )
+        write = handle.write
+        write(",".join(SB_COLUMNS) + "\n")
+        for inst in instances:
+            write(
+                f"{inst.auction_id},{cell[inst.bidder_id]},"
+                f"{_six_decimal_metrics % inst.metric_values()}\n"
+            )
 
 
 def read_sb_dataset(path: str | Path) -> list[SBInstance]:
     """Read a feature dataset; values are parsed but not range-checked."""
+    width = len(SB_COLUMNS)
     instances: list[SBInstance] = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, no header row") from None
-        if tuple(header) != SB_COLUMNS:
+        if tuple(_header(reader, path)) != SB_COLUMNS:
             raise SchemaError(f"{path}: header does not match the SB dataset layout")
-        for n, cells in enumerate(reader, 1):
-            where = f"{path}:row {n}"
-            if len(cells) != len(SB_COLUMNS):
-                raise ParseError(
-                    f"{where}: expected {len(SB_COLUMNS)} cells, got {len(cells)}"
-                )
-            try:
-                values = [float(text) for text in cells[2:]]
-            except ValueError:
-                raise ParseError(f"{where}: metric cell is not a number") from None
-            instances.append(
-                SBInstance(
-                    _parse_int(cells[0], "auction_id", where),
-                    cells[1],
-                    *values,
-                )
-            )
+        n = 0
+        try:
+            for n, cells in enumerate(reader, 1):
+                if len(cells) != width:
+                    raise ParseError(
+                        f"{path}:row {n}: expected {width} cells, got {len(cells)}"
+                    )
+                try:
+                    instances.append(
+                        SBInstance(int(cells[0]), cells[1], *map(float, cells[2:]))
+                    )
+                except ValueError:
+                    _raise_sb_cell_error(cells, f"{path}:row {n}")
+                    raise
+        except csv.Error as exc:
+            raise ParseError(f"{path}:row {n + 1}: {exc}") from None
     return instances
+
+
+def _raise_sb_cell_error(cells: Sequence[str], where: str) -> None:
+    """Raise the ParseError for the first feature-table cell that does not parse."""
+    for text in cells[2:]:
+        try:
+            float(text)
+        except ValueError:
+            raise ParseError(f"{where}: metric cell is not a number") from None
+    _parse_int(cells[0], "auction_id", where)

@@ -3,14 +3,17 @@
 Per-pair metrics read one auction; the cross-auction ones (tendency,
 winning ratio, starting price, bid volume) read GlobalAggregates built
 once over the whole retained auction set. auction_instances applies
-all eight to every bidder of one auction. All arithmetic is plain
-double precision.
+all eight to every bidder of one auction. Each auction's bids are
+walked once: compute_global_aggregates keeps every auction's
+participation_map in the aggregates, and auction_instances takes it
+from there. All arithmetic is plain double precision; weight_scorer
+checks a weight table once and returns the one scoring function.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import ConfigError, EmptyDatasetError
 from .model import (
@@ -88,11 +91,20 @@ class BidderAggregate:
 
 @dataclass(frozen=True, slots=True)
 class GlobalAggregates:
-    """Corpus-wide numbers the cross-auction metrics depend on."""
+    """Corpus-wide numbers the cross-auction metrics depend on.
+
+    participation holds, per auction_id, the view that was aggregated
+    and its participation_map. auction_instances takes an entry out for
+    that same view, so each auction's bids are walked once and each map
+    is freed as its instances are built.
+    """
 
     avg_auctions_start_price: float
     avg_bid_all_auctions: float
     bidders: Mapping[str, BidderAggregate]
+    participation: dict[int, tuple[AuctionView, dict[str, BidderParticipation]]] = field(
+        repr=False, compare=False
+    )
 
 
 def compute_global_aggregates(auctions: Iterable[AuctionView]) -> GlobalAggregates:
@@ -107,6 +119,8 @@ def compute_global_aggregates(auctions: Iterable[AuctionView]) -> GlobalAggregat
     high: dict[str, int] = {}
     wins_high: dict[str, int] = {}
 
+    participation: dict[int, tuple[AuctionView, dict[str, BidderParticipation]]] = {}
+
     start_price_total = 0.0
     bid_count_total = 0
 
@@ -115,6 +129,7 @@ def compute_global_aggregates(auctions: Iterable[AuctionView]) -> GlobalAggregat
         bid_count_total += auction.num_bids
         winner = winner_of(auction).bidder_id
         parts = participation_map(auction)
+        participation[auction.auction_id] = (auction, parts)
         for bidder, part in parts.items():
             entered[bidder] = entered.get(bidder, 0) + 1
             sellers = by_seller.setdefault(bidder, {})
@@ -141,6 +156,7 @@ def compute_global_aggregates(auctions: Iterable[AuctionView]) -> GlobalAggregat
         avg_auctions_start_price=start_price_total / len(auctions),
         avg_bid_all_auctions=bid_count_total / len(auctions),
         bidders=bidders,
+        participation=participation,
     )
 
 
@@ -253,12 +269,26 @@ def _bid_volume_value(num_bids: int, average: float) -> float:
 def auction_instances(
     auction: AuctionView, aggregates: GlobalAggregates
 ) -> list[SBInstance]:
-    """One SBInstance per bidder of the auction, in bidder-id order."""
+    """One SBInstance per bidder of the auction, in bidder-id order.
+
+    The participation_map comes from the aggregates when they were
+    computed over this same view object; otherwise it is walked here.
+    """
+    auction_id = auction.auction_id
+    seller_id = auction.seller_id
+    num_bids = auction.num_bids
+    start = auction.start_time_sec
+    end = auction.end_time_sec
+    duration = auction.auction_duration_sec
     asp = _starting_price_value(
         float(auction.starting_price), aggregates.avg_auctions_start_price
     )
-    ab = _bid_volume_value(auction.num_bids, aggregates.avg_bid_all_auctions)
-    parts = participation_map(auction)
+    ab = _bid_volume_value(num_bids, aggregates.avg_bid_all_auctions)
+    kept = aggregates.participation.pop(auction_id, None)
+    if kept is not None and kept[0] is auction:
+        parts = kept[1]
+    else:
+        parts = participation_map(auction)
     instances: list[SBInstance] = []
     for bidder in sorted(parts):
         part = parts[bidder]
@@ -266,20 +296,12 @@ def auction_instances(
         # frozen dataclass cost twice as much per instance.
         instances.append(
             SBInstance(
-                auction.auction_id,
+                auction_id,
                 bidder,
-                bidder_tendency(bidder, auction.seller_id, aggregates),
-                _early_value(
-                    part.first_bid_time_sec,
-                    auction.start_time_sec,
-                    auction.auction_duration_sec,
-                ),
-                part.bid_count / auction.num_bids,
-                _last_value(
-                    part.last_bid_time_sec,
-                    auction.end_time_sec,
-                    auction.auction_duration_sec,
-                ),
+                bidder_tendency(bidder, seller_id, aggregates),
+                _early_value(part.first_bid_time_sec, start, duration),
+                part.bid_count / num_bids,
+                _last_value(part.last_bid_time_sec, end, duration),
                 asp,
                 _run_band(part.longest_run),
                 winning_ratio(bidder, aggregates),
@@ -289,10 +311,15 @@ def auction_instances(
     return instances
 
 
-def weighted_score(
-    instance: SBInstance, weights: Mapping[str, float] | None = None
-) -> float:
-    """Weighted mean of the eight metrics under the given weight table."""
+def weight_scorer(
+    weights: Mapping[str, float] | None = None,
+) -> Callable[[SBInstance], float]:
+    """Check a weight table once; return the instance -> score function.
+
+    The score is the weighted mean of the eight metrics: each weight
+    times its metric, summed in METRIC_COLUMNS order, over the total
+    weight. weighted_score applies the same function.
+    """
     table = DEFAULT_WEIGHTS if weights is None else weights
     missing = [name for name in METRIC_COLUMNS if name not in table]
     if missing:
@@ -300,10 +327,26 @@ def weighted_score(
     total = sum(table[name] for name in METRIC_COLUMNS)
     if total <= 0:
         raise ConfigError(f"total weight must be positive, got {total}")
-    acc = 0.0
-    for name, value in instance.metric_items():
-        acc += table[name] * value
-    return acc / total
+    ordered = tuple(table[name] for name in METRIC_COLUMNS)
+
+    def score(instance: SBInstance) -> float:
+        acc = 0.0
+        for weight, value in zip(ordered, instance.metric_values()):
+            acc += weight * value
+        return acc / total
+
+    return score
+
+
+def weighted_score(
+    instance: SBInstance, weights: Mapping[str, float] | None = None
+) -> float:
+    """Weighted mean of the eight metrics under the given weight table.
+
+    Checks the table on every call; to score many instances under one
+    table, call weight_scorer once and apply what it returns.
+    """
+    return weight_scorer(weights)(instance)
 
 
 def load_weights(path: str | Path) -> dict[str, float]:

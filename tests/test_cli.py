@@ -3,12 +3,20 @@ import csv
 import gc
 import json
 import sys
+from collections import Counter
 
 import pytest
 
+from shillbid import metrics
 from shillbid.cli import main
-from shillbid.ingest import read_sb_dataset
-from shillbid.metrics import weighted_score
+from shillbid.dataset import build_sb_dataset
+from shillbid.ingest import read_auctions, read_sb_dataset
+from shillbid.metrics import (
+    compute_global_aggregates,
+    load_weights,
+    participation_map,
+    weighted_score,
+)
 from shillbid.model import DEFAULT_WEIGHTS, PREPROCESSED_COLUMNS
 
 
@@ -95,6 +103,44 @@ def test_scores_output_matches_library(chain):
         assert float(row["weighted_score"]) == pytest.approx(
             weighted_score(inst), abs=2e-6
         )
+
+
+@pytest.mark.parametrize("weights_text", [None, "successive_outbidding=1.0\nearly_bidding=0.05\n"])
+def test_scores_are_weighted_score_to_six_decimals(chain, tmp_path, weights_text):
+    argv = ["features", "--in", str(chain / "clean.csv"), "--out", str(chain / "sb3.csv")]
+    table = None
+    if weights_text is not None:
+        weights = tmp_path / "weights.conf"
+        weights.write_text(weights_text, encoding="utf-8")
+        argv += ["--weights", str(weights)]
+        table = load_weights(weights)
+    scores_path = chain / "exact.csv"
+    assert run(*argv, "--scores", str(scores_path)) == 0
+    auctions = read_auctions(chain / "clean.csv")
+    instances = build_sb_dataset(auctions, compute_global_aggregates(auctions))
+    with open(scores_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["auction_id", "bidder_id", "weighted_score"]
+    assert rows[1:] == [
+        [str(i.auction_id), i.bidder_id, f"{weighted_score(i, table):.6f}"]
+        for i in instances
+    ]
+
+
+def test_features_walks_each_auction_once(chain, monkeypatch):
+    walked = Counter()
+
+    def counting(auction):
+        walked[auction.auction_id] += 1
+        return participation_map(auction)
+
+    monkeypatch.setattr(metrics, "participation_map", counting)
+    assert run(
+        "features", "--in", str(chain / "clean.csv"), "--out", str(chain / "w.csv"),
+        "--scores", str(chain / "w.scores.csv"),
+    ) == 0
+    auctions = read_auctions(chain / "clean.csv")
+    assert walked == Counter(a.auction_id for a in auctions)
 
 
 def test_custom_weights_change_scores(chain, tmp_path):
@@ -281,6 +327,71 @@ def test_input_that_is_not_utf8_exits_2(chain, capsys, command, source):
     assert run(*argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [
+        ("validate", "clean.csv"),
+        ("features", "clean.csv"),
+        ("stats --preprocessed", "clean.csv"),
+        ("preprocess", "clean.csv"),
+        ("preprocess", "corpus.csv"),
+        ("validate", "sb.csv"),
+        ("stats", "sb.csv"),
+    ],
+)
+def test_cell_over_the_csv_field_limit_exits_2(chain, capsys, command, source):
+    with open(chain / source, newline="", encoding="utf-8") as fh:
+        header, row = list(csv.reader(fh))[:2]
+    for bidder_column in ("Bidder ID", "bidder_id"):
+        if bidder_column in header:
+            row[header.index(bidder_column)] = "a" * 200_000
+    broken = chain / "broken.csv"
+    with open(broken, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, row])
+    out = chain / "out.csv"
+    argv = {
+        "validate": ["validate", "--in", str(broken)],
+        "features": ["features", "--in", str(broken), "--out", str(out)],
+        "preprocess": ["preprocess", "--in", str(broken), "--out", str(out)],
+        "stats": ["stats", "--in", str(broken)],
+        "stats --preprocessed": [
+            "stats", "--in", str(chain / "sb.csv"), "--preprocessed", str(broken),
+        ],
+    }[command]
+    assert run(*argv) == 2
+    limit = csv.field_size_limit()
+    assert capsys.readouterr().err == (
+        f"error: {broken}:row 1: field larger than field limit ({limit})\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "features", "stats", "preprocess"])
+def test_header_over_the_csv_field_limit_exits_2(tmp_path, capsys, command):
+    broken = tmp_path / "broken.csv"
+    broken.write_text("a" * 200_000 + ",b\n1,2\n", encoding="utf-8")
+    out = tmp_path / "out.csv"
+    argv = [command, "--in", str(broken)]
+    if command in ("features", "preprocess"):
+        argv += ["--out", str(out)]
+    assert run(*argv) == 2
+    limit = csv.field_size_limit()
+    assert capsys.readouterr().err == (
+        f"error: {broken}:header: field larger than field limit ({limit})\n"
+    )
+    assert not out.exists()
+
+
+def test_stats_reports_a_bad_bid_table_before_a_bad_feature_table(chain, capsys):
+    foreign = chain / "foreign.csv"
+    foreign.write_text("x\n1\n", encoding="utf-8")
+    code = run("stats", "--in", str(foreign), "--preprocessed", str(foreign))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {foreign}: header does not match the preprocessed layout\n"
+    )
 
 
 def test_rejects_sidecar_written_for_ragged_rows(tmp_path):

@@ -1,6 +1,7 @@
 """CSV readers and writers: raw scrapes, bid tables, feature datasets."""
 import csv
 import io
+import math
 import random
 import tempfile
 from dataclasses import replace
@@ -32,7 +33,13 @@ from shillbid.ingest import (
     write_rejects,
     write_sb_dataset,
 )
-from shillbid.model import PREPROCESSED_COLUMNS, SB_COLUMNS, SBInstance, validate_dataset
+from shillbid.model import (
+    METRIC_COLUMNS,
+    PREPROCESSED_COLUMNS,
+    SB_COLUMNS,
+    SBInstance,
+    validate_dataset,
+)
 from shillbid.preprocess import run_pipeline, run_pipeline_records, run_pipeline_table
 
 from .conftest import make_view, records_of
@@ -601,6 +608,61 @@ def test_check_sb_dataset_rejects_out_of_range():
         check_sb_dataset([instance(early_bidding=1.0000001)])
     with pytest.raises(OutlierError):
         check_sb_dataset([instance(winning_ratio=-0.1)])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.0000001, -0.1])
+@pytest.mark.parametrize("name", METRIC_COLUMNS)
+def test_check_sb_dataset_names_the_first_metric_out_of_range(name, value):
+    # A later column out of range too: the message names the first.
+    later = {n: 2.0 for n in METRIC_COLUMNS[METRIC_COLUMNS.index(name) + 1:]}
+    bad = instance(**dict(later, **{name: value}))
+    with pytest.raises(OutlierError) as caught:
+        check_sb_dataset([instance(bidder="amy"), bad])
+    assert str(caught.value) == (
+        f"auction 1, bidder 'alice': {name}={value!r} outside [0, 1]"
+    )
+
+
+def test_check_sb_dataset_reports_a_duplicate_before_its_range():
+    with pytest.raises(InvariantError) as caught:
+        check_sb_dataset([instance(), instance(early_bidding=math.nan)])
+    assert str(caught.value) == "duplicate instance for auction 1, bidder 'alice'"
+
+
+def test_check_sb_dataset_accepts_negative_zero():
+    check_sb_dataset([instance(**dict.fromkeys(METRIC_COLUMNS, -0.0))])
+
+
+def test_write_sb_dataset_matches_csv_writer(tmp_path):
+    edges = [0.0, -0.0, 5e-7, 0.9999995, 1.0]
+    streaks = [0.0, -0.0, 0.5, 1.0, 1.0]
+    instances = []
+    for k, bidder in enumerate(["plain", "a,b", 'q"t', "zed", "amy"]):
+        values = {
+            name: edges[(k + j) % len(edges)] for j, name in enumerate(METRIC_COLUMNS)
+        }
+        values["successive_outbidding"] = streaks[k]
+        instances.append(instance(auction_id=2 - k % 2, bidder=bidder, **values))
+    random.Random(8).shuffle(instances)
+    path = tmp_path / "sb.csv"
+    write_sb_dataset(instances, path)
+
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(SB_COLUMNS)
+    for inst in sorted(instances, key=lambda i: (i.auction_id, i.bidder_id)):
+        writer.writerow(
+            [inst.auction_id, inst.bidder_id]
+            + ["{:.6f}".format(v) for v in inst.metric_values()]
+        )
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+def test_write_sb_dataset_quotes_a_bare_carriage_return(tmp_path):
+    instances = [instance(bidder="x\ry"), instance(bidder="z")]
+    path = tmp_path / "sb.csv"
+    write_sb_dataset(instances, path)
+    assert read_sb_dataset(path) == instances
 
 
 def test_check_sb_dataset_rejects_off_band_streak_values():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from shillbid.errors import ConfigError, EmptyDatasetError
 from shillbid.metrics import (
     auction_bids,
+    auction_instances,
     auction_starting_price,
     bidder_tendency,
     bidding_ratio,
@@ -146,6 +147,25 @@ def test_bidder_tendency_share_per_seller():
     assert bidder_tendency("joe", "s1", agg) == pytest.approx(0.6)
     assert bidder_tendency("joe", "s2", agg) == pytest.approx(0.2)
     assert bidder_tendency("joe", "s9", agg) == 0.0
+
+
+def test_auction_instances_walk_a_view_the_aggregates_did_not_keep():
+    views = corpus_for_tendency()
+    agg = compute_global_aggregates(views)
+    kept = auction_instances(views[0], agg)
+    # The kept walk is handed out once and let go; a second call walks again.
+    assert views[0].auction_id not in agg.participation
+    assert auction_instances(views[0], agg) == kept
+    assert [i.bidder_id for i in kept] == ["joe", "other"]
+    assert kept[0].bidder_tendency == pytest.approx(0.6)
+    # Another view under a kept auction id is walked on its own.
+    other = make_view(
+        [("joe", "10.00", 500_000), ("joe", "11.00", 450_000), ("other", "12.00", 400_000)],
+        auction_id=2,
+        first_record_id=3,
+    )
+    ratios = [i.bidding_ratio for i in auction_instances(other, agg)]
+    assert ratios == pytest.approx([2 / 3, 1 / 3])
 
 
 def test_bidder_tendency_single_auction_scores_zero():
