@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 I/O failure, 2 bad input or configuration,
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import json
 import logging
@@ -39,10 +38,12 @@ from .ingest import (
     check_sb_dataset,
     load_raw_schema,
     read_auctions,
+    read_header,
     read_sb_dataset,
     write_preprocessed,
     write_rejects,
     write_sb_dataset,
+    write_scores,
 )
 from .metrics import compute_global_aggregates, load_weights, weight_scorer
 from .model import PREPROCESSED_COLUMNS, SB_COLUMNS, winner_of
@@ -55,16 +56,6 @@ from .preprocess import (
 from .synth import SynthConfig, write_corpus
 
 log = logging.getLogger(__name__)
-
-
-def _sniff_header(path: str) -> tuple[str, ...]:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        try:
-            return tuple(next(csv.reader(handle)))
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, no header row") from None
-        except csv.Error as exc:
-            raise ParseError(f"{path}:header: {exc}") from None
 
 
 def _write_json(payload: dict, path: str | Path) -> None:
@@ -103,7 +94,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     )
     config.validate()
 
-    header = _sniff_header(args.input)
+    header = read_header(args.input)
     scanner = None
     if header == PREPROCESSED_COLUMNS:
         # Already-cleaned input: re-run the stages on its typed rows.
@@ -142,13 +133,7 @@ def cmd_features(args: argparse.Namespace) -> int:
     write_sb_dataset(instances, args.out)
 
     if args.scores:
-        with open(args.scores, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["auction_id", "bidder_id", "weighted_score"])
-            writer.writerows(
-                (inst.auction_id, inst.bidder_id, f"{score(inst):.6f}")
-                for inst in instances
-            )
+        write_scores(instances, score, args.scores)
 
     winners = {a.auction_id: winner_of(a).bidder_id for a in auctions}
     stats = pattern_stats(instances, threshold=args.threshold, winners=winners)
@@ -204,7 +189,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    header = _sniff_header(args.input)
+    header = read_header(args.input)
     if header == PREPROCESSED_COLUMNS:
         auctions = read_auctions(args.input)
         rows = sum(len(a.bids) for a in auctions)
@@ -247,12 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--min-winning-price",
         help="drop rows whose auction sold at or below this price",
-    )
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="accepted for interface symmetry; the cleanse is one ordered pass",
     )
     p.set_defaults(func=cmd_preprocess)
 

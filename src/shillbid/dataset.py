@@ -161,9 +161,6 @@ def pattern_stats(
     instances: Iterable[SBInstance],
     threshold: float = 0.7,
     winners: Mapping[int, str] | None = None,
-    sob_floor: float = AGGRESSIVE_SOB_FLOOR,
-    br_floor: float = AGGRESSIVE_BR_FLOOR,
-    early_floor: float = EARLY_FLOOR,
 ) -> PatternStats:
     """Summarize a dataset: high-value counts, buckets, price split.
 
@@ -202,7 +199,7 @@ def pattern_stats(
     if winners is not None:
         w_aggr = w_calm = l_aggr = l_calm = early_aggr_lost = 0
         for auction_id, bidder_id, early, ratio, sob in map(_bucket_fields, instances):
-            aggressive = sob >= sob_floor and ratio > br_floor
+            aggressive = sob >= AGGRESSIVE_SOB_FLOOR and ratio > AGGRESSIVE_BR_FLOOR
             if winners.get(auction_id) == bidder_id:
                 if aggressive:
                     w_aggr += 1
@@ -210,7 +207,7 @@ def pattern_stats(
                     w_calm += 1
             elif aggressive:
                 l_aggr += 1
-                if early > early_floor:
+                if early > EARLY_FLOOR:
                     early_aggr_lost += 1
             else:
                 l_calm += 1

@@ -1,10 +1,13 @@
 """File ingress and egress: raw scrape CSVs in, typed CSVs out.
 
-All files are UTF-8, comma separated, double-quote quoted, LF line
-endings. Rows a reader cannot accept are never silently dropped: they
-land in a SchemaReport and can be written to a .rejects.csv sidecar.
-A line the csv module refuses, such as a cell longer than
-csv.field_size_limit(), is a ParseError naming the file and the row.
+This module frames every table the CLI reads or writes (_table reads,
+_write_table writes): UTF-8, comma separated, a header row, LF line
+endings, and a cell holding a comma, a quote, a line feed or a
+carriage return quoted. Rows a reader cannot accept are never silently
+dropped: they land in a SchemaReport and can be written to a
+.rejects.csv sidecar. A line the csv module refuses, such as a cell
+longer than csv.field_size_limit(), is a ParseError naming the file
+and the row.
 
 A bid table is read in one streaming pass, bid_rows, which parses each
 auction's cells once; read_auctions and the preprocess re-cleanse
@@ -15,11 +18,13 @@ from __future__ import annotations
 
 import csv
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from itertools import count
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvariantError, OutlierError, ParseError, SchemaError
 from .model import (
@@ -31,10 +36,10 @@ from .model import (
     Bid,
     BidRecord,
     SBInstance,
-    auction_ok,
     auction_view,
     check_dataset,
     validate_dataset,
+    views_ok,
 )
 
 # Logical field -> raw column header. The keys are the contract; the
@@ -92,14 +97,70 @@ def load_raw_schema(path: str | Path) -> dict[str, str]:
     return mapping
 
 
-def _header(reader: Iterator[list[str]], path: str | Path) -> list[str]:
-    """The first row of a CSV file, which must exist and parse."""
-    try:
-        return next(reader)
-    except StopIteration:
-        raise SchemaError(f"{path}: empty file, no header row") from None
-    except csv.Error as exc:
-        raise ParseError(f"{path}:header: {exc}") from None
+_LAYOUT_NAMES = {PREPROCESSED_COLUMNS: "preprocessed", SB_COLUMNS: "SB dataset"}
+
+
+@contextmanager
+def _table(
+    path: str | Path, layout: tuple[str, ...] | None = None
+) -> Iterator[tuple[tuple[str, ...], Iterator[tuple[int, list[str]]]]]:
+    """Open a CSV table; yield its header and its (n, cells) data rows.
+
+    n counts data rows from 1. The header must exist, parse and, when a
+    layout is given, be that layout. A line the csv reader refuses is a
+    ParseError naming the file and the header or the row.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = tuple(next(reader))
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, no header row") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}:header: {exc}") from None
+        if layout is not None and header != layout:
+            raise SchemaError(
+                f"{path}: header does not match the {_LAYOUT_NAMES[layout]} layout"
+            )
+        numbers = count(1)
+        try:
+            yield header, zip(numbers, reader)
+        except csv.Error as exc:
+            # zip draws a row's number before the reader refuses its line.
+            raise ParseError(f"{path}:row {next(numbers) - 1}: {exc}") from None
+
+
+def read_header(path: str | Path) -> tuple[str, ...]:
+    """The header row of a CSV table, which must exist and parse."""
+    with _table(path) as (header, _):
+        return header
+
+
+def _write_table(path: str | Path, columns: Sequence[str], lines: Iterable[str]) -> None:
+    """Write a header row of columns, then lines, rendered rows ending in LF."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(columns) + "\n")
+        handle.writelines(lines)
+
+
+def _csv_row(cells: Iterable[object]) -> str:
+    """cells as csv.writer writes them as one row, with no line end.
+
+    csv.writer quotes a text holding a character of its terminator; a
+    CRLF terminator quotes a bare CR too, which a reader would split on.
+    """
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+    return buffer.getvalue()[:-2]
+
+
+class _CsvCells(dict):
+    """text -> that text as _csv_row writes it inside a row, rendered once."""
+
+    def __missing__(self, text: str) -> str:
+        # With an empty cell after it: alone, an empty text is written as "".
+        rendered = self[text] = _csv_row((text, ""))[:-1]
+        return rendered
 
 
 class RawRecord(Mapping[str, str]):
@@ -194,9 +255,7 @@ class RawScanner:
         if self._consumed:
             raise RuntimeError("RawScanner can only be iterated once")
         self._consumed = True
-        with open(self.path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            columns = tuple(_header(reader, self.path))
+        with _table(self.path) as (columns, rows):
             index: dict[str, int] = {}
             for pos, name in enumerate(columns):
                 index.setdefault(name, pos)
@@ -219,26 +278,22 @@ class RawScanner:
             width = len(columns)
             n = 0
             accepted = 0
-            try:
-                for cells in reader:
-                    n += 1
-                    if len(cells) != width:
-                        report.rejections.append(
-                            RejectedRow(
-                                row=n,
-                                reason=f"column count: expected {width}, got {len(cells)}",
-                                cells=tuple(cells),
-                            )
+            for n, cells in rows:
+                if len(cells) != width:
+                    report.rejections.append(
+                        RejectedRow(
+                            row=n,
+                            reason=f"column count: expected {width}, got {len(cells)}",
+                            cells=tuple(cells),
                         )
-                        continue
-                    accepted += 1
-                    if "" in cells:
-                        for pos, value in enumerate(cells):
-                            if not value:
-                                misses[columns[pos]] += 1
-                    yield RawRecord(columns, index, tuple(cells))
-            except csv.Error as exc:
-                raise ParseError(f"{self.path}:row {n + 1}: {exc}") from None
+                    )
+                    continue
+                accepted += 1
+                if "" in cells:
+                    for pos, value in enumerate(cells):
+                        if not value:
+                            misses[columns[pos]] += 1
+                yield RawRecord(columns, index, tuple(cells))
             report.row_count = n
             report.accepted_count = accepted
             report.missing_values = misses
@@ -254,30 +309,11 @@ def read_raw(
 
 
 def write_rejects(report: SchemaReport, path: str | Path) -> None:
-    """Write rejected raw rows to a sidecar CSV with their reasons."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["row", "reason", "content"])
-        for rej in report.rejections:
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerow(rej.cells)
-            writer.writerow([rej.row, rej.reason, buf.getvalue().rstrip("\n")])
-
-
-class _CsvCells(dict):
-    """text -> that text as csv.writer writes it inside a row.
-
-    Each distinct text is rendered once, by csv.writer itself.
-    """
-
-    def __missing__(self, text: str) -> str:
-        buffer = io.StringIO()
-        # With an empty cell after it: alone, an empty text is written as "".
-        # csv.writer quotes a text holding a character of its terminator;
-        # "\r\n" quotes a bare "\r" too, which a reader would split on.
-        csv.writer(buffer, lineterminator="\r\n").writerow((text, ""))
-        rendered = self[text] = buffer.getvalue()[:-3]
-        return rendered
+    """Write rejected raw rows, each as one CSV line, with their reasons."""
+    _write_table(path, ("row", "reason", "content"), (
+        _csv_row((rej.row, rej.reason, _csv_row(rej.cells))) + "\n"
+        for rej in report.rejections
+    ))
 
 
 _auction_id = attrgetter("auction_id")
@@ -300,23 +336,23 @@ def write_preprocessed(
     if validate:
         check_dataset(auctions)
     cell = _CsvCells()
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        write = handle.write
-        write(",".join(PREPROCESSED_COLUMNS) + "\n")
-        for view in sorted(auctions, key=_auction_id):
-            auction = f",{view.auction_id},{cell[view.seller_id]},"
-            tail = (
-                f",{view.num_bidders},{view.num_bids},{view.starting_price!s},"
-                f"{view.winning_bid!s},{view.auction_duration_sec},"
-                f"{view.start_time_sec},{view.end_time_sec}\n"
+
+    def rows(view: AuctionView) -> str:
+        auction = f",{view.auction_id},{cell[view.seller_id]},"
+        tail = (
+            f",{view.num_bidders},{view.num_bids},{view.starting_price!s},"
+            f"{view.winning_bid!s},{view.auction_duration_sec},"
+            f"{view.start_time_sec},{view.end_time_sec}\n"
+        )
+        return "".join([
+            f"{bid.record_id}{auction}{cell[bid.bidder_id]},"
+            f"{bid.bid_amount!s},{bid.bid_submit_time_sec}{tail}"
+            for bid in sorted(
+                view.bids, key=lambda b: (-b.bid_submit_time_sec, b.record_id)
             )
-            write("".join([
-                f"{bid.record_id}{auction}{cell[bid.bidder_id]},"
-                f"{bid.bid_amount!s},{bid.bid_submit_time_sec}{tail}"
-                for bid in sorted(
-                    view.bids, key=lambda b: (-b.bid_submit_time_sec, b.record_id)
-                )
-            ]))
+        ])
+
+    _write_table(path, PREPROCESSED_COLUMNS, map(rows, sorted(auctions, key=_auction_id)))
 
 
 def _parse_int(text: str, what: str, where: str) -> int:
@@ -365,14 +401,6 @@ def _parse_preprocessed_row(cells: Sequence[str], where: str) -> BidRecord:
     )
 
 
-def _bid_table_cells(handle, path: str | Path) -> Iterator[list[str]]:
-    """The data rows of an open bid table, once its header is checked."""
-    reader = csv.reader(handle)
-    if tuple(_header(reader, path)) != PREPROCESSED_COLUMNS:
-        raise SchemaError(f"{path}: header does not match the preprocessed layout")
-    return reader
-
-
 def read_preprocessed(path: str | Path) -> list[BidRecord]:
     """Read a previously written bid table back into typed records.
 
@@ -380,15 +408,8 @@ def read_preprocessed(path: str | Path) -> list[BidRecord]:
     this reader, with validate_dataset, is the reference that the
     streaming pass of bid_rows is tested against.
     """
-    records: list[BidRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        n = 0
-        try:
-            for n, cells in enumerate(_bid_table_cells(handle, path), 1):
-                records.append(_parse_preprocessed_row(cells, f"{path}:row {n}"))
-        except csv.Error as exc:
-            raise ParseError(f"{path}:row {n + 1}: {exc}") from None
-    return records
+    with _table(path, PREPROCESSED_COLUMNS) as (_, rows):
+        return [_parse_preprocessed_row(cells, f"{path}:row {n}") for n, cells in rows]
 
 
 def bid_rows(path: str | Path) -> Iterator[tuple[int, BidRecord, str, Decimal, int]]:
@@ -406,34 +427,30 @@ def bid_rows(path: str | Path) -> Iterator[tuple[int, BidRecord, str, Decimal, i
     # auction_id text -> (seller text, auction-level cells, head)
     firsts: dict[str, tuple[str, list[str], BidRecord]] = {}
     amounts: dict[str, Decimal] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        n = 0
-        try:
-            for n, cells in enumerate(_bid_table_cells(handle, path), 1):
-                first = firsts.get(cells[1]) if len(cells) == width else None
-                if first is not None and cells[2] == first[0] and cells[6:] == first[1]:
-                    try:
-                        record_id = int(cells[0])
-                        amount = amounts.get(cells[4])
-                        if amount is None:
-                            amount = amounts[cells[4]] = _parse_cents(
-                                cells[4], "bid_amount", ""
-                            )
-                        submitted = int(cells[5])
-                    except (ValueError, ParseError):
-                        # Reparse the row in full for the exact error.
-                        _parse_preprocessed_row(cells, f"{path}:row {n}")
-                        raise
-                    yield record_id, first[2], cells[3], amount, submitted
-                else:
-                    head = _parse_preprocessed_row(cells, f"{path}:row {n}")
-                    firsts.setdefault(cells[1], (cells[2], cells[6:], head))
-                    yield (
-                        head.record_id, head, head.bidder_id, head.bid_amount,
-                        head.bid_submit_time_sec,
-                    )
-        except csv.Error as exc:
-            raise ParseError(f"{path}:row {n + 1}: {exc}") from None
+    with _table(path, PREPROCESSED_COLUMNS) as (_, rows):
+        for n, cells in rows:
+            first = firsts.get(cells[1]) if len(cells) == width else None
+            if first is not None and cells[2] == first[0] and cells[6:] == first[1]:
+                try:
+                    record_id = int(cells[0])
+                    amount = amounts.get(cells[4])
+                    if amount is None:
+                        amount = amounts[cells[4]] = _parse_cents(
+                            cells[4], "bid_amount", ""
+                        )
+                    submitted = int(cells[5])
+                except (ValueError, ParseError):
+                    # Reparse the row in full for the exact error.
+                    _parse_preprocessed_row(cells, f"{path}:row {n}")
+                    raise
+                yield record_id, first[2], cells[3], amount, submitted
+            else:
+                head = _parse_preprocessed_row(cells, f"{path}:row {n}")
+                firsts.setdefault(cells[1], (cells[2], cells[6:], head))
+                yield (
+                    head.record_id, head, head.bidder_id, head.bid_amount,
+                    head.bid_submit_time_sec,
+                )
 
 
 def _stream_auctions(path: str | Path) -> list[AuctionView] | None:
@@ -445,7 +462,6 @@ def _stream_auctions(path: str | Path) -> list[AuctionView] | None:
     """
     # auction_id -> (head, bids)
     auctions: dict[int, tuple[BidRecord, list[Bid]]] = {}
-    record_ids: set[int] = set()
     current = None
     try:
         for record_id, head, bidder, amount, submitted in bid_rows(path):
@@ -459,22 +475,13 @@ def _stream_auctions(path: str | Path) -> list[AuctionView] | None:
                     # first row, or a second spelling of its id ("01").
                     return None
                 bids = entry[1]
-            if record_id < 1 or record_id in record_ids:
-                return None
-            record_ids.add(record_id)
             bids.append(Bid(bidder, amount, submitted, record_id))
     except ParseError:
         # A cell that does not parse, or a line the csv reader refuses:
         # the reference path raises the exact error.
         return None
-    # Every id is positive and unique, so they are dense iff the largest
-    # is their count.
-    if record_ids and max(record_ids) != len(record_ids):
-        return None
-    if auctions.keys() != set(range(1, len(auctions) + 1)):
-        return None
-    views = [auction_view(*auctions[aid]) for aid in range(1, len(auctions) + 1)]
-    return views if all(map(auction_ok, views)) else None
+    views = [auction_view(*auctions[aid]) for aid in sorted(auctions)]
+    return views if views_ok(views) else None
 
 
 def read_auctions(path: str | Path) -> list[AuctionView]:
@@ -483,12 +490,13 @@ def read_auctions(path: str | Path) -> list[AuctionView]:
     Returns exactly what validate_dataset(read_preprocessed(path))
     returns, without building a BidRecord per row or regrouping the
     rows. The rows come from bid_rows; every row of an auction must
-    share the head of the auction's first row. Each view is then checked
-    with model.auction_ok, the predicate check_dataset uses. A table
+    share the head of the auction's first row. The views are then
+    checked with model.views_ok, check_dataset's own test. A table
     this pass does not take as-is (a ragged row, a cell that does not
     parse, auction-level text that differs, any broken rule, ids that
-    are not dense) goes through the reference path, so every error
-    text and type is the reference's.
+    are not dense or not in the pipeline's order) goes through the
+    reference path, so every result, error text and type is the
+    reference's.
     """
     views = _stream_auctions(path)
     if views is None:
@@ -559,40 +567,40 @@ def write_sb_dataset(instances: Sequence[SBInstance], path: str | Path) -> None:
     if not _check_sb_order(instances):
         instances = sorted(instances, key=_sb_pair)
     cell = _CsvCells()
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        write = handle.write
-        write(",".join(SB_COLUMNS) + "\n")
-        for inst in instances:
-            write(
-                f"{inst.auction_id},{cell[inst.bidder_id]},"
-                f"{_six_decimal_metrics % inst.metric_values()}\n"
-            )
+    _write_table(path, SB_COLUMNS, (
+        f"{inst.auction_id},{cell[inst.bidder_id]},"
+        f"{_six_decimal_metrics % inst.metric_values()}\n"
+        for inst in instances
+    ))
+
+
+def write_scores(
+    instances: Iterable[SBInstance], score: Callable[[SBInstance], float], path: str | Path
+) -> None:
+    """Write score(instance) to six decimals per instance, in the given order."""
+    cell = _CsvCells()
+    _write_table(path, ("auction_id", "bidder_id", "weighted_score"), (
+        f"{inst.auction_id},{cell[inst.bidder_id]},{score(inst):.6f}\n" for inst in instances
+    ))
 
 
 def read_sb_dataset(path: str | Path) -> list[SBInstance]:
     """Read a feature dataset; values are parsed but not range-checked."""
     width = len(SB_COLUMNS)
     instances: list[SBInstance] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        if tuple(_header(reader, path)) != SB_COLUMNS:
-            raise SchemaError(f"{path}: header does not match the SB dataset layout")
-        n = 0
-        try:
-            for n, cells in enumerate(reader, 1):
-                if len(cells) != width:
-                    raise ParseError(
-                        f"{path}:row {n}: expected {width} cells, got {len(cells)}"
-                    )
-                try:
-                    instances.append(
-                        SBInstance(int(cells[0]), cells[1], *map(float, cells[2:]))
-                    )
-                except ValueError:
-                    _raise_sb_cell_error(cells, f"{path}:row {n}")
-                    raise
-        except csv.Error as exc:
-            raise ParseError(f"{path}:row {n + 1}: {exc}") from None
+    with _table(path, SB_COLUMNS) as (_, rows):
+        for n, cells in rows:
+            if len(cells) != width:
+                raise ParseError(
+                    f"{path}:row {n}: expected {width} cells, got {len(cells)}"
+                )
+            try:
+                instances.append(
+                    SBInstance(int(cells[0]), cells[1], *map(float, cells[2:]))
+                )
+            except ValueError:
+                _raise_sb_cell_error(cells, f"{path}:row {n}")
+                raise
     return instances
 
 

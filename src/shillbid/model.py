@@ -356,14 +356,12 @@ def _flatten(auctions: Iterable[AuctionView]) -> list[BidRecord]:
 _record_id = attrgetter("record_id")
 
 
-def check_dataset(auctions: Sequence[AuctionView]) -> None:
-    """Raise InvariantError unless the views make a valid bid table.
+def views_ok(auctions: Sequence[AuctionView]) -> bool:
+    """True when views have the pipeline's own shape and break no rule.
 
-    Valid means what validate_dataset accepts of their records. The
-    pipeline's own shape is checked directly: views numbered 1..N in
-    order, each passing auction_ok, whose bids hold record ids 1..M in
-    order. Any other set of views goes through the reference, which
-    either accepts it or raises its own error, with its text.
+    The shape: views numbered 1..N in order, each passing auction_ok,
+    whose bids hold record ids 1..M in order. False only says the
+    reference has to decide.
     """
     next_id = 1
     for auction_id, view in enumerate(auctions, 1):
@@ -373,9 +371,20 @@ def check_dataset(auctions: Sequence[AuctionView]) -> None:
             or list(map(_record_id, view.bids)) != list(range(next_id, next_id + count))
             or not auction_ok(view)
         ):
-            _checked_groups(_flatten(auctions))
-            return
+            return False
         next_id += count
+    return True
+
+
+def check_dataset(auctions: Sequence[AuctionView]) -> None:
+    """Raise InvariantError unless the views make a valid bid table.
+
+    Valid means what validate_dataset accepts of their records. Views
+    that fail views_ok go through the reference, which either accepts
+    them or raises its own error, with its text.
+    """
+    if not views_ok(auctions):
+        _checked_groups(_flatten(auctions))
 
 
 @fast_frozen_init

@@ -10,7 +10,12 @@ import pytest
 from shillbid import metrics
 from shillbid.cli import main
 from shillbid.dataset import build_sb_dataset
-from shillbid.ingest import read_auctions, read_sb_dataset
+from shillbid.ingest import (
+    DEFAULT_RAW_SCHEMA,
+    read_auctions,
+    read_sb_dataset,
+    write_preprocessed,
+)
 from shillbid.metrics import (
     compute_global_aggregates,
     load_weights,
@@ -18,6 +23,9 @@ from shillbid.metrics import (
     weighted_score,
 )
 from shillbid.model import DEFAULT_WEIGHTS, PREPROCESSED_COLUMNS
+from shillbid.preprocess import run_pipeline
+
+from .test_preprocess import five_bid_auction
 
 
 def run(*argv):
@@ -125,6 +133,21 @@ def test_scores_are_weighted_score_to_six_decimals(chain, tmp_path, weights_text
         [str(i.auction_id), i.bidder_id, f"{weighted_score(i, table):.6f}"]
         for i in instances
     ]
+
+
+def test_scores_quote_a_bare_carriage_return(tmp_path):
+    rows = five_bid_auction()
+    for row, bidder in zip(rows, ["x\ry", "a,b", 'say "hi"', "x\ry", "z"]):
+        row[DEFAULT_RAW_SCHEMA["bidder_id"]] = bidder
+    clean, sb, scores = tmp_path / "clean.csv", tmp_path / "sb.csv", tmp_path / "scores.csv"
+    write_preprocessed(run_pipeline(rows)[0], clean)
+    assert run(
+        "features", "--in", str(clean), "--out", str(sb), "--scores", str(scores)
+    ) == 0
+    with open(scores, newline="", encoding="utf-8") as fh:
+        ids = [row[:2] for row in csv.reader(fh)][1:]
+    assert ids == [[str(i.auction_id), i.bidder_id] for i in read_sb_dataset(sb)]
+    assert ["1", "x\ry"] in ids
 
 
 def test_features_walks_each_auction_once(chain, monkeypatch):

@@ -23,6 +23,8 @@ from shillbid.errors import (
 from shillbid.ingest import (
     DEFAULT_RAW_SCHEMA,
     RawScanner,
+    RejectedRow,
+    SchemaReport,
     check_sb_dataset,
     load_raw_schema,
     read_auctions,
@@ -32,6 +34,7 @@ from shillbid.ingest import (
     write_preprocessed,
     write_rejects,
     write_sb_dataset,
+    write_scores,
 )
 from shillbid.model import (
     METRIC_COLUMNS,
@@ -148,6 +151,53 @@ def test_read_raw_rejects_ragged_rows(tmp_path):
     lines = rejects.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "row,reason,content"
     assert len(lines) == 2
+
+
+def plain_csv_writer_table(header, rows) -> bytes:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+def test_write_rejects_quotes_a_bare_carriage_return(tmp_path):
+    reason = "column count: expected 15, got 1"
+    path = tmp_path / "rejects.csv"
+    write_rejects(SchemaReport(rejections=[RejectedRow(1, reason, ("x\ry",))]), path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["row", "reason", "content"]
+    assert rows[1][:2] == ["1", reason] and len(rows) == 2
+    assert list(csv.reader(io.StringIO(rows[1][2], newline=""))) == [["x\ry"]]
+
+
+def test_write_rejects_and_write_scores_match_csv_writer(tmp_path):
+    # Ids with a comma, a quote or a line feed: the bytes a plain
+    # csv.writer gives, row and content alike.
+    cells = [("a,b", 'say "hi"', "", "x\ny"), ("",), (), ("plain", "row")]
+    rejections = [
+        RejectedRow(n, f"column count: expected 15, got {len(c)}", c)
+        for n, c in enumerate(cells, 1)
+    ]
+    path = tmp_path / "rejects.csv"
+    write_rejects(SchemaReport(rejections=rejections), path)
+    contents = []
+    for rej in rejections:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow(rej.cells)
+        contents.append([rej.row, rej.reason, buffer.getvalue()[:-1]])
+    assert path.read_bytes() == plain_csv_writer_table(
+        ["row", "reason", "content"], contents
+    )
+
+    instances = [instance(bidder=b) for b in ["a,b", 'q"t', "x\ny", "plain"]]
+    path = tmp_path / "scores.csv"
+    write_scores(instances, lambda i: i.early_bidding / 3, path)
+    assert path.read_bytes() == plain_csv_writer_table(
+        ["auction_id", "bidder_id", "weighted_score"],
+        [[i.auction_id, i.bidder_id, f"{i.early_bidding / 3:.6f}"] for i in instances],
+    )
 
 
 def test_read_raw_empty_file(tmp_path):

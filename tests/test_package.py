@@ -89,3 +89,25 @@ def test_bid_records_are_built_only_at_the_edges():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _builds_bid_record(node)
         ]
     assert offenders == []
+
+
+def test_only_ingest_frames_csv():
+    # How a table is opened, framed and quoted is one decision, made in
+    # ingest. synth writes the raw corpus its own way: its bytes feed
+    # every recorded digest.
+    package = Path(shillbid.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("ingest.py", "synth.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "csv" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
