@@ -420,13 +420,15 @@ def bid_rows(path: str | Path) -> Iterator[tuple[int, BidRecord, str, Decimal, i
     head. A later row that repeats that row's seller and auction-level
     cells as text shares its head, and only its record_id, bid_amount
     and bid_submit_time_sec are parsed, each distinct amount text once.
-    Any other row is parsed in full and is its own head. A row that
-    does not parse raises what read_preprocessed raises for it.
+    Any other row is parsed in full and is its own head. Every seller
+    and bidder id text is one shared str. A row that does not parse
+    raises what read_preprocessed raises for it.
     """
     width = len(PREPROCESSED_COLUMNS)
     # auction_id text -> (seller text, auction-level cells, head)
     firsts: dict[str, tuple[str, list[str], BidRecord]] = {}
     amounts: dict[str, Decimal] = {}
+    ids: dict[str, str] = {}
     with _table(path, PREPROCESSED_COLUMNS) as (_, rows):
         for n, cells in rows:
             first = firsts.get(cells[1]) if len(cells) == width else None
@@ -443,8 +445,11 @@ def bid_rows(path: str | Path) -> Iterator[tuple[int, BidRecord, str, Decimal, i
                     # Reparse the row in full for the exact error.
                     _parse_preprocessed_row(cells, f"{path}:row {n}")
                     raise
-                yield record_id, first[2], cells[3], amount, submitted
+                bidder = cells[3]
+                yield record_id, first[2], ids.setdefault(bidder, bidder), amount, submitted
             else:
+                # Share the seller and bidder id texts.
+                cells[2:4] = [ids.setdefault(text, text) for text in cells[2:4]]
                 head = _parse_preprocessed_row(cells, f"{path}:row {n}")
                 firsts.setdefault(cells[1], (cells[2], cells[6:], head))
                 yield (

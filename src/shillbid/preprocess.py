@@ -5,9 +5,9 @@ winning-price floor, collapses exact duplicates, drops rows with a
 blank bidder id and groups the rest into auctions, checking that each
 auction's rows agree. The auction-level stages follow: reconcile
 scraped counts against actual rows, drop low-activity auctions, drop
-price-inconsistent auctions, assign dense identifiers. The result is
-one AuctionView per kept auction, numbered and checked, which
-ingest.write_preprocessed writes as it is.
+price-inconsistent auctions, drop self-contradictory auctions, assign
+dense identifiers. The result is one AuctionView per kept auction,
+numbered and checked, which ingest.write_preprocessed writes as it is.
 
 The row pass is written once and shared by both input layouts.
 run_pipeline feeds it raw scrape rows projected to the logical fields,
@@ -287,6 +287,38 @@ def filter_inconsistent_auctions(
     return kept, removed
 
 
+def filter_contradictory_auctions(
+    auctions: Iterable[ParsedAuction],
+) -> tuple[list[ParsedAuction], list[ParsedAuction]]:
+    """Drop auctions whose rows contradict themselves.
+
+    An auction is contradictory when its seller id is blank, its
+    winning price is not positive, its start minus end is not its
+    duration, or any bid lies above the winning price or outside the
+    [end, start] window. Scraped rows can break each of these rules,
+    which the bid table's own check refuses.
+    """
+    kept: list[ParsedAuction] = []
+    removed: list[ParsedAuction] = []
+    for auction in auctions:
+        seller = auction.seller_id
+        winning = auction.winning_bid
+        start = auction.start_time_sec
+        end = auction.end_time_sec
+        times = list(map(_bid_time, auction.bids))
+        if (
+            seller and not seller.isspace()
+            and winning > 0
+            and start - end == auction.duration_sec
+            and max(map(_bid_amount, auction.bids)) <= winning
+            and end <= min(times) and max(times) <= start
+        ):
+            kept.append(auction)
+        else:
+            removed.append(auction)
+    return kept, removed
+
+
 def assign_identifiers(auctions: Iterable[ParsedAuction]) -> list[AuctionView]:
     """Assign dense auction and record ids and build the auction views.
 
@@ -360,6 +392,8 @@ class CleansingReport:
     low_bid_rows_removed: int
     inconsistent_auctions_removed: int
     inconsistent_rows_removed: int
+    contradictory_auctions_removed: int
+    contradictory_rows_removed: int
     num_bids_reconciled: int
     num_bidders_reconciled: int
     price_filtered_rows: int
@@ -376,6 +410,8 @@ class CleansingReport:
                 "low_bid_rows_removed": self.low_bid_rows_removed,
                 "inconsistent_auctions_removed": self.inconsistent_auctions_removed,
                 "inconsistent_rows_removed": self.inconsistent_rows_removed,
+                "contradictory_auctions_removed": self.contradictory_auctions_removed,
+                "contradictory_rows_removed": self.contradictory_rows_removed,
             },
             "reconciled": {
                 "num_bids": self.num_bids_reconciled,
@@ -488,23 +524,39 @@ def _group_rows(
     """The row-wise stages, one streaming pass shared by both layouts.
 
     Cells 0, 1 and 2 of a row are its auction key, seller and bidder;
-    every cell from level_at on is auction-level. A row is dropped by
-    the winning-price floor, else counted into the before totals, then
-    dropped if its dedup_key was seen, then if its bidder is blank.
-    What is left joins its auction's group: new_auction builds the
-    group from the first such row, and every later row must repeat its
-    seller and auction-level cells. before.attributes is the bid
-    table's width; the raw adapter sets the scrape's.
+    cells 2 up to level_at are bid-level and every cell from level_at
+    on is auction-level. A row is dropped by the winning-price floor,
+    else counted into the before totals, then dropped if its dedup_key
+    was seen, then if its bidder is blank. What is left joins its
+    auction's group: new_auction builds the group from the first such
+    row, and every later row must repeat its seller and auction-level
+    cells. before.attributes is the bid table's width; the raw adapter
+    sets the scrape's.
+
+    Duplicate keys come in two disjoint kinds. Each auction key keeps
+    one entry, made from its first row that passes the floor: that
+    row's seller and auction-level cells and a short token. A row that
+    repeats its auction's entry is keyed by dedup_key of the token and
+    its bid-level cells; any other row by dedup_key of the whole row,
+    which has more cells. Two rows are duplicates exactly when they are
+    equal, and the entry's text is held once per auction, not once per
+    row. The entry also serves the grouping check, unless the group's
+    first row differs from it (every earlier row of the auction was
+    dropped, for a blank bidder or as a copy): then that group's seller
+    and cells are held apart.
     """
     min_price = config.min_winning_price
     counters = _Counters()
     seen: set = set()
-    keys_seen: set = set()
+    # auction key -> (seller, auction-level cells, token) of its first row
+    entries: dict = {}
+    # auction key -> (seller, auction-level cells) of a group that
+    # differs from its auction's entry
+    apart: dict = {}
     bidders_seen: set[str] = set()
     sellers_seen: set[str] = set()
     rows_before = 0
     groups: dict = {}
-    level_of: dict = {}
 
     for row in rows:
         if min_price is not None and winning(row) <= min_price:
@@ -512,14 +564,19 @@ def _group_rows(
             continue
 
         key = row[0]
+        seller = row[1]
         rows_before += 1
-        keys_seen.add(key)
-        sellers_seen.add(row[1])
+        sellers_seen.add(seller)
         bidder = row[2]
         if bidder and not bidder.isspace():
             bidders_seen.add(bidder)
 
-        dup = dedup_key(row)
+        level = row[level_at:]
+        entry = entries.get(key)
+        if entry is None:
+            entry = entries[key] = (seller, level, str(len(entries)))
+        same = seller == entry[0] and level == entry[1]
+        dup = dedup_key((entry[2], *row[2:level_at]) if same else row)
         if dup in seen:
             counters.duplicates += 1
             continue
@@ -529,19 +586,19 @@ def _group_rows(
             counters.missing_bidder += 1
             continue
 
-        level = row[level_at:]
         group = groups.get(key)
         if group is None:
             groups[key] = group = new_auction(row)
-            level_of[key] = level
-        elif level_of[key] != level or group.seller_id != row[1]:
+            if not same:
+                apart[key] = (seller, level)
+        elif (not same or key in apart) and apart.get(key) != (seller, level):
             raise DataConsistencyError(
                 f"auction {key!r}: rows disagree on auction-level fields"
             )
         group.bids.append(new_bid(row))
 
     before = Totals(
-        auctions=len(keys_seen),
+        auctions=len(entries),
         records=rows_before,
         bidder_ids=len(bidders_seen),
         seller_ids=len(sellers_seen),
@@ -560,12 +617,14 @@ def _finish(
     bids_fixed, bidders_fixed = reconcile_counts(auctions)
     kept, thin = filter_low_activity_auctions(auctions, config.min_bids)
     kept, inconsistent = filter_inconsistent_auctions(kept)
+    kept, contradictory = filter_contradictory_auctions(kept)
 
     views = assign_identifiers(kept)
     check_dataset(views)
 
     thin_rows = sum(len(a.bids) for a in thin)
     inconsistent_rows = sum(len(a.bids) for a in inconsistent)
+    contradictory_rows = sum(len(a.bids) for a in contradictory)
 
     if kept:
         durations = [a.duration_sec for a in kept]
@@ -605,6 +664,8 @@ def _finish(
         low_bid_rows_removed=thin_rows,
         inconsistent_auctions_removed=len(inconsistent),
         inconsistent_rows_removed=inconsistent_rows,
+        contradictory_auctions_removed=len(contradictory),
+        contradictory_rows_removed=contradictory_rows,
         num_bids_reconciled=bids_fixed,
         num_bidders_reconciled=bidders_fixed,
         price_filtered_rows=counters.price_filtered,
@@ -616,13 +677,18 @@ def _finish(
         + counters.missing_bidder
         + thin_rows
         + inconsistent_rows
+        + contradictory_rows
     )
     if after.records != before.records - lost_rows:
         raise InvariantError(
             "row accounting broke: "
             f"{before.records} - {lost_rows} != {after.records}"
         )
-    lost_auctions = report.low_bid_auctions_removed + report.inconsistent_auctions_removed
+    lost_auctions = (
+        report.low_bid_auctions_removed
+        + report.inconsistent_auctions_removed
+        + report.contradictory_auctions_removed
+    )
     if after.auctions != before.auctions - lost_auctions:
         raise InvariantError(
             "auction accounting broke: "
@@ -672,6 +738,15 @@ def run_pipeline(
                 raw_width = len(rec)
             yield cells
 
+    # id text -> one shared str, so a bidder's thousands of rows hold
+    # one object, not one each.
+    ids: dict[str, str] = {}
+
+    def new_auction(cells: tuple[str, ...]) -> ParsedAuction:
+        auction = _parse_auction_level(cells, config, money)
+        auction.seller_id = ids.setdefault(auction.seller_id, auction.seller_id)
+        return auction
+
     def new_bid(cells: tuple[str, ...]) -> ParsedBid:
         try:
             when = countdown(cells[_BID_DATE], cells[_BID_TIME])
@@ -681,7 +756,8 @@ def run_pipeline(
             merge_datetime(cells[_BID_DATE], cells[_BID_TIME])
             money(cells[_BID_AMOUNT])
             raise
-        return ParsedBid(cells[_BIDDER], money(cells[_BID_AMOUNT]), when)
+        bidder = cells[_BIDDER]
+        return ParsedBid(ids.setdefault(bidder, bidder), money(cells[_BID_AMOUNT]), when)
 
     groups, counters, before = _group_rows(
         project(records),
@@ -689,14 +765,14 @@ def run_pipeline(
         _START_DATE,
         lambda cells: money(cells[_WINNING_PRICE]),
         _dedup_key,
-        lambda cells: _parse_auction_level(cells, config, money),
+        new_auction,
         new_bid,
     )
     counters.columns_dropped = max(0, raw_width - len(LOGICAL_FIELDS))
     before = replace(before, attributes=raw_width)
-    # Free the parse caches before _finish builds the views, so they
-    # add nothing to the peak.
-    del money, countdown
+    # Free the parse caches and the id map before _finish builds the
+    # views, so they add nothing to the peak.
+    del money, countdown, ids
     return _finish(groups, before, counters, config)
 
 

@@ -4,6 +4,7 @@ import gc
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -270,6 +271,63 @@ def test_huge_price_in_raw_corpus_exits_2(tmp_path, capsys):
     clean = tmp_path / "clean.csv"
     assert run("preprocess", "--in", str(corpus), "--out", str(clean)) == 2
     assert repr(huge) in capsys.readouterr().err
+
+
+_GOLDEN_RAW = Path(__file__).parent / "golden" / "raw_corpus.csv"
+_CONTRADICTED = "https://auctions.example/itm/7000001"
+
+
+def _set(column, value, row=None):
+    """Set column to value on the auction's row-th row, or on all of them."""
+    def edit(header, rows):
+        at = header.index(column)
+        for cells in rows if row is None else [rows[row]]:
+            cells[at] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        # A mid-auction bid above the 457.52 $ winning bid.
+        [_set("Bid Amount", "99999.00 $", row=3)],
+        [_set("Seller Name", "")],
+        [_set(name, "0.00 $") for name in ("Winning Bid", "Starting Price", "Bid Amount")],
+        # Start and end stay five days apart.
+        [_set("Auction Duration", "3")],
+        # The first bid moved to the day before the start.
+        [_set("Bid Submission Date", "May-02-17", row=0)],
+    ],
+    ids=["bid-above-winning", "blank-seller", "zero-prices", "duration", "bid-outside-window"],
+)
+def test_a_self_contradictory_raw_auction_is_dropped(tmp_path, edits):
+    with open(_GOLDEN_RAW, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    url_at = header.index(DEFAULT_RAW_SCHEMA["auction_url"])
+    auction = [cells for cells in rows if cells[url_at] == _CONTRADICTED]
+    assert len(auction) == 9
+    for edit in edits:
+        edit(header, auction)
+
+    def preprocess(name, corpus_rows):
+        corpus = tmp_path / f"{name}.csv"
+        with open(corpus, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *corpus_rows])
+        out = tmp_path / f"{name}.bids.csv"
+        assert run("preprocess", "--in", str(corpus), "--out", str(out)) == 0
+        report = json.loads(Path(f"{out}.report.json").read_text())["cleansing"]
+        return out.read_bytes(), report
+
+    edited, report = preprocess("edited", rows)
+    without, base = preprocess("without", [c for c in rows if c[url_at] != _CONTRADICTED])
+    # The auction is gone from the table as if it had never been scraped.
+    assert edited == without
+    removed = report["removed"]
+    assert removed["contradictory_auctions_removed"] == 1
+    assert removed["contradictory_rows_removed"] == 9
+    assert removed["inconsistent_auctions_removed"] == base["removed"]["inconsistent_auctions_removed"]
+    assert report["after"] == base["after"]
+    assert report["before"]["records"] == base["before"]["records"] + 9
 
 
 def test_corrupted_metric_exits_3(chain, capsys):

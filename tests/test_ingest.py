@@ -424,6 +424,23 @@ def test_read_auctions_takes_one_pass_on_a_valid_table(tmp_path, monkeypatch):
     assert [len(v.bids) for v in views] == [5, 3, 4]
 
 
+def test_views_hold_one_str_per_distinct_id(tmp_path):
+    views, _ = run_pipeline(
+        five_bid_auction()
+        + five_bid_auction(
+            url="https://x.example/itm/2", seller="s2", base_amount=40, winning="50.00 $"
+        )
+        + five_bid_auction(url="https://x.example/itm/3", seller="s1", base_amount=9)
+    )
+    path = tmp_path / "clean.csv"
+    write_preprocessed(views, path)
+    for made in (views, read_auctions(path)):
+        bidders = [bid.bidder_id for view in made for bid in view.bids]
+        sellers = [view.seller_id for view in made]
+        assert len(set(map(id, bidders))) == len(set(bidders)) == 3
+        assert len(set(map(id, sellers))) == len(set(sellers)) == 2
+
+
 def test_read_auctions_on_an_empty_table(tmp_path, monkeypatch):
     path = tmp_path / "clean.csv"
     write_csv(path, PREPROCESSED_COLUMNS, [])

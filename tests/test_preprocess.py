@@ -4,6 +4,7 @@ import functools
 import logging
 import random
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime
 from decimal import Decimal
@@ -23,6 +24,7 @@ from shillbid.errors import (
 )
 from shillbid.ingest import (
     DEFAULT_RAW_SCHEMA,
+    RawScanner,
     _parse_cents,
     bid_rows,
     read_preprocessed,
@@ -38,6 +40,7 @@ from shillbid.preprocess import (
     assign_identifiers,
     countdown_parser,
     duration_days_to_seconds,
+    filter_contradictory_auctions,
     filter_inconsistent_auctions,
     filter_low_activity_auctions,
     merge_datetime,
@@ -359,6 +362,36 @@ def test_filter_inconsistent_is_strict():
     assert removed == [start_high, last_high]
 
 
+def test_filter_contradictory_drops_each_broken_rule_at_its_boundary():
+    end = 600_000 - 5 * 86400
+
+    def auction(key, amount="12.00", time=500_000, **fields):
+        made = parsed_auction(key=key, **fields)
+        made.bids[2] = ParsedBid("b0", Decimal(amount), time)
+        return made
+
+    zero = auction("zero", amount="0.00", winning_bid=Decimal("0.00"))
+    zero.bids = [replace(bid, bid_amount=Decimal("0.00")) for bid in zero.bids]
+    kept_ones = [
+        auction("ok"),
+        auction("at-winning", amount="14.00"),
+        auction("at-start", time=600_000),
+        auction("at-end", time=end),
+    ]
+    removed_ones = [
+        auction("above-winning", amount="14.01"),
+        auction("before-start", time=600_001),
+        auction("after-end", time=end - 1),
+        auction("blank-seller", seller=" "),
+        auction("empty-seller", seller=""),
+        auction("duration", duration_sec=3 * 86400),
+        zero,
+    ]
+    kept, removed = filter_contradictory_auctions(kept_ones + removed_ones)
+    assert kept == kept_ones
+    assert removed == removed_ones
+
+
 def test_assign_identifiers_orders_and_numbers_densely():
     older = parsed_auction(key="zzz", start_time_sec=700_000,
                            end_time_sec=700_000 - 5 * 86400)
@@ -470,6 +503,52 @@ def test_run_pipeline_counts_duplicates_and_blanks():
     assert len(records) == 5
     assert report.before.records == 7
     assert report.after.records == 5
+
+
+def test_run_pipeline_dedups_a_bid_cell_holding_the_key_separator():
+    rows = five_bid_auction()
+    rows[0][DEFAULT_RAW_SCHEMA["bidder_id"]] = "x\x1fy"
+    # Joined with the separator, this row's cells read as rows[0]'s.
+    shifted = dict(rows[0])
+    shifted[DEFAULT_RAW_SCHEMA["bidder_id"]] = "x"
+    shifted[DEFAULT_RAW_SCHEMA["bid_amount"]] = "y\x1f" + rows[0][DEFAULT_RAW_SCHEMA["bid_amount"]]
+    rows += [shifted, dict(rows[0])]
+    auctions, report = run_pipeline(rows)
+    assert report.duplicate_records_removed == 1
+    assert report.after.records == 6
+    assert {bid.bidder_id for bid in auctions[0].bids} >= {"x", "x\x1fy"}
+
+
+@pytest.mark.parametrize("copy_at", [1, 3, 6])
+def test_run_pipeline_rejects_a_copy_with_one_other_auction_cell(copy_at):
+    # The copy repeats row 1's bid cells exactly; only its winning
+    # price differs, so it is no duplicate but a disagreement.
+    rows = five_bid_auction() + five_bid_auction(url="https://x.example/itm/2")
+    copy = dict(rows[1])
+    copy[DEFAULT_RAW_SCHEMA["winning_price"]] = "31.00 $"
+    rows.insert(copy_at, copy)
+    with pytest.raises(DataConsistencyError):
+        run_pipeline(rows)
+    base = list(typed_base())
+    copy = replace(base[1], record_id=len(base) + 1, num_bids=6)
+    with pytest.raises(DataConsistencyError):
+        run_pipeline_records(base[:copy_at] + [copy] + base[copy_at:])
+
+
+def test_run_pipeline_groups_from_the_first_row_with_a_bidder():
+    # A blank-bidder first row whose auction cells differ from the rest
+    # is dropped; the group and its check follow the first kept row.
+    rows = five_bid_auction()
+    blank = raw_row(bidder="", winning="31.00 $")
+    plain, plain_report = run_pipeline(rows)
+    auctions, report = run_pipeline([blank, *rows, dict(blank)])
+    assert auctions == plain
+    assert report.missing_bidder_rows_removed == 1
+    assert report.duplicate_records_removed == 1
+    # A bidder's row with the blank row's cells disagrees with the group.
+    late = raw_row(bidder="zed", winning="31.00 $")
+    with pytest.raises(DataConsistencyError):
+        run_pipeline([blank, *rows, late])
 
 
 def test_run_pipeline_drops_thin_and_inconsistent_auctions():
@@ -704,6 +783,32 @@ def test_run_pipeline_records_ignores_order_and_copies(rng, picks):
     )
 
 
+@given(
+    st.randoms(use_true_random=False),
+    st.lists(st.integers(min_value=0, max_value=14), max_size=12),
+)
+def test_run_pipeline_ignores_order_and_copies(rng, picks):
+    base = (
+        five_bid_auction()
+        + five_bid_auction(
+            url="https://x.example/itm/2", seller="s2", base_amount=40, winning="50.00 $"
+        )
+        + five_bid_auction(url="https://x.example/itm/3", seller="s1", base_amount=9)
+    )
+    plain_auctions, plain_report = run_pipeline(base)
+    mixed = base + [dict(base[i]) for i in picks]
+    rng.shuffle(mixed)
+    auctions, report = run_pipeline(mixed)
+    assert auctions == plain_auctions
+    assert report == replace(
+        plain_report,
+        duplicate_records_removed=len(picks),
+        before=replace(
+            plain_report.before, records=plain_report.before.records + len(picks)
+        ),
+    )
+
+
 def test_pipeline_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(min_bids=0).validate()
@@ -740,3 +845,30 @@ def test_custom_epoch_shifts_all_times_equally():
         assert b.start_time_sec - a.start_time_sec == 86400
         assert b.end_time_sec - a.end_time_sec == 86400
         assert b.auction_duration_sec == a.auction_duration_sec
+
+
+def test_run_pipeline_peak_memory_per_raw_row(tmp_path):
+    # The criterion-10 corpus shape at 300 auctions. The row pass holds
+    # one duplicate key per distinct row, so its peak grows with the
+    # rows; this bound (about 530 bytes a row measured) fails a pass
+    # that keys each row by its whole text (about 680).
+    raw = tmp_path / "raw.csv"
+    rows, _ = write_corpus(
+        SynthConfig(
+            seed=5,
+            num_auctions=300,
+            duplicate_row_rate=0.02,
+            missing_bidder_rate=0.02,
+            thin_auction_rate=0.02,
+            inconsistent_auction_rate=0.02,
+        ),
+        raw,
+    )
+    config = PipelineConfig()
+    tracemalloc.start()
+    try:
+        run_pipeline(RawScanner(raw, config.schema), config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / rows < 600, f"{peak / rows:.0f} bytes per raw row"
