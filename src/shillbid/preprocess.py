@@ -4,8 +4,9 @@ Stage order is fixed. One streaming row pass applies the optional
 winning-price floor, collapses exact duplicates, drops rows with a
 blank bidder id and groups the rest into auctions, checking that each
 auction's rows agree. The auction-level stages follow: reconcile
-scraped counts against actual rows, drop low-activity auctions, drop
-price-inconsistent auctions, drop self-contradictory auctions, assign
+scraped counts against actual rows; drop, in one walk, each auction
+with too few bids, else with a price above its winning price, else
+breaking any other rule of the bid table (model.auction_ok); assign
 dense identifiers. The result is one AuctionView per kept auction,
 numbered and checked, which ingest.write_preprocessed writes as it is.
 
@@ -29,7 +30,7 @@ from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from operator import attrgetter, itemgetter
 from pathlib import Path
 import re
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     ConfigError,
@@ -40,7 +41,8 @@ from .errors import (
 )
 from .ingest import DEFAULT_RAW_SCHEMA, LOGICAL_FIELDS, RawRecord, bid_rows
 from .model import (
-    PREPROCESSED_COLUMNS, AuctionView, Bid, BidRecord, check_dataset, fast_frozen_init,
+    PREPROCESSED_COLUMNS, AuctionView, Bid, BidRecord, auction_ok, check_dataset,
+    fast_frozen_init,
 )
 
 logger = logging.getLogger(__name__)
@@ -211,13 +213,16 @@ class ParsedBid:
 
 @dataclass(slots=True)
 class ParsedAuction:
-    """One auction mid-pipeline, before identifiers exist."""
+    """One auction mid-pipeline, before identifiers exist.
+
+    Its fields are named as AuctionView's, so model.auction_ok judges it.
+    """
 
     key: str | int
     seller_id: str
     start_time_sec: int
     end_time_sec: int
-    duration_sec: int
+    auction_duration_sec: int
     starting_price: Decimal
     winning_bid: Decimal
     num_bids: int
@@ -246,77 +251,42 @@ def reconcile_counts(auctions: Iterable[ParsedAuction]) -> tuple[int, int]:
     return bids_fixed, bidders_fixed
 
 
-def filter_low_activity_auctions(
-    auctions: Iterable[ParsedAuction], min_bids: int = 5
-) -> tuple[list[ParsedAuction], list[ParsedAuction]]:
-    """Split auctions into (kept, removed) by actual bid count."""
-    kept: list[ParsedAuction] = []
-    removed: list[ParsedAuction] = []
-    for auction in auctions:
-        (kept if len(auction.bids) >= min_bids else removed).append(auction)
-    return kept, removed
+def _bid_order(bid: ParsedBid) -> tuple[int, Decimal, str]:
+    # Earliest first (time counts down), then by amount, then bidder:
+    # the greatest bid is the chronologically last, and of two in the
+    # same second the higher.
+    return (-bid.bid_submit_time_sec, bid.bid_amount, bid.bidder_id)
 
 
-_bid_time = attrgetter("bid_submit_time_sec")
-_bid_amount = attrgetter("bid_amount")
+def drop_auctions(
+    auctions: Iterable[ParsedAuction], min_bids: int
+) -> tuple[list[ParsedAuction], list[ParsedAuction], list[ParsedAuction], list[ParsedAuction]]:
+    """Split auctions into (kept, thin, inconsistent, contradictory).
 
-
-def _chronological_last(bids: Sequence[ParsedBid]) -> ParsedBid:
-    # Smallest countdown is latest; a same-second tie goes to the
-    # higher amount, matching the canonical bid order.
-    latest = min(map(_bid_time, bids))
-    return max((b for b in bids if b.bid_submit_time_sec == latest), key=_bid_amount)
-
-
-def filter_inconsistent_auctions(
-    auctions: Iterable[ParsedAuction],
-) -> tuple[list[ParsedAuction], list[ParsedAuction]]:
-    """Drop auctions whose prices contradict their own bid rows.
-
-    An auction is inconsistent when its last bid exceeds the winning
-    price, or its starting price does (both strictly).
+    Each auction goes to the first of these it falls under: thin when
+    it has fewer than min_bids bids; inconsistent when its
+    chronologically last bid or its starting price is above its
+    winning price (both strictly);
+    contradictory when it breaks any other rule of the bid table, as
+    model.auction_ok judges it. Counts are compared with the bids, so
+    they should be reconciled first.
     """
     kept: list[ParsedAuction] = []
-    removed: list[ParsedAuction] = []
+    thin: list[ParsedAuction] = []
+    inconsistent: list[ParsedAuction] = []
+    contradictory: list[ParsedAuction] = []
     for auction in auctions:
-        last = _chronological_last(auction.bids)
-        if last.bid_amount > auction.winning_bid or auction.starting_price > auction.winning_bid:
-            removed.append(auction)
-        else:
-            kept.append(auction)
-    return kept, removed
-
-
-def filter_contradictory_auctions(
-    auctions: Iterable[ParsedAuction],
-) -> tuple[list[ParsedAuction], list[ParsedAuction]]:
-    """Drop auctions whose rows contradict themselves.
-
-    An auction is contradictory when its seller id is blank, its
-    winning price is not positive, its start minus end is not its
-    duration, or any bid lies above the winning price or outside the
-    [end, start] window. Scraped rows can break each of these rules,
-    which the bid table's own check refuses.
-    """
-    kept: list[ParsedAuction] = []
-    removed: list[ParsedAuction] = []
-    for auction in auctions:
-        seller = auction.seller_id
+        bids = auction.bids
         winning = auction.winning_bid
-        start = auction.start_time_sec
-        end = auction.end_time_sec
-        times = list(map(_bid_time, auction.bids))
-        if (
-            seller and not seller.isspace()
-            and winning > 0
-            and start - end == auction.duration_sec
-            and max(map(_bid_amount, auction.bids)) <= winning
-            and end <= min(times) and max(times) <= start
-        ):
-            kept.append(auction)
+        if len(bids) < min_bids:
+            thin.append(auction)
+        elif max(bids, key=_bid_order).bid_amount > winning or auction.starting_price > winning:
+            inconsistent.append(auction)
+        elif not auction_ok(auction):
+            contradictory.append(auction)
         else:
-            removed.append(auction)
-    return kept, removed
+            kept.append(auction)
+    return kept, thin, inconsistent, contradictory
 
 
 def assign_identifiers(auctions: Iterable[ParsedAuction]) -> list[AuctionView]:
@@ -333,13 +303,10 @@ def assign_identifiers(auctions: Iterable[ParsedAuction]) -> list[AuctionView]:
     views: list[AuctionView] = []
     record_id = 1
     for auction_id, auction in enumerate(ordered, 1):
-        bids = sorted(
-            auction.bids,
-            key=lambda b: (-b.bid_submit_time_sec, b.bid_amount, b.bidder_id),
-        )
+        bids = sorted(auction.bids, key=_bid_order)
         views.append(AuctionView(
             auction_id, auction.seller_id, auction.num_bidders, auction.num_bids,
-            auction.starting_price, auction.winning_bid, auction.duration_sec,
+            auction.starting_price, auction.winning_bid, auction.auction_duration_sec,
             auction.start_time_sec, auction.end_time_sec,
             tuple(
                 Bid(bid.bidder_id, bid.bid_amount, bid.bid_submit_time_sec, rid)
@@ -496,7 +463,7 @@ def _parse_auction_level(
         seller_id=cells[_F["seller_id"]],
         start_time_sec=to_countdown_seconds(start_dt, config.reference_epoch),
         end_time_sec=to_countdown_seconds(end_dt, config.reference_epoch),
-        duration_sec=duration_sec,
+        auction_duration_sec=duration_sec,
         starting_price=money(cells[_F["starting_price"]]),
         winning_bid=money(cells[_F["winning_price"]]),
         num_bids=num_bids,
@@ -615,9 +582,7 @@ def _finish(
 ) -> tuple[list[AuctionView], CleansingReport]:
     auctions = list(groups.values())
     bids_fixed, bidders_fixed = reconcile_counts(auctions)
-    kept, thin = filter_low_activity_auctions(auctions, config.min_bids)
-    kept, inconsistent = filter_inconsistent_auctions(kept)
-    kept, contradictory = filter_contradictory_auctions(kept)
+    kept, thin, inconsistent, contradictory = drop_auctions(auctions, config.min_bids)
 
     views = assign_identifiers(kept)
     check_dataset(views)
@@ -627,7 +592,7 @@ def _finish(
     contradictory_rows = sum(len(a.bids) for a in contradictory)
 
     if kept:
-        durations = [a.duration_sec for a in kept]
+        durations = [a.auction_duration_sec for a in kept]
         mean_days = sum(durations) / len(durations) / SECONDS_PER_DAY
         counts = Counter(durations)
         top = max(counts.values())
@@ -648,7 +613,7 @@ def _finish(
         records=sum(len(v.bids) for v in views),
         bidder_ids=len({b.bidder_id for v in views for b in v.bids}),
         seller_ids=len({v.seller_id for v in views}),
-        attributes=13,
+        attributes=len(PREPROCESSED_COLUMNS),
         duration_days_mean=mean_days,
         duration_days_mode=mode_days,
         avg_winning_price=avg_win,

@@ -277,6 +277,17 @@ _GOLDEN_RAW = Path(__file__).parent / "golden" / "raw_corpus.csv"
 _CONTRADICTED = "https://auctions.example/itm/7000001"
 
 
+def _preprocess_rows(stem, header, rows):
+    """Write header and rows to stem.csv, preprocess it: bytes and report."""
+    source = stem.with_suffix(".csv")
+    with open(source, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    out = stem.with_suffix(".bids.csv")
+    assert run("preprocess", "--in", str(source), "--out", str(out)) == 0
+    report = json.loads(Path(f"{out}.report.json").read_text())["cleansing"]
+    return out.read_bytes(), report
+
+
 def _set(column, value, row=None):
     """Set column to value on the auction's row-th row, or on all of them."""
     def edit(header, rows):
@@ -309,17 +320,10 @@ def test_a_self_contradictory_raw_auction_is_dropped(tmp_path, edits):
     for edit in edits:
         edit(header, auction)
 
-    def preprocess(name, corpus_rows):
-        corpus = tmp_path / f"{name}.csv"
-        with open(corpus, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows([header, *corpus_rows])
-        out = tmp_path / f"{name}.bids.csv"
-        assert run("preprocess", "--in", str(corpus), "--out", str(out)) == 0
-        report = json.loads(Path(f"{out}.report.json").read_text())["cleansing"]
-        return out.read_bytes(), report
-
-    edited, report = preprocess("edited", rows)
-    without, base = preprocess("without", [c for c in rows if c[url_at] != _CONTRADICTED])
+    edited, report = _preprocess_rows(tmp_path / "edited", header, rows)
+    without, base = _preprocess_rows(
+        tmp_path / "without", header, [c for c in rows if c[url_at] != _CONTRADICTED]
+    )
     # The auction is gone from the table as if it had never been scraped.
     assert edited == without
     removed = report["removed"]
@@ -328,6 +332,55 @@ def test_a_self_contradictory_raw_auction_is_dropped(tmp_path, edits):
     assert removed["inconsistent_auctions_removed"] == base["removed"]["inconsistent_auctions_removed"]
     assert report["after"] == base["after"]
     assert report["before"]["records"] == base["before"]["records"] + 9
+
+
+_GOLDEN_TABLE = Path(__file__).parent / "golden" / "preprocessed.csv"
+
+
+def _shift_times(by):
+    """Move every time of the auction's rows by `by` seconds."""
+    def edit(header, rows):
+        for name in ("bid_submit_time_sec", "start_time_sec", "end_time_sec"):
+            at = header.index(name)
+            for cells in rows:
+                cells[at] = str(int(cells[at]) + by)
+    return edit
+
+
+def _at_end(header, rows):
+    """Collapse the auction to its end second: start and bids there, duration 0."""
+    end_at = header.index("end_time_sec")
+    for cells in rows:
+        for name in ("bid_submit_time_sec", "start_time_sec"):
+            cells[header.index(name)] = cells[end_at]
+    _set("auction_duration_sec", "0")(header, rows)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set("starting_price", "-1.00"),
+        # The end (10,084,913) moves to -10; start and bids move with it.
+        _shift_times(-10_084_923),
+        _at_end,
+    ],
+    ids=["negative-starting-price", "negative-end", "zero-duration"],
+)
+def test_a_self_contradictory_table_auction_is_dropped(tmp_path, edit):
+    # Rules a parsed scrape cannot break, broken in a bid table: the
+    # re-cleanse drops the auction as contradictory instead of exit 3.
+    with open(_GOLDEN_TABLE, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    auction = [cells for cells in rows if cells[1] == "1"]
+    assert len(auction) == 10
+    edit(header, auction)
+    edited, report = _preprocess_rows(tmp_path / "edited", header, rows)
+    without, _ = _preprocess_rows(
+        tmp_path / "without", header, [cells for cells in rows if cells[1] != "1"]
+    )
+    assert edited == without
+    assert report["removed"]["contradictory_auctions_removed"] == 1
+    assert report["removed"]["contradictory_rows_removed"] == 10
 
 
 def test_corrupted_metric_exits_3(chain, capsys):

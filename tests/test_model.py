@@ -2,12 +2,15 @@
 import dataclasses
 import random
 import re
+import tempfile
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shillbid.cli import main
 from shillbid.errors import ConfigError, EmptyDatasetError, InvariantError
 from shillbid.ingest import read_auctions, write_preprocessed
 from shillbid.model import (
@@ -428,6 +431,23 @@ def edited_corpora(draw):
 def test_check_dataset_raises_iff_the_reference_does(views):
     expected = check_outcome(lambda: validate_dataset(records_of(views)))
     assert check_outcome(lambda: check_dataset(views)) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(edited_corpora())
+def test_recleansing_an_edited_table_never_exits_3(views):
+    # Whatever one edited field does to a bid table, preprocess cleans
+    # it (dropping what breaks a rule) or refuses a cell it cannot
+    # parse; its own self-check never fires. --min-bids 1 keeps the
+    # micro corpus's short auctions from being dropped as thin first.
+    with tempfile.TemporaryDirectory() as tmp:
+        table = Path(tmp) / "table.csv"
+        out = Path(tmp) / "clean.csv"
+        write_preprocessed(views, table, validate=False)
+        code = main(["preprocess", "--in", str(table), "--out", str(out), "--min-bids", "1"])
+        assert code in (0, 2)
+        if code == 0:
+            read_auctions(out)
 
 
 def test_validate_weights():

@@ -39,10 +39,8 @@ from shillbid.preprocess import (
     PipelineConfig,
     assign_identifiers,
     countdown_parser,
+    drop_auctions,
     duration_days_to_seconds,
-    filter_contradictory_auctions,
-    filter_inconsistent_auctions,
-    filter_low_activity_auctions,
     merge_datetime,
     money_parser,
     parse_money,
@@ -316,7 +314,7 @@ def parsed_auction(key="u1", n_bids=5, seller="s1", **overrides):
         seller_id=seller,
         start_time_sec=600_000,
         end_time_sec=600_000 - 5 * 86400 + 0,
-        duration_sec=5 * 86400,
+        auction_duration_sec=5 * 86400,
         starting_price=Decimal("5.00"),
         winning_bid=Decimal(f"{10 + n_bids - 1}.00"),
         num_bids=n_bids,
@@ -329,7 +327,7 @@ def parsed_auction(key="u1", n_bids=5, seller="s1", **overrides):
 
 def test_parsed_auction_helper_is_consistent():
     auction = parsed_auction()
-    assert auction.start_time_sec - auction.end_time_sec == auction.duration_sec
+    assert auction.start_time_sec - auction.end_time_sec == auction.auction_duration_sec
 
 
 def test_reconcile_counts_fixes_stored_counts():
@@ -344,8 +342,7 @@ def test_reconcile_counts_fixes_stored_counts():
 def test_filter_low_activity_boundary():
     four = parsed_auction(key="u1", n_bids=4)
     five = parsed_auction(key="u2", n_bids=5)
-    kept, removed = filter_low_activity_auctions([four, five], 5)
-    assert kept == [five] and removed == [four]
+    assert drop_auctions([four, five], 5) == ([five], [four], [], [])
 
 
 def test_filter_inconsistent_is_strict():
@@ -355,11 +352,12 @@ def test_filter_inconsistent_is_strict():
     boundary = parsed_auction(
         key="u4", starting_price=Decimal("14.00")
     )  # equal start and winning price stays
-    kept, removed = filter_inconsistent_auctions(
-        [ok, start_high, last_high, boundary]
+    kept, thin, inconsistent, contradictory = drop_auctions(
+        [ok, start_high, last_high, boundary], 5
     )
     assert kept == [ok, boundary]
-    assert removed == [start_high, last_high]
+    assert inconsistent == [start_high, last_high]
+    assert thin == contradictory == []
 
 
 def test_filter_contradictory_drops_each_broken_rule_at_its_boundary():
@@ -370,13 +368,16 @@ def test_filter_contradictory_drops_each_broken_rule_at_its_boundary():
         made.bids[2] = ParsedBid("b0", Decimal(amount), time)
         return made
 
-    zero = auction("zero", amount="0.00", winning_bid=Decimal("0.00"))
+    # Prices of zero break only the positive-winning rule.
+    zero = auction("zero", amount="0.00", winning_bid=Decimal("0.00"),
+                   starting_price=Decimal("0.00"))
     zero.bids = [replace(bid, bid_amount=Decimal("0.00")) for bid in zero.bids]
     kept_ones = [
         auction("ok"),
         auction("at-winning", amount="14.00"),
         auction("at-start", time=600_000),
         auction("at-end", time=end),
+        auction("free-start", starting_price=Decimal("0.00")),
     ]
     removed_ones = [
         auction("above-winning", amount="14.01"),
@@ -384,12 +385,18 @@ def test_filter_contradictory_drops_each_broken_rule_at_its_boundary():
         auction("after-end", time=end - 1),
         auction("blank-seller", seller=" "),
         auction("empty-seller", seller=""),
-        auction("duration", duration_sec=3 * 86400),
+        auction("duration", auction_duration_sec=3 * 86400),
         zero,
+        # Rules a parsed scrape cannot break, but a bid table can.
+        auction("negative-start", starting_price=Decimal("-1.00")),
+        auction("start-scale", starting_price=Decimal("5.0")),
+        auction("num-bids", num_bids=4),
+        auction("num-bidders", num_bidders=3),
     ]
-    kept, removed = filter_contradictory_auctions(kept_ones + removed_ones)
+    kept, thin, inconsistent, contradictory = drop_auctions(kept_ones + removed_ones, 5)
     assert kept == kept_ones
-    assert removed == removed_ones
+    assert contradictory == removed_ones
+    assert thin == inconsistent == []
 
 
 def test_assign_identifiers_orders_and_numbers_densely():
