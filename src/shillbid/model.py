@@ -305,14 +305,12 @@ def validate_dataset(records: Sequence[BidRecord]) -> list[AuctionView]:
 def auction_ok(view: AuctionView) -> bool:
     """True when an auction breaks no dataset rule other than the id rules.
 
-    It accepts either shape of an auction: an AuctionView, or the
-    pipeline's preprocess.ParsedAuction, whose ParsedBids have no
-    record id. validate_bid_record's auction-level rules run once, its
-    bid rules once per bid, then the stored counts are compared with
-    the bids; callers check the ids. Each amount's scale is tested
-    before it is compared, so a non-finite amount is refused, never
-    compared. The pipeline drops an auction it refuses; for the views
-    of check_dataset, False only says the reference has to decide.
+    validate_bid_record's auction-level rules run once, its bid rules
+    once per bid, then the stored counts are compared with the bids;
+    callers check the ids. Each amount's scale is tested before it is
+    compared, so a non-finite amount is refused, never compared. The
+    pipeline drops an auction whose view it refuses; for the views of
+    check_dataset, False only says the reference has to decide.
     """
     seller = view.seller_id
     starting = view.starting_price

@@ -3,28 +3,30 @@
 Stage order is fixed. One streaming row pass applies the optional
 winning-price floor, collapses exact duplicates, drops rows with a
 blank bidder id and groups the rest into auctions, checking that each
-auction's rows agree. The auction-level stages follow: reconcile
-scraped counts against actual rows; drop, in one walk, each auction
+auction's rows agree; each bid is kept as a (bid_submit_time_sec,
+bid_amount, bidder_id) tuple. Then scraped counts are reconciled
+against actual rows, and one walk in start order drops each auction
 with too few bids, else with a price above its winning price, else
-breaking any other rule of the bid table (model.auction_ok); assign
-dense identifiers. The result is one AuctionView per kept auction,
-numbered and checked, which ingest.write_preprocessed writes as it is.
+whose built view breaks any other rule of the bid table
+(model.auction_ok), and numbers the rest densely. The result is one
+AuctionView per kept auction, numbered and checked, which
+ingest.write_preprocessed writes as it is.
 
 The row pass is written once and shared by both input layouts.
 run_pipeline feeds it raw scrape rows projected to the logical fields,
 parsing date, clock and money text only for rows that survive to be
 grouped. run_pipeline_table feeds it the typed rows of a bid table as
 ingest.bid_rows streams them, and run_pipeline_records the fields of
-typed records. The auction-level stages are separate functions, each
-with its own unit tests. The row pass is tested as a whole: the golden files
-pin its bytes, and the removal counts are checked against the defect
-manifest of a synthetic corpus.
+typed records. reconcile_counts and assign_identifiers have their own
+unit tests. The row pass is tested as a whole: the golden files pin its
+bytes, and the removal counts are checked against the defect manifest
+of a synthetic corpus.
 """
 from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from operator import attrgetter, itemgetter
@@ -42,7 +44,6 @@ from .errors import (
 from .ingest import DEFAULT_RAW_SCHEMA, LOGICAL_FIELDS, RawRecord, bid_rows
 from .model import (
     PREPROCESSED_COLUMNS, AuctionView, Bid, BidRecord, auction_ok, check_dataset,
-    fast_frozen_init,
 )
 
 logger = logging.getLogger(__name__)
@@ -98,7 +99,7 @@ def merge_datetime(date_text: str, time_text: str) -> datetime:
         raise ParseError(f"time {time_text!r}: clock parts are not integers") from None
     try:
         return datetime(year, month, day, hour, minute, second)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParseError(f"{date_text!r} {time_text!r}: {exc}") from None
 
 
@@ -106,7 +107,9 @@ def parse_money(text: str) -> Decimal:
     """Extract the single decimal number from free-form money text.
 
     Currency symbols, letters and thousands separators are stripped;
-    the result is a fixed-point amount with two fractional digits.
+    the result is a fixed-point amount with two fractional digits. A
+    minus sign anywhere before the number makes it a negative amount,
+    which is refused.
     """
     cleaned = text.replace(",", "")
     numbers = _NUMBER.findall(cleaned)
@@ -114,6 +117,8 @@ def parse_money(text: str) -> Decimal:
         raise ParseError(f"money {text!r}: no number found")
     if len(numbers) > 1:
         raise ParseError(f"money {text!r}: more than one number found")
+    if "-" in cleaned.partition(numbers[0])[0]:
+        raise ParseError(f"money {text!r}: negative amount")
     try:
         return Decimal(numbers[0]).quantize(_CENT, rounding=ROUND_HALF_UP)
     except InvalidOperation:
@@ -203,19 +208,12 @@ def to_countdown_seconds(event: datetime, reference: datetime) -> int:
     return seconds
 
 
-@fast_frozen_init
-@dataclass(frozen=True, slots=True)
-class ParsedBid:
-    bidder_id: str
-    bid_amount: Decimal
-    bid_submit_time_sec: int
-
-
 @dataclass(slots=True)
 class ParsedAuction:
     """One auction mid-pipeline, before identifiers exist.
 
-    Its fields are named as AuctionView's, so model.auction_ok judges it.
+    Its fields are named as AuctionView's; each bid is a
+    (bid_submit_time_sec, bid_amount, bidder_id) tuple.
     """
 
     key: str | int
@@ -227,7 +225,7 @@ class ParsedAuction:
     winning_bid: Decimal
     num_bids: int
     num_bidders: int
-    bids: list[ParsedBid] = field(default_factory=list)
+    bids: list[tuple[int, Decimal, str]] = field(default_factory=list)
 
 
 def reconcile_counts(auctions: Iterable[ParsedAuction]) -> tuple[int, int]:
@@ -241,7 +239,7 @@ def reconcile_counts(auctions: Iterable[ParsedAuction]) -> tuple[int, int]:
     bidders_fixed = 0
     for auction in auctions:
         actual_bids = len(auction.bids)
-        actual_bidders = len({b.bidder_id for b in auction.bids})
+        actual_bidders = len({b[2] for b in auction.bids})
         if auction.num_bids != actual_bids:
             auction.num_bids = actual_bids
             bids_fixed += 1
@@ -251,70 +249,63 @@ def reconcile_counts(auctions: Iterable[ParsedAuction]) -> tuple[int, int]:
     return bids_fixed, bidders_fixed
 
 
-def _bid_order(bid: ParsedBid) -> tuple[int, Decimal, str]:
+def _bid_order(bid: tuple[int, Decimal, str]) -> tuple[int, Decimal, str]:
     # Earliest first (time counts down), then by amount, then bidder:
     # the greatest bid is the chronologically last, and of two in the
     # same second the higher.
-    return (-bid.bid_submit_time_sec, bid.bid_amount, bid.bidder_id)
+    return (-bid[0], bid[1], bid[2])
 
 
-def drop_auctions(
+def assign_identifiers(
     auctions: Iterable[ParsedAuction], min_bids: int
-) -> tuple[list[ParsedAuction], list[ParsedAuction], list[ParsedAuction], list[ParsedAuction]]:
-    """Split auctions into (kept, thin, inconsistent, contradictory).
+) -> tuple[list[AuctionView], list[ParsedAuction], list[ParsedAuction], list[ParsedAuction]]:
+    """Judge each auction; number and build a view of each one kept.
 
-    Each auction goes to the first of these it falls under: thin when
-    it has fewer than min_bids bids; inconsistent when its
-    chronologically last bid or its starting price is above its
-    winning price (both strictly);
-    contradictory when it breaks any other rule of the bid table, as
-    model.auction_ok judges it. Counts are compared with the bids, so
-    they should be reconciled first.
+    Returns (views, thin, inconsistent, contradictory). Auctions are
+    walked once from the earliest start (largest start countdown), ties
+    broken by key, and each goes to the first of these it falls under:
+    thin when it has fewer than min_bids bids; inconsistent when its
+    chronologically last bid or its starting price is above its winning
+    price (both strictly); contradictory when its view breaks any other
+    rule of the bid table, as model.auction_ok judges it. Counts are
+    compared with the bids, so they should be reconciled first.
+
+    A kept auction takes the next auction id, 1..N, and its bids,
+    sorted in place by (descending time, amount, bidder), the next
+    record ids, 1..M; a dropped one takes none. Both numberings depend
+    only on row content, never on input order, and along each view the
+    record ids ascend, so its bids are in canonical bid_sort_key order.
     """
-    kept: list[ParsedAuction] = []
+    views: list[AuctionView] = []
     thin: list[ParsedAuction] = []
     inconsistent: list[ParsedAuction] = []
     contradictory: list[ParsedAuction] = []
-    for auction in auctions:
+    record_id = 1
+    for auction in sorted(auctions, key=lambda a: (-a.start_time_sec, a.key)):
         bids = auction.bids
         winning = auction.winning_bid
         if len(bids) < min_bids:
             thin.append(auction)
-        elif max(bids, key=_bid_order).bid_amount > winning or auction.starting_price > winning:
+            continue
+        bids.sort(key=_bid_order)
+        if bids[-1][1] > winning or auction.starting_price > winning:
             inconsistent.append(auction)
-        elif not auction_ok(auction):
-            contradictory.append(auction)
-        else:
-            kept.append(auction)
-    return kept, thin, inconsistent, contradictory
-
-
-def assign_identifiers(auctions: Iterable[ParsedAuction]) -> list[AuctionView]:
-    """Assign dense auction and record ids and build the auction views.
-
-    Auctions are numbered 1..N from the earliest start (largest start
-    countdown), ties broken by key. Each auction's bids are ordered by
-    (descending time, amount, bidder) and records are numbered 1..M in
-    view order, then bid order, so both numberings depend only on row
-    content, never on input order. Along each view the record ids
-    ascend, so its bids are already in canonical bid_sort_key order.
-    """
-    ordered = sorted(auctions, key=lambda a: (-a.start_time_sec, a.key))
-    views: list[AuctionView] = []
-    record_id = 1
-    for auction_id, auction in enumerate(ordered, 1):
-        bids = sorted(auction.bids, key=_bid_order)
-        views.append(AuctionView(
-            auction_id, auction.seller_id, auction.num_bidders, auction.num_bids,
-            auction.starting_price, auction.winning_bid, auction.auction_duration_sec,
+            continue
+        view = AuctionView(
+            len(views) + 1, auction.seller_id, auction.num_bidders, auction.num_bids,
+            auction.starting_price, winning, auction.auction_duration_sec,
             auction.start_time_sec, auction.end_time_sec,
             tuple(
-                Bid(bid.bidder_id, bid.bid_amount, bid.bid_submit_time_sec, rid)
-                for rid, bid in enumerate(bids, record_id)
+                Bid(bidder, amount, time, rid)
+                for rid, (time, amount, bidder) in enumerate(bids, record_id)
             ),
-        ))
-        record_id += len(bids)
-    return views
+        )
+        if auction_ok(view):
+            views.append(view)
+            record_id += len(bids)
+        else:
+            contradictory.append(auction)
+    return views, thin, inconsistent, contradictory
 
 
 @dataclass(frozen=True, slots=True)
@@ -331,16 +322,7 @@ class Totals:
     avg_winning_price: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "auctions": self.auctions,
-            "records": self.records,
-            "bidder_ids": self.bidder_ids,
-            "seller_ids": self.seller_ids,
-            "attributes": self.attributes,
-            "duration_days_mean": self.duration_days_mean,
-            "duration_days_mode": self.duration_days_mode,
-            "avg_winning_price": self.avg_winning_price,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -486,7 +468,7 @@ def _group_rows(
     winning: Callable[[tuple], Decimal],
     dedup_key: Callable[[tuple], object],
     new_auction: Callable[[tuple], ParsedAuction],
-    new_bid: Callable[[tuple], ParsedBid],
+    new_bid: Callable[[tuple], tuple[int, Decimal, str]],
 ) -> tuple[dict, _Counters, Totals]:
     """The row-wise stages, one streaming pass shared by both layouts.
 
@@ -582,17 +564,15 @@ def _finish(
 ) -> tuple[list[AuctionView], CleansingReport]:
     auctions = list(groups.values())
     bids_fixed, bidders_fixed = reconcile_counts(auctions)
-    kept, thin, inconsistent, contradictory = drop_auctions(auctions, config.min_bids)
-
-    views = assign_identifiers(kept)
+    views, thin, inconsistent, contradictory = assign_identifiers(auctions, config.min_bids)
     check_dataset(views)
 
     thin_rows = sum(len(a.bids) for a in thin)
     inconsistent_rows = sum(len(a.bids) for a in inconsistent)
     contradictory_rows = sum(len(a.bids) for a in contradictory)
 
-    if kept:
-        durations = [a.auction_duration_sec for a in kept]
+    if views:
+        durations = [v.auction_duration_sec for v in views]
         mean_days = sum(durations) / len(durations) / SECONDS_PER_DAY
         counts = Counter(durations)
         top = max(counts.values())
@@ -602,14 +582,14 @@ def _finish(
             if mode_sec % SECONDS_PER_DAY == 0
             else mode_sec / SECONDS_PER_DAY
         )
-        avg_win = float(sum(a.winning_bid for a in kept)) / len(kept)
+        avg_win = float(sum(v.winning_bid for v in views)) / len(views)
     else:
         mean_days = None
         mode_days = None
         avg_win = None
 
     after = Totals(
-        auctions=len(kept),
+        auctions=len(views),
         records=sum(len(v.bids) for v in views),
         bidder_ids=len({b.bidder_id for v in views for b in v.bids}),
         seller_ids=len({v.seller_id for v in views}),
@@ -712,7 +692,7 @@ def run_pipeline(
         auction.seller_id = ids.setdefault(auction.seller_id, auction.seller_id)
         return auction
 
-    def new_bid(cells: tuple[str, ...]) -> ParsedBid:
+    def new_bid(cells: tuple[str, ...]) -> tuple[int, Decimal, str]:
         try:
             when = countdown(cells[_BID_DATE], cells[_BID_TIME])
         except ParseError:
@@ -722,7 +702,7 @@ def run_pipeline(
             money(cells[_BID_AMOUNT])
             raise
         bidder = cells[_BIDDER]
-        return ParsedBid(ids.setdefault(bidder, bidder), money(cells[_BID_AMOUNT]), when)
+        return (when, money(cells[_BID_AMOUNT]), ids.setdefault(bidder, bidder))
 
     groups, counters, before = _group_rows(
         project(records),
@@ -744,7 +724,7 @@ def run_pipeline(
 # A typed record enters the row pass as its fields after record_id.
 _record_cells = attrgetter(*PREPROCESSED_COLUMNS[1:])
 _R = {name: i for i, name in enumerate(PREPROCESSED_COLUMNS[1:])}
-_record_bid = itemgetter(_R["bidder_id"], _R["bid_amount"], _R["bid_submit_time_sec"])
+_record_bid = itemgetter(_R["bid_submit_time_sec"], _R["bid_amount"], _R["bidder_id"])
 _head_level = attrgetter(*PREPROCESSED_COLUMNS[6:])
 
 
@@ -765,7 +745,7 @@ def _run_typed(
         itemgetter(_R["winning_bid"]),
         lambda cells: cells,
         _record_auction,
-        lambda cells: ParsedBid(*_record_bid(cells)),
+        _record_bid,
     )
     return _finish(groups, before, counters, config)
 

@@ -1,12 +1,16 @@
 """End-to-end command-line behavior and exit codes."""
 import csv
+import functools
 import gc
 import json
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shillbid import metrics
 from shillbid.cli import main
@@ -25,6 +29,7 @@ from shillbid.metrics import (
 )
 from shillbid.model import DEFAULT_WEIGHTS, PREPROCESSED_COLUMNS
 from shillbid.preprocess import run_pipeline
+from shillbid.synth import SynthConfig, write_corpus
 
 from .test_preprocess import five_bid_auction
 
@@ -271,6 +276,109 @@ def test_huge_price_in_raw_corpus_exits_2(tmp_path, capsys):
     clean = tmp_path / "clean.csv"
     assert run("preprocess", "--in", str(corpus), "--out", str(clean)) == 2
     assert repr(huge) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [("Bid Submission Date", "Jun-02-99999999999"), ("Bid Amount", "-20.00 $")],
+    ids=["year-past-a-c-int", "negative-amount"],
+)
+def test_an_unreadable_raw_bid_cell_exits_2_and_writes_nothing(tmp_path, capsys, column, value):
+    corpus = tmp_path / "corpus.csv"
+    assert run("synth", "--out", str(corpus), "--auctions", "5") == 0
+    with open(corpus, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][rows[0].index(column)] = value
+    with open(corpus, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    made = sorted(tmp_path.iterdir())
+    assert run("preprocess", "--in", str(corpus), "--out", str(tmp_path / "clean.csv")) == 2
+    assert repr(value) in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == made
+
+
+@functools.cache
+def _small_raw_corpus():
+    """Header and rows of a 12-auction synth corpus, written once."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.csv"
+        write_corpus(SynthConfig(num_auctions=12), path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+    return header, rows
+
+
+_EDIT_TEXTS = ["\x00", "\u0663", "\x1f", "9" * 40, "-5", "-5.00 $"]
+
+
+@st.composite
+def raw_edits(draw):
+    """1-3 edits of the small corpus, as (kind, row, whole_auction, column, text).
+
+    An edit puts a BOM at the start of the file; replaces, or appends
+    to, a cell with a listed text; sets one part of a date or clock to
+    99999999999; or swaps the start and end dates. whole_auction makes
+    it touch every row of the row's auction, not just the row.
+    """
+    header, rows = _small_raw_corpus()
+    when = [name for name in header if name.endswith(("Date", "Time"))]
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["bom", "replace", "append", "huge-part", "swap"]))
+        row = draw(st.integers(0, len(rows) - 1))
+        whole_auction = kind == "swap" or draw(st.booleans())
+        if kind == "huge-part":
+            column, text = draw(st.sampled_from(when)), draw(st.integers(0, 2))
+        else:
+            column, text = draw(st.sampled_from(header)), draw(st.sampled_from(_EDIT_TEXTS))
+        edits.append((kind, row, whole_auction, column, text))
+    return edits
+
+
+def _apply_raw_edits(edits):
+    """The small corpus's header and rows with edits applied."""
+    names, rows = _small_raw_corpus()
+    header, rows = list(names), [list(cells) for cells in rows]
+    url_at = names.index(DEFAULT_RAW_SCHEMA["auction_url"])
+    start = names.index(DEFAULT_RAW_SCHEMA["start_date"])
+    end = names.index(DEFAULT_RAW_SCHEMA["end_date"])
+    for kind, row, whole_auction, column, text in edits:
+        if kind == "bom":
+            header[0] = "\ufeff" + header[0].lstrip("\ufeff")
+            continue
+        picked = rows[row]
+        targets = [c for c in rows if c[url_at] == picked[url_at]] if whole_auction else [picked]
+        if kind == "swap":
+            for cells in targets:
+                cells[start], cells[end] = cells[end], cells[start]
+            continue
+        at = names.index(column)
+        if kind == "huge-part":
+            sep = "-" if column.endswith("Date") else ":"
+            parts = picked[at].split(sep)
+            parts[text % len(parts)] = "99999999999"
+            text = sep.join(parts)
+        for cells in targets:
+            cells[at] = cells[at] + text if kind == "append" else text
+    return header, rows
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw_edits())
+def test_an_edited_raw_corpus_never_exits_3(edits):
+    # Whatever the edits do, preprocess cleans the corpus or refuses a
+    # cell it cannot read, and never raises; what it writes, features
+    # reads. --min-bids 1 keeps every edited auction in play.
+    header, rows = _apply_raw_edits(edits)
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "corpus.csv"
+        with open(source, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        clean = Path(tmp) / "clean.csv"
+        code = main(["preprocess", "--in", str(source), "--out", str(clean), "--min-bids", "1"])
+        assert code in (0, 2)
+        if code == 0:
+            assert main(["features", "--in", str(clean), "--out", str(Path(tmp) / "sb.csv")]) == 0
 
 
 _GOLDEN_RAW = Path(__file__).parent / "golden" / "raw_corpus.csv"

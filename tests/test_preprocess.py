@@ -35,11 +35,9 @@ from shillbid.preprocess import (
     REFERENCE_EPOCH,
     SECONDS_PER_DAY,
     ParsedAuction,
-    ParsedBid,
     PipelineConfig,
     assign_identifiers,
     countdown_parser,
-    drop_auctions,
     duration_days_to_seconds,
     merge_datetime,
     money_parser,
@@ -88,6 +86,28 @@ def test_merge_datetime_rejects_malformed(date_text, time_text):
         merge_datetime(date_text, time_text)
 
 
+_HUGE = "99999999999"
+
+
+@pytest.mark.parametrize(
+    "date_text, time_text",
+    [
+        (f"Jun-01-{_HUGE}", "19:24:55"),
+        (f"Jun-{_HUGE}-17", "19:24:55"),
+        ("Jun-01-17", f"{_HUGE}:24:55"),
+        ("Jun-01-17", f"19:{_HUGE}:55"),
+        ("Jun-01-17", f"19:24:{_HUGE} PDT"),
+        ("Jun-01-17", f"19:24:{'9' * 40}"),
+    ],
+)
+def test_a_part_too_large_for_a_datetime_is_a_parse_error(date_text, time_text):
+    # datetime raises OverflowError, not ValueError, past a C int.
+    with pytest.raises(ParseError):
+        merge_datetime(date_text, time_text)
+    with pytest.raises(ParseError):
+        countdown_parser(REFERENCE_EPOCH)(date_text, time_text)
+
+
 @pytest.mark.parametrize(
     "text, expected",
     [
@@ -106,7 +126,9 @@ def test_parse_money(text, expected):
     assert str(parse_money(text)) == expected
 
 
-@pytest.mark.parametrize("text", ["", "free", "$", "12 to 34", "1.2.3 4"])
+@pytest.mark.parametrize(
+    "text", ["", "free", "$", "12 to 34", "1.2.3 4", "-20.00 $", "US $-5.00"]
+)
 def test_parse_money_rejects(text):
     with pytest.raises(ParseError):
         parse_money(text)
@@ -306,7 +328,7 @@ def test_read_preprocessed_money_cells_match_parse_cents(texts):
 
 def parsed_auction(key="u1", n_bids=5, seller="s1", **overrides):
     bids = [
-        ParsedBid(f"b{i % 2}", Decimal(f"{10 + i}.00"), 500_000 - i * 1000)
+        (500_000 - i * 1000, Decimal(f"{10 + i}.00"), f"b{i % 2}")
         for i in range(n_bids)
     ]
     fields = dict(
@@ -342,7 +364,10 @@ def test_reconcile_counts_fixes_stored_counts():
 def test_filter_low_activity_boundary():
     four = parsed_auction(key="u1", n_bids=4)
     five = parsed_auction(key="u2", n_bids=5)
-    assert drop_auctions([four, five], 5) == ([five], [four], [], [])
+    views, thin, inconsistent, contradictory = assign_identifiers([four, five], 5)
+    assert [v.num_bids for v in views] == [5]
+    assert thin == [four]
+    assert inconsistent == contradictory == []
 
 
 def test_filter_inconsistent_is_strict():
@@ -352,11 +377,11 @@ def test_filter_inconsistent_is_strict():
     boundary = parsed_auction(
         key="u4", starting_price=Decimal("14.00")
     )  # equal start and winning price stays
-    kept, thin, inconsistent, contradictory = drop_auctions(
+    views, thin, inconsistent, contradictory = assign_identifiers(
         [ok, start_high, last_high, boundary], 5
     )
-    assert kept == [ok, boundary]
-    assert inconsistent == [start_high, last_high]
+    assert [v.starting_price for v in views] == [Decimal("5.00"), Decimal("14.00")]
+    assert [a.key for a in inconsistent] == ["u2", "u3"]
     assert thin == contradictory == []
 
 
@@ -364,14 +389,16 @@ def test_filter_contradictory_drops_each_broken_rule_at_its_boundary():
     end = 600_000 - 5 * 86400
 
     def auction(key, amount="12.00", time=500_000, **fields):
+        # Each kept auction's seller is its key, so its view names it.
+        fields.setdefault("seller", key)
         made = parsed_auction(key=key, **fields)
-        made.bids[2] = ParsedBid("b0", Decimal(amount), time)
+        made.bids[2] = (time, Decimal(amount), "b0")
         return made
 
     # Prices of zero break only the positive-winning rule.
     zero = auction("zero", amount="0.00", winning_bid=Decimal("0.00"),
                    starting_price=Decimal("0.00"))
-    zero.bids = [replace(bid, bid_amount=Decimal("0.00")) for bid in zero.bids]
+    zero.bids = [(time, Decimal("0.00"), bidder) for time, _, bidder in zero.bids]
     kept_ones = [
         auction("ok"),
         auction("at-winning", amount="14.00"),
@@ -393,9 +420,12 @@ def test_filter_contradictory_drops_each_broken_rule_at_its_boundary():
         auction("num-bids", num_bids=4),
         auction("num-bidders", num_bidders=3),
     ]
-    kept, thin, inconsistent, contradictory = drop_auctions(kept_ones + removed_ones, 5)
-    assert kept == kept_ones
-    assert contradictory == removed_ones
+    views, thin, inconsistent, contradictory = assign_identifiers(
+        kept_ones + removed_ones, 5
+    )
+    # Every auction starts in the same second, so the walk goes by key.
+    assert [v.seller_id for v in views] == sorted(a.key for a in kept_ones)
+    assert [a.key for a in contradictory] == sorted(a.key for a in removed_ones)
     assert thin == inconsistent == []
 
 
@@ -403,7 +433,8 @@ def test_assign_identifiers_orders_and_numbers_densely():
     older = parsed_auction(key="zzz", start_time_sec=700_000,
                            end_time_sec=700_000 - 5 * 86400)
     newer = parsed_auction(key="aaa")
-    views = assign_identifiers([newer, older])
+    views, *dropped = assign_identifiers([newer, older], 5)
+    assert dropped == [[], [], []]
     records = records_of(views)
     # Larger start countdown = older start, so "zzz" comes first.
     assert [r.auction_id for r in records] == [1] * 5 + [2] * 5
@@ -418,11 +449,51 @@ def test_assign_identifiers_orders_and_numbers_densely():
 def test_assign_identifiers_breaks_start_ties_by_key():
     a = parsed_auction(key="b")
     b = parsed_auction(key="a")
-    records = records_of(assign_identifiers([a, b]))
+    views, *_ = assign_identifiers([a, b], 5)
+    records = records_of(views)
     first_auction_rows = [r for r in records if r.auction_id == 1]
     assert len(first_auction_rows) == 5
     # Same start second: the lexically smaller key gets the smaller id.
     assert records[0].auction_id == 1
+
+
+def test_a_dropped_auction_takes_no_identifier():
+    def starting(key, start, **fields):
+        return parsed_auction(key=key, start_time_sec=start,
+                              end_time_sec=start - 5 * 86400, **fields)
+
+    first = starting("u1", 700_000)
+    broken = starting("u2", 650_000, seller=" ")
+    last = starting("u3", 600_000)
+    views, thin, inconsistent, contradictory = assign_identifiers([last, broken, first], 5)
+    assert contradictory == [broken]
+    assert [v.auction_id for v in views] == [1, 2]
+    assert [v.start_time_sec for v in views] == [700_000, 600_000]
+    records = records_of(views)
+    assert [r.record_id for r in records] == list(range(1, 11))
+    check_dataset(views)
+
+
+def test_the_higher_of_two_last_second_bids_decides_inconsistency():
+    # Both bids fall in the last second; listed first, the one above the
+    # winning price 14.00 is still the chronologically last once sorted.
+    same_second = parsed_auction()
+    same_second.bids[3:] = [(496_000, Decimal("14.50"), "b0"), (496_000, Decimal("13.00"), "b1")]
+    # One second earlier, it is not the last bid and breaks only the
+    # bid-at-most-winning rule.
+    earlier = parsed_auction(key="u2")
+    earlier.bids[3:] = [(496_001, Decimal("14.50"), "b0"), (496_000, Decimal("13.00"), "b1")]
+    views, thin, inconsistent, contradictory = assign_identifiers([same_second, earlier], 5)
+    assert inconsistent == [same_second]
+    assert contradictory == [earlier]
+    assert views == thin == []
+
+
+def test_equal_bids_are_numbered_in_bidder_order():
+    auction = parsed_auction()
+    auction.bids[3:] = [(496_000, Decimal("13.00"), "b1"), (496_000, Decimal("13.00"), "b0")]
+    views, *_ = assign_identifiers([auction], 5)
+    assert [(b.bidder_id, b.record_id) for b in views[0].bids[3:]] == [("b0", 4), ("b1", 5)]
 
 
 # --- full pipeline over dict rows ------------------------------------------
