@@ -5,7 +5,7 @@ cleanses them into a typed bid table, metrics and dataset turn that
 table into one feature row per (auction, bidder), and synth fabricates
 corpora with known ground truth for testing the chain end to end.
 """
-from .dataset import build_sb_dataset, pattern_stats, scan_outliers
+from .dataset import build_sb_dataset, pattern_stats
 from .errors import (
     ConfigError,
     DataConsistencyError,
@@ -80,7 +80,6 @@ __all__ = [
     "read_sb_dataset",
     "run_pipeline",
     "run_pipeline_records",
-    "scan_outliers",
     "validate_dataset",
     "weighted_score",
     "winner_of",

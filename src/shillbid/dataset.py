@@ -24,24 +24,6 @@ AGGRESSIVE_BR_FLOOR = 0.1
 EARLY_FLOOR = 0.7
 
 
-@dataclass(frozen=True, slots=True)
-class OutlierRecord:
-    auction_id: int
-    bidder_id: str
-    metric: str
-    value: float
-
-
-def scan_outliers(instances: Iterable[SBInstance]) -> list[OutlierRecord]:
-    """List every metric value outside [0, 1], with no tolerance."""
-    bad: list[OutlierRecord] = []
-    for inst in instances:
-        for name, value in inst.metric_items():
-            if value < 0.0 or value > 1.0:
-                bad.append(OutlierRecord(inst.auction_id, inst.bidder_id, name, value))
-    return bad
-
-
 def build_sb_dataset(
     auctions: Iterable[AuctionView],
     aggregates: GlobalAggregates,
@@ -75,6 +57,16 @@ class BucketCounts:
     non_winners_aggressive: int
     non_winners_not_aggressive: int
     early_aggressive_non_winners: int
+
+
+# Each BucketCounts field, in field order, with its stats-table label.
+BUCKET_LABELS = {
+    "winners_not_aggressive": "Winners, not aggressive",
+    "winners_aggressive": "Winners, aggressive",
+    "non_winners_aggressive": "Non-winners, aggressive",
+    "non_winners_not_aggressive": "Non-winners, not aggressive",
+    "early_aggressive_non_winners": "Early aggressive non-winners",
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,21 +109,8 @@ class PatternStats:
                 name: with_pct(self.high_values[name]) for name in METRIC_COLUMNS
             },
             "behavior_buckets": {
-                "winners_not_aggressive": with_pct(
-                    buckets.winners_not_aggressive if buckets else None
-                ),
-                "winners_aggressive": with_pct(
-                    buckets.winners_aggressive if buckets else None
-                ),
-                "non_winners_aggressive": with_pct(
-                    buckets.non_winners_aggressive if buckets else None
-                ),
-                "non_winners_not_aggressive": with_pct(
-                    buckets.non_winners_not_aggressive if buckets else None
-                ),
-                "early_aggressive_non_winners": with_pct(
-                    buckets.early_aggressive_non_winners if buckets else None
-                ),
+                name: with_pct(getattr(buckets, name) if buckets else None)
+                for name in BUCKET_LABELS
             },
             "starting_price": {
                 "low_start_auctions": self.low_start_auctions,
@@ -247,14 +226,7 @@ def format_stats_table(stats: PatternStats) -> str:
         ("Bidder ids", str(stats.total_bidders), ""),
     ]
     b = stats.buckets
-    bucket_rows = [
-        ("Winners, not aggressive", "winners_not_aggressive"),
-        ("Winners, aggressive", "winners_aggressive"),
-        ("Non-winners, aggressive", "non_winners_aggressive"),
-        ("Non-winners, not aggressive", "non_winners_not_aggressive"),
-        ("Early aggressive non-winners", "early_aggressive_non_winners"),
-    ]
-    for label, attr in bucket_rows:
+    for attr, label in BUCKET_LABELS.items():
         if b is None:
             rows.append((label, "n/a", ""))
         else:

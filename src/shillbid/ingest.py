@@ -68,7 +68,7 @@ LOGICAL_FIELDS = tuple(DEFAULT_RAW_SCHEMA)
 def load_raw_schema(path: str | Path) -> dict[str, str]:
     """Parse a key=value schema file mapping logical field -> header."""
     mapping: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -107,8 +107,9 @@ def _table(
     """Open a CSV table; yield its header and its (n, cells) data rows.
 
     n counts data rows from 1. The header must exist, parse and, when a
-    layout is given, be that layout. A line the csv reader refuses is a
-    ParseError naming the file and the header or the row.
+    layout is given, be that layout; a leading byte-order mark is
+    dropped from it. A line the csv reader refuses is a ParseError
+    naming the file and the header or the row.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -118,6 +119,9 @@ def _table(
             raise SchemaError(f"{path}: empty file, no header row") from None
         except csv.Error as exc:
             raise ParseError(f"{path}:header: {exc}") from None
+        if header and header[0].startswith("\ufeff"):
+            # A byte-order mark, as spreadsheet exports write one.
+            header = (header[0][1:],) + header[1:]
         if layout is not None and header != layout:
             raise SchemaError(
                 f"{path}: header does not match the {_LAYOUT_NAMES[layout]} layout"
@@ -509,8 +513,8 @@ def read_auctions(path: str | Path) -> list[AuctionView]:
     return views
 
 
-def check_sb_dataset(instances: Sequence[SBInstance]) -> None:
-    """Raise if a feature dataset breaks its contract.
+def check_sb_dataset(instances: Sequence[SBInstance]) -> bool:
+    """Raise if a feature dataset breaks its contract; else True if its pairs ascend.
 
     The instances are checked in turn, and the first one that breaks a
     rule raises: its (auction, bidder) pair repeats an earlier one
@@ -519,11 +523,6 @@ def check_sb_dataset(instances: Sequence[SBInstance]) -> None:
     else successive_outbidding is not one of {0, 0.5, 1}
     (InvariantError).
     """
-    _check_sb_order(instances)
-
-
-def _check_sb_order(instances: Sequence[SBInstance]) -> bool:
-    """check_sb_dataset; True if the pairs already ascend."""
     seen: set[tuple[int, str]] = set()
     ascending = True
     last: tuple = ()
@@ -569,7 +568,7 @@ def write_sb_dataset(instances: Sequence[SBInstance], path: str | Path) -> None:
     Each row holds the bytes csv.writer writes for it, except that a
     bidder id holding a bare carriage return is quoted, so it reads back.
     """
-    if not _check_sb_order(instances):
+    if not check_sb_dataset(instances):
         instances = sorted(instances, key=_sb_pair)
     cell = _CsvCells()
     _write_table(path, SB_COLUMNS, (

@@ -1,10 +1,11 @@
 """The eight bidder-behavior metrics, each scaled into [0, 1].
 
-Per-pair metrics read one auction; the cross-auction ones (tendency,
-winning ratio, starting price, bid volume) read GlobalAggregates built
-once over the whole retained auction set. auction_instances applies
-all eight to every bidder of one auction. Each auction's bids are
-walked once: compute_global_aggregates keeps every auction's
+auction_instances is the one place the eight metrics are computed: it
+builds every (auction, bidder) row of the feature table. Per-pair
+metrics read one auction; the cross-auction ones (tendency, winning
+ratio, starting price, bid volume) read GlobalAggregates built once
+over the whole retained auction set. Each auction's bids are walked
+once: compute_global_aggregates keeps every auction's
 participation_map in the aggregates, and auction_instances takes it
 from there. All arithmetic is plain double precision; weight_scorer
 checks a weight table once and returns the one scoring function.
@@ -168,14 +169,6 @@ def _clamp01(value: float) -> float:
     return value
 
 
-def _run_band(longest_run: int) -> float:
-    if longest_run >= 4:
-        return 1.0
-    if longest_run == 3:
-        return 0.5
-    return 0.0
-
-
 def bidder_tendency(bidder_id: str, seller_id: str, aggregates: GlobalAggregates) -> float:
     """Share of a bidder's auctions that belong to this one seller.
 
@@ -188,57 +181,34 @@ def bidder_tendency(bidder_id: str, seller_id: str, aggregates: GlobalAggregates
     return agg.auctions_by_seller.get(seller_id, 0) / agg.auctions_entered
 
 
-def early_bidding(bidder_id: str, auction: AuctionView) -> float:
-    """How early the bidder's first bid landed; 1 is the opening second."""
-    part = participation_map(auction)[bidder_id]
-    return _early_value(
-        part.first_bid_time_sec, auction.start_time_sec, auction.auction_duration_sec
-    )
-
-
 def _early_value(first_bid_time_sec: int, start_time_sec: int, duration_sec: int) -> float:
+    """early_bidding: how early the bidder's first bid landed; 1 is the opening second."""
     return _clamp01(1.0 - (start_time_sec - first_bid_time_sec) / duration_sec)
 
 
-def bidding_ratio(bidder_id: str, auction: AuctionView) -> float:
-    """The bidder's share of all bids in the auction."""
-    part = participation_map(auction)[bidder_id]
-    return part.bid_count / auction.num_bids
-
-
-def last_bidding(bidder_id: str, auction: AuctionView) -> float:
-    """Fraction of the auction still remaining at the bidder's last bid."""
-    part = participation_map(auction)[bidder_id]
-    return _last_value(
-        part.last_bid_time_sec, auction.end_time_sec, auction.auction_duration_sec
-    )
-
-
 def _last_value(last_bid_time_sec: int, end_time_sec: int, duration_sec: int) -> float:
+    """last_bidding: fraction of the auction still remaining at the bidder's last bid."""
     return _clamp01((last_bid_time_sec - end_time_sec) / duration_sec)
 
 
-def auction_starting_price(auction: AuctionView, aggregates: GlobalAggregates) -> float:
-    """How far the starting price sits below the corpus average."""
-    return _starting_price_value(
-        float(auction.starting_price), aggregates.avg_auctions_start_price
-    )
-
-
 def _starting_price_value(starting_price: float, average: float) -> float:
+    """auction_starting_price: how far the starting price sits below the corpus average."""
     if starting_price >= average:
         return 0.0
     return 1.0 - starting_price / average
 
 
-def successive_outbidding(bidder_id: str, auction: AuctionView) -> float:
-    """Banded length of the bidder's longest consecutive-bid streak.
+def _run_band(longest_run: int) -> float:
+    """successive_outbidding: the bidder's longest consecutive-bid streak, banded.
 
     A streak of four or more scores 1, exactly three scores 0.5,
     anything shorter scores 0.
     """
-    part = participation_map(auction)[bidder_id]
-    return _run_band(part.longest_run)
+    if longest_run >= 4:
+        return 1.0
+    if longest_run == 3:
+        return 0.5
+    return 0.0
 
 
 def winning_ratio(bidder_id: str, aggregates: GlobalAggregates) -> float:
@@ -255,12 +225,8 @@ def winning_ratio(bidder_id: str, aggregates: GlobalAggregates) -> float:
     )
 
 
-def auction_bids(auction: AuctionView, aggregates: GlobalAggregates) -> float:
-    """How far the auction's bid count sits above the corpus average."""
-    return _bid_volume_value(auction.num_bids, aggregates.avg_bid_all_auctions)
-
-
 def _bid_volume_value(num_bids: int, average: float) -> float:
+    """auction_bids: how far the auction's bid count sits above the corpus average."""
     if num_bids <= average:
         return 0.0
     return 1.0 - average / num_bids
@@ -300,6 +266,7 @@ def auction_instances(
                 bidder,
                 bidder_tendency(bidder, seller_id, aggregates),
                 _early_value(part.first_bid_time_sec, start, duration),
+                # bidding_ratio: the bidder's share of all bids in the auction.
                 part.bid_count / num_bids,
                 _last_value(part.last_bid_time_sec, end, duration),
                 asp,
@@ -352,7 +319,7 @@ def weighted_score(
 def load_weights(path: str | Path) -> dict[str, float]:
     """Read a key=value weight file as overrides on the defaults."""
     weights = dict(DEFAULT_WEIGHTS)
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue

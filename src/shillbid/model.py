@@ -411,9 +411,6 @@ class SBInstance:
     def metric_values(self) -> tuple[float, ...]:
         return _metric_values(self)
 
-    def metric_items(self) -> list[tuple[str, float]]:
-        return list(zip(METRIC_COLUMNS, _metric_values(self)))
-
 
 _metric_values = attrgetter(*METRIC_COLUMNS)
 

@@ -61,7 +61,7 @@ _MONTHS = {
     "jul": 7, "aug": 8, "sep": 9, "oct": 10, "nov": 11, "dec": 12,
 }
 
-_NUMBER = re.compile(r"\d+(?:\.\d+)?")
+_NUMBER = re.compile(r"\d+(?:\.\d+)?|\.\d+")
 
 _CENT = Decimal("0.01")
 

@@ -7,7 +7,8 @@ from decimal import Decimal
 import pytest
 from hypothesis import HealthCheck, settings
 
-from shillbid.model import AuctionView, Bid, BidRecord
+from shillbid.metrics import auction_instances, compute_global_aggregates
+from shillbid.model import AuctionView, Bid, BidRecord, SBInstance
 
 settings.register_profile(
     "suite",
@@ -64,6 +65,16 @@ def make_view(
         end_time_sec=end_sec,
         bids=bids,
     )
+
+
+def pair_metrics(view: AuctionView, aggregates=None) -> dict[str, SBInstance]:
+    """The feature rows auction_instances builds for one auction, by bidder.
+
+    Without aggregates, the auction is its own one-auction corpus.
+    """
+    if aggregates is None:
+        aggregates = compute_global_aggregates([view])
+    return {inst.bidder_id: inst for inst in auction_instances(view, aggregates)}
 
 
 def records_of(views) -> list[BidRecord]:

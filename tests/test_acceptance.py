@@ -16,18 +16,9 @@ from pathlib import Path
 import pytest
 
 from shillbid.cli import main as cli_main
-from shillbid.dataset import build_sb_dataset, scan_outliers
-from shillbid.metrics import (
-    auction_bids,
-    auction_starting_price,
-    bidder_tendency,
-    bidding_ratio,
-    compute_global_aggregates,
-    early_bidding,
-    last_bidding,
-    successive_outbidding,
-    winning_ratio,
-)
+from shillbid.dataset import build_sb_dataset
+from shillbid.metrics import compute_global_aggregates
+from shillbid.model import METRIC_COLUMNS
 from shillbid.preprocess import (
     REFERENCE_EPOCH,
     merge_datetime,
@@ -38,7 +29,7 @@ from shillbid.preprocess import (
 from shillbid.synth import SynthConfig, generate, write_corpus
 
 from . import _oracle
-from .conftest import make_view, random_micro_corpus
+from .conftest import make_view, pair_metrics, random_micro_corpus
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -78,11 +69,8 @@ def test_criterion_01_all_metrics_stay_inside_unit_interval():
         )
         _, _, _, instances = _features_for(config)
         total += len(instances)
-        flagged = scan_outliers(instances)
-        if flagged:
-            problems.append(f"seed {config.seed}: {len(flagged)} outliers")
         for inst in instances:
-            for name, value in inst.metric_items():
+            for name, value in zip(METRIC_COLUMNS, inst.metric_values()):
                 if not 0.0 <= value <= 1.0:
                     problems.append(f"seed {config.seed}: {name}={value!r}")
     elapsed = time.monotonic() - started
@@ -111,19 +99,17 @@ def test_criterion_02_metrics_match_brute_force_oracle():
         plain = [_oracle.from_view(v) for v in views]
         auctions_checked += len(views)
         for view, auction in zip(views, plain):
-            for bidder in _oracle.bidders_of(auction):
+            # The feature rows features builds, one per (auction, bidder).
+            rows = pair_metrics(view, agg)
+            if sorted(rows) != _oracle.bidders_of(auction):
+                problems.append(
+                    f"auction {view.auction_id}: rows for {sorted(rows)}, "
+                    f"bidders {_oracle.bidders_of(auction)}"
+                )
+            for bidder, row in rows.items():
                 pairs_checked += 1
                 expected = _oracle.all_metrics(plain, auction, bidder)
-                got = {
-                    "bidder_tendency": bidder_tendency(bidder, view.seller_id, agg),
-                    "early_bidding": early_bidding(bidder, view),
-                    "bidding_ratio": bidding_ratio(bidder, view),
-                    "last_bidding": last_bidding(bidder, view),
-                    "auction_starting_price": auction_starting_price(view, agg),
-                    "successive_outbidding": successive_outbidding(bidder, view),
-                    "winning_ratio": winning_ratio(bidder, agg),
-                    "auction_bids": auction_bids(view, agg),
-                }
+                got = dict(zip(METRIC_COLUMNS, row.metric_values()))
                 # exact for the banded metric, 1e-12 for the rest
                 if got["successive_outbidding"] != expected["successive_outbidding"]:
                     problems.append(
@@ -251,11 +237,11 @@ def test_criterion_05_parsing_and_banding_micro_examples():
             (bidder, f"{10 + i}.00", 500_000 - 1000 * i)
             for i, bidder in enumerate(seq)
         ]
-        view = make_view(specs)
+        rows = pair_metrics(make_view(specs))
         for bidder in set(seq):
             run = _oracle.longest_run(seq, bidder)
             band = 1.0 if run >= 4 else 0.5 if run == 3 else 0.0
-            if successive_outbidding(bidder, view) != band:
+            if rows[bidder].successive_outbidding != band:
                 mismatches += 1
     if mismatches:
         problems.append(f"{mismatches} banding mismatches in 1000 sequences")

@@ -297,6 +297,50 @@ def test_an_unreadable_raw_bid_cell_exits_2_and_writes_nothing(tmp_path, capsys,
     assert sorted(tmp_path.iterdir()) == made
 
 
+def test_money_with_no_digit_before_the_point_reads_as_cents(tmp_path):
+    corpus = tmp_path / "corpus.csv"
+    assert run("synth", "--out", str(corpus), "--auctions", "5") == 0
+    with open(corpus, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    at = rows[0].index("Starting Price")
+    for cells in rows[1:]:
+        cells[at] = "$.50"
+    with open(corpus, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    clean = tmp_path / "clean.csv"
+    assert run("preprocess", "--in", str(corpus), "--out", str(clean)) == 0
+    prices = [str(a.starting_price) for a in read_auctions(clean)]
+    assert prices == ["0.50"] * 5
+
+
+def _outputs_of_every_reader(folder):
+    """Run each command on folder's raw corpus, bid table and feature table."""
+    out = folder / "out"
+    out.mkdir()
+    corpus, clean, sb = (str(folder / name) for name in ("corpus.csv", "clean.csv", "sb.csv"))
+    assert run("preprocess", "--in", corpus, "--out", str(out / "from_raw.csv")) == 0
+    assert run("preprocess", "--in", clean, "--out", str(out / "from_table.csv")) == 0
+    assert run("features", "--in", clean, "--out", str(out / "sb.csv")) == 0
+    assert run("validate", "--in", clean) == 0
+    assert run("validate", "--in", sb) == 0
+    assert run(
+        "stats", "--in", sb, "--preprocessed", clean, "--report", str(out / "stats.json")
+    ) == 0
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_a_byte_order_mark_changes_no_output(chain, tmp_path):
+    # Spreadsheet exports start a file with one; every table reader drops it.
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    for folder, prefix in ((plain, b""), (marked, b"\xef\xbb\xbf")):
+        folder.mkdir()
+        for name in ("corpus.csv", "clean.csv", "sb.csv"):
+            (folder / name).write_bytes(prefix + (chain / name).read_bytes())
+    expected = _outputs_of_every_reader(plain)
+    assert len(expected) == 7
+    assert _outputs_of_every_reader(marked) == expected
+
+
 @functools.cache
 def _small_raw_corpus():
     """Header and rows of a 12-auction synth corpus, written once."""

@@ -1,13 +1,15 @@
-"""Feature-dataset assembly, outlier scanning, pattern statistics."""
+"""Feature-dataset assembly and pattern statistics."""
 import random
+from dataclasses import fields
 
 import pytest
 
 from shillbid.dataset import (
+    BUCKET_LABELS,
+    BucketCounts,
     build_sb_dataset,
     format_stats_table,
     pattern_stats,
-    scan_outliers,
 )
 from shillbid.errors import ConfigError
 from shillbid.metrics import compute_global_aggregates
@@ -48,20 +50,8 @@ def test_build_values_stay_in_range():
     views = corpus()
     agg = compute_global_aggregates(views)
     for inst in build_sb_dataset(views, agg):
-        for _, value in inst.metric_items():
+        for value in inst.metric_values():
             assert 0.0 <= value <= 1.0
-
-
-def test_scan_outliers_flags_and_names_the_metric():
-    bad = instance(early_bidding=1.5)
-    outliers = scan_outliers([instance(bidder="fine"), bad])
-    assert len(outliers) == 1
-    assert outliers[0].metric == "early_bidding"
-    assert outliers[0].value == 1.5
-
-
-def test_scan_outliers_accepts_exact_bounds():
-    assert scan_outliers([instance(early_bidding=0.0, winning_ratio=1.0)]) == []
 
 
 def test_pattern_stats_counts_threshold_strictly():
@@ -135,6 +125,13 @@ def test_pattern_stats_to_dict_percentages():
     assert payload["high_values"]["early_bidding"]["count"] == 1
     assert payload["high_values"]["early_bidding"]["pct_of_instances"] == 50.0
     assert payload["behavior_buckets"]["winners_aggressive"] is None
+    assert list(payload["behavior_buckets"]) == [
+        "winners_not_aggressive",
+        "winners_aggressive",
+        "non_winners_aggressive",
+        "non_winners_not_aggressive",
+        "early_aggressive_non_winners",
+    ]
     assert payload["percentage_base"] == "instances"
     assert set(payload["high_values"]) == set(METRIC_COLUMNS)
 
@@ -151,3 +148,7 @@ def test_format_stats_table_renders():
 
     text_no_winners = format_stats_table(pattern_stats(instances))
     assert "n/a" in text_no_winners
+
+
+def test_bucket_labels_follow_bucket_counts_fields():
+    assert list(BUCKET_LABELS) == [f.name for f in fields(BucketCounts)]

@@ -112,6 +112,13 @@ def test_load_raw_schema_rejects_bad_files(tmp_path, mutate, fragment):
         load_raw_schema(path)
 
 
+def test_load_raw_schema_reads_past_a_byte_order_mark(tmp_path):
+    path = tmp_path / "schema.conf"
+    lines = [f"{k}={v}" for k, v in DEFAULT_RAW_SCHEMA.items()]
+    path.write_text("\n".join(lines), encoding="utf-8-sig")
+    assert load_raw_schema(path) == dict(DEFAULT_RAW_SCHEMA)
+
+
 def test_load_raw_schema_rejects_duplicate_keys(tmp_path):
     lines = [f"{k}={v}" for k, v in DEFAULT_RAW_SCHEMA.items()]
     lines.append("bidder_id=Another")
@@ -698,6 +705,23 @@ def test_check_sb_dataset_reports_a_duplicate_before_its_range():
 
 def test_check_sb_dataset_accepts_negative_zero():
     check_sb_dataset([instance(**dict.fromkeys(METRIC_COLUMNS, -0.0))])
+
+
+def test_check_sb_dataset_accepts_exact_bounds():
+    # Every metric at 0 and at 1, the streak at each of its three bands.
+    instances = [
+        instance(bidder=f"{bound}-{streak}", **dict(
+            dict.fromkeys(METRIC_COLUMNS, bound), successive_outbidding=streak
+        ))
+        for bound in (0.0, 1.0)
+        for streak in (0.0, 0.5, 1.0)
+    ]
+    assert check_sb_dataset(instances) is True
+
+
+def test_check_sb_dataset_tells_whether_pairs_ascend():
+    assert check_sb_dataset([instance(bidder="amy"), instance(bidder="bob")]) is True
+    assert check_sb_dataset([instance(auction_id=2), instance(auction_id=1)]) is False
 
 
 def test_write_sb_dataset_matches_csv_writer(tmp_path):

@@ -8,24 +8,18 @@ from hypothesis import strategies as st
 
 from shillbid.errors import ConfigError, EmptyDatasetError
 from shillbid.metrics import (
-    auction_bids,
     auction_instances,
-    auction_starting_price,
     bidder_tendency,
-    bidding_ratio,
     compute_global_aggregates,
-    early_bidding,
-    last_bidding,
     load_weights,
     participation_map,
-    successive_outbidding,
     weighted_score,
     winning_ratio,
 )
 from shillbid.model import DEFAULT_WEIGHTS, METRIC_COLUMNS, SBInstance
 
 from . import _oracle
-from .conftest import make_view, random_micro_corpus
+from .conftest import make_view, pair_metrics, random_micro_corpus
 
 DAY = 86_400
 
@@ -65,7 +59,7 @@ def test_streak_survives_same_second_amount_ordering():
         ]
     )
     assert participation_map(view)["x"].longest_run == 3
-    assert successive_outbidding("x", view) == 0.5
+    assert pair_metrics(view)["x"].successive_outbidding == 0.5
 
 
 # --- single-auction metrics -------------------------------------------------
@@ -78,10 +72,11 @@ def test_early_bidding_values():
         duration_sec=5 * DAY,
         end_sec=end,
     )
-    assert early_bidding("a", view) == pytest.approx(0.75)
-    assert early_bidding("b", view) == 0.0
+    rows = pair_metrics(view)
+    assert rows["a"].early_bidding == pytest.approx(0.75)
+    assert rows["b"].early_bidding == 0.0
     view = make_view([("c", "10.00", start)], duration_sec=5 * DAY, end_sec=end)
-    assert early_bidding("c", view) == 1.0
+    assert pair_metrics(view)["c"].early_bidding == 1.0
 
 
 def test_last_bidding_values():
@@ -91,8 +86,9 @@ def test_last_bidding_values():
         duration_sec=5 * DAY,
         end_sec=end,
     )
-    assert last_bidding("a", view) == pytest.approx(0.1)
-    assert last_bidding("b", view) == 0.0
+    rows = pair_metrics(view)
+    assert rows["a"].last_bidding == pytest.approx(0.1)
+    assert rows["b"].last_bidding == 0.0
 
 
 def test_bidding_ratio_sums_to_one():
@@ -104,9 +100,9 @@ def test_bidding_ratio_sums_to_one():
             ("c", "13.00", 470_000),
         ]
     )
-    parts = participation_map(view)
-    assert bidding_ratio("a", view) == 0.5
-    total = sum(bidding_ratio(b, view) for b in parts)
+    rows = pair_metrics(view)
+    assert rows["a"].bidding_ratio == 0.5
+    total = sum(row.bidding_ratio for row in rows.values())
     assert math.isclose(total, 1.0, abs_tol=1e-9)
 
 
@@ -116,11 +112,11 @@ def test_successive_outbidding_banding():
         specs.append(("a", "99.00", 400_000))
         return make_view(specs, winning_bid="99.00")
 
-    assert successive_outbidding("x", view_with_run(1)) == 0.0
-    assert successive_outbidding("x", view_with_run(2)) == 0.0
-    assert successive_outbidding("x", view_with_run(3)) == 0.5
-    assert successive_outbidding("x", view_with_run(4)) == 1.0
-    assert successive_outbidding("x", view_with_run(5)) == 1.0
+    assert pair_metrics(view_with_run(1))["x"].successive_outbidding == 0.0
+    assert pair_metrics(view_with_run(2))["x"].successive_outbidding == 0.0
+    assert pair_metrics(view_with_run(3))["x"].successive_outbidding == 0.5
+    assert pair_metrics(view_with_run(4))["x"].successive_outbidding == 1.0
+    assert pair_metrics(view_with_run(5))["x"].successive_outbidding == 1.0
 
 
 # --- cross-auction metrics --------------------------------------------------
@@ -236,8 +232,8 @@ def test_auction_starting_price_values():
     ]
     agg = compute_global_aggregates(views)
     assert agg.avg_auctions_start_price == pytest.approx(20.0)
-    assert auction_starting_price(views[0], agg) == pytest.approx(0.75)
-    assert auction_starting_price(views[1], agg) == 0.0
+    assert pair_metrics(views[0], agg)["a"].auction_starting_price == pytest.approx(0.75)
+    assert pair_metrics(views[1], agg)["b"].auction_starting_price == 0.0
 
 
 def test_auction_bids_values():
@@ -253,8 +249,8 @@ def test_auction_bids_values():
     # Averages 11 bids; only the 20-bid auction scores.
     agg = compute_global_aggregates([big, small])
     assert agg.avg_bid_all_auctions == pytest.approx(11.0)
-    assert auction_bids(big, agg) == pytest.approx(1.0 - 11.0 / 20.0)
-    assert auction_bids(small, agg) == 0.0
+    assert pair_metrics(big, agg)["b0"].auction_bids == pytest.approx(1.0 - 11.0 / 20.0)
+    assert pair_metrics(small, agg)["a"].auction_bids == 0.0
 
 
 def test_compute_global_aggregates_empty():
@@ -268,7 +264,9 @@ def test_unknown_bidder_raises_key_error():
     with pytest.raises(KeyError):
         bidder_tendency("ghost", "s1", agg)
     with pytest.raises(KeyError):
-        early_bidding("ghost", view)
+        winning_ratio("ghost", agg)
+    # A bidder with no bid in the auction gets no feature row.
+    assert list(pair_metrics(view, agg)) == ["a"]
 
 
 # --- weighted score ---------------------------------------------------------
@@ -304,6 +302,12 @@ def test_load_weights_overrides(tmp_path):
     table = load_weights(path)
     assert table["early_bidding"] == 0.9
     assert table["bidder_tendency"] == DEFAULT_WEIGHTS["bidder_tendency"]
+
+
+def test_load_weights_reads_past_a_byte_order_mark(tmp_path):
+    path = tmp_path / "weights.conf"
+    path.write_text("early_bidding=0.9\n", encoding="utf-8-sig")
+    assert load_weights(path)["early_bidding"] == 0.9
 
 
 @pytest.mark.parametrize(
@@ -372,40 +376,26 @@ def test_time_shift_leaves_early_and_last_unchanged(shift):
         duration_sec=5 * DAY,
         end_sec=end + shift,
     )
-    assert early_bidding("a", view) == early_bidding("a", shifted)
-    assert last_bidding("b", view) == last_bidding("b", shifted)
+    rows, shifted_rows = pair_metrics(view), pair_metrics(shifted)
+    assert rows["a"].early_bidding == shifted_rows["a"].early_bidding
+    assert rows["b"].last_bidding == shifted_rows["b"].last_bidding
 
 
 def test_metrics_match_oracle_on_random_corpora(rng):
+    # Every row auction_instances builds, all eight values, against the
+    # oracle: exact for the banded metric, 1e-12 for the rest.
     for corpus_seed in range(10):
         corpus_rng = random.Random(corpus_seed)
         views = random_micro_corpus(corpus_rng, 8)
         agg = compute_global_aggregates(views)
         plain = [_oracle.from_view(v) for v in views]
         for view, auction in zip(views, plain):
-            for bidder in _oracle.bidders_of(auction):
+            rows = pair_metrics(view, agg)
+            assert sorted(rows) == sorted(_oracle.bidders_of(auction))
+            for bidder, row in rows.items():
                 expected = _oracle.all_metrics(plain, auction, bidder)
-                assert successive_outbidding(bidder, view) == expected[
-                    "successive_outbidding"
-                ]
-                assert bidder_tendency(bidder, view.seller_id, agg) == pytest.approx(
-                    expected["bidder_tendency"], abs=1e-12
-                )
-                assert early_bidding(bidder, view) == pytest.approx(
-                    expected["early_bidding"], abs=1e-12
-                )
-                assert bidding_ratio(bidder, view) == pytest.approx(
-                    expected["bidding_ratio"], abs=1e-12
-                )
-                assert last_bidding(bidder, view) == pytest.approx(
-                    expected["last_bidding"], abs=1e-12
-                )
-                assert auction_starting_price(view, agg) == pytest.approx(
-                    expected["auction_starting_price"], abs=1e-12
-                )
-                assert winning_ratio(bidder, agg) == pytest.approx(
-                    expected["winning_ratio"], abs=1e-12
-                )
-                assert auction_bids(view, agg) == pytest.approx(
-                    expected["auction_bids"], abs=1e-12
-                )
+                assert row.successive_outbidding == expected["successive_outbidding"]
+                for name in METRIC_COLUMNS:
+                    assert getattr(row, name) == pytest.approx(
+                        expected[name], abs=1e-12
+                    ), (view.auction_id, bidder, name)

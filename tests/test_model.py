@@ -467,7 +467,8 @@ def test_validate_weights():
 def test_sb_instance_value_order_matches_columns():
     inst = SBInstance(1, "alice", 0.1, 0.2, 0.3, 0.4, 0.5, 0.0, 0.6, 0.7)
     assert inst.metric_values() == (0.1, 0.2, 0.3, 0.4, 0.5, 0.0, 0.6, 0.7)
-    assert [name for name, _ in inst.metric_items()] == list(METRIC_COLUMNS)
+    names = [f.name for f in dataclasses.fields(SBInstance)]
+    assert names[names.index("bidder_id") + 1:] == list(METRIC_COLUMNS)
 
 
 def test_fast_frozen_init_keeps_dataclass_behaviour():

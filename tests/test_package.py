@@ -91,6 +91,34 @@ def test_bid_records_are_built_only_at_the_edges():
     assert offenders == []
 
 
+def _names_participation_map(node) -> bool:
+    return "participation_map" in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def test_each_auction_is_walked_only_by_the_metric_pass():
+    # participation_map walks an auction's bids. The aggregate pass walks
+    # each auction once and auction_instances reuses that walk, so every
+    # metric has one implementation and features one walk per auction.
+    package = Path(shillbid.__file__).parent
+    allowed = {
+        ("metrics.py", "compute_global_aggregates"),
+        ("metrics.py", "auction_instances"),
+    }
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        tree.body = [
+            node for node in tree.body
+            if (path.name, getattr(node, "name", None)) not in allowed
+        ]
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _names_participation_map(node)
+        ]
+    assert offenders == []
+
+
 def test_only_ingest_frames_csv():
     # How a table is opened, framed and quoted is one decision, made in
     # ingest. synth writes the raw corpus its own way: its bytes feed

@@ -119,6 +119,10 @@ def test_a_part_too_large_for_a_datetime_is_a_parse_error(date_text, time_text):
         ("3.999", "4.00"),   # round half up on the third digit
         ("3.994", "3.99"),
         ("3.995", "4.00"),
+        # No digit before the point.
+        ("$.50", "0.50"),
+        (".99 $", "0.99"),
+        ("US $.5", "0.50"),
     ],
 )
 def test_parse_money(text, expected):
@@ -127,7 +131,8 @@ def test_parse_money(text, expected):
 
 
 @pytest.mark.parametrize(
-    "text", ["", "free", "$", "12 to 34", "1.2.3 4", "-20.00 $", "US $-5.00"]
+    "text",
+    ["", "free", "$", "12 to 34", "1.2.3", "1.2.3 4", "-20.00 $", "US $-5.00", "-.50 $"],
 )
 def test_parse_money_rejects(text):
     with pytest.raises(ParseError):
