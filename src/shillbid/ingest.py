@@ -106,12 +106,16 @@ def _table(
 ) -> Iterator[tuple[tuple[str, ...], Iterator[tuple[int, list[str]]]]]:
     """Open a CSV table; yield its header and its (n, cells) data rows.
 
-    n counts data rows from 1. The header must exist, parse and, when a
-    layout is given, be that layout; a leading byte-order mark is
-    dropped from it. A line the csv reader refuses is a ParseError
-    naming the file and the header or the row.
+    n counts data rows from 1. A leading byte-order mark is skipped
+    before the header is parsed, so its first cell may be quoted. The
+    header must exist, parse and, when a layout is given, be that
+    layout. A line the csv reader refuses is a ParseError naming the
+    file and the header or the row.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
+        # Skip a byte-order mark, as spreadsheet exports write one.
+        if handle.read(1) != "\ufeff":
+            handle.seek(0)
         reader = csv.reader(handle)
         try:
             header = tuple(next(reader))
@@ -119,9 +123,6 @@ def _table(
             raise SchemaError(f"{path}: empty file, no header row") from None
         except csv.Error as exc:
             raise ParseError(f"{path}:header: {exc}") from None
-        if header and header[0].startswith("\ufeff"):
-            # A byte-order mark, as spreadsheet exports write one.
-            header = (header[0][1:],) + header[1:]
         if layout is not None and header != layout:
             raise SchemaError(
                 f"{path}: header does not match the {_LAYOUT_NAMES[layout]} layout"
@@ -199,10 +200,6 @@ class RawRecord(Mapping[str, str]):
         The fast path for bulk pipelines: one C call per row.
         """
         return pick(self._values)
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return self._columns
 
     @property
     def index(self) -> dict[str, int]:
@@ -465,30 +462,26 @@ def bid_rows(path: str | Path) -> Iterator[tuple[int, BidRecord, str, Decimal, i
 def _stream_auctions(path: str | Path) -> list[AuctionView] | None:
     """The one streaming pass of read_auctions, over bid_rows.
 
-    Returns None as soon as the table holds anything it does not take
-    as-is; read_auctions then runs the reference path, which finds and
-    reports it.
+    A row that does not parse raises what bid_rows raises, the
+    reference's error. Returns None as soon as the table holds anything
+    else it does not take as-is; read_auctions then runs the reference
+    path, which finds and reports it.
     """
     # auction_id -> (head, bids)
     auctions: dict[int, tuple[BidRecord, list[Bid]]] = {}
     current = None
-    try:
-        for record_id, head, bidder, amount, submitted in bid_rows(path):
-            if head is not current:
-                # An auction's rows usually arrive together: look it
-                # up only when the auction changes.
-                current = head
-                entry = auctions.setdefault(head.auction_id, (head, []))
-                if entry[0] is not head:
-                    # Auction-level text that differs from the auction's
-                    # first row, or a second spelling of its id ("01").
-                    return None
-                bids = entry[1]
-            bids.append(Bid(bidder, amount, submitted, record_id))
-    except ParseError:
-        # A cell that does not parse, or a line the csv reader refuses:
-        # the reference path raises the exact error.
-        return None
+    for record_id, head, bidder, amount, submitted in bid_rows(path):
+        if head is not current:
+            # An auction's rows usually arrive together: look it up
+            # only when the auction changes.
+            current = head
+            entry = auctions.setdefault(head.auction_id, (head, []))
+            if entry[0] is not head:
+                # Auction-level text that differs from the auction's
+                # first row, or a second spelling of its id ("01").
+                return None
+            bids = entry[1]
+        bids.append(Bid(bidder, amount, submitted, record_id))
     views = [auction_view(*auctions[aid]) for aid in sorted(auctions)]
     return views if views_ok(views) else None
 
@@ -500,12 +493,13 @@ def read_auctions(path: str | Path) -> list[AuctionView]:
     returns, without building a BidRecord per row or regrouping the
     rows. The rows come from bid_rows; every row of an auction must
     share the head of the auction's first row. The views are then
-    checked with model.views_ok, check_dataset's own test. A table
-    this pass does not take as-is (a ragged row, a cell that does not
-    parse, auction-level text that differs, any broken rule, ids that
-    are not dense or not in the pipeline's order) goes through the
-    reference path, so every result, error text and type is the
-    reference's.
+    checked with model.views_ok, check_dataset's own test. A row that
+    does not parse (a ragged row, a cell that does not parse, a line
+    the csv reader refuses) raises the reference's ParseError from
+    bid_rows. Any other table this pass does not take as-is
+    (auction-level text that differs, any broken rule, ids that are not
+    dense or not in the pipeline's order) goes through the reference
+    path, so every result, error text and type is the reference's.
     """
     views = _stream_auctions(path)
     if views is None:

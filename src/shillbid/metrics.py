@@ -85,7 +85,6 @@ class BidderAggregate:
 
     auctions_entered: int
     auctions_by_seller: Mapping[str, int]
-    auctions_won: int
     high_participation_auctions: int
     wins_in_high_participation: int
 
@@ -116,7 +115,6 @@ def compute_global_aggregates(auctions: Iterable[AuctionView]) -> GlobalAggregat
 
     entered: dict[str, int] = {}
     by_seller: dict[str, dict[str, int]] = {}
-    won: dict[str, int] = {}
     high: dict[str, int] = {}
     wins_high: dict[str, int] = {}
 
@@ -138,16 +136,13 @@ def compute_global_aggregates(auctions: Iterable[AuctionView]) -> GlobalAggregat
             heavy = part.bid_count / auction.num_bids > HIGH_PARTICIPATION_RATIO
             if heavy:
                 high[bidder] = high.get(bidder, 0) + 1
-            if bidder == winner:
-                won[bidder] = won.get(bidder, 0) + 1
-                if heavy:
+                if bidder == winner:
                     wins_high[bidder] = wins_high.get(bidder, 0) + 1
 
     bidders = {
         b: BidderAggregate(
             auctions_entered=entered[b],
             auctions_by_seller=by_seller[b],
-            auctions_won=won.get(b, 0),
             high_participation_auctions=high.get(b, 0),
             wins_in_high_participation=wins_high.get(b, 0),
         )

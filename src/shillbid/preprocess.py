@@ -43,7 +43,7 @@ from .errors import (
 )
 from .ingest import DEFAULT_RAW_SCHEMA, LOGICAL_FIELDS, RawRecord, bid_rows
 from .model import (
-    PREPROCESSED_COLUMNS, AuctionView, Bid, BidRecord, auction_ok, check_dataset,
+    CENT, PREPROCESSED_COLUMNS, AuctionView, Bid, BidRecord, auction_ok, check_dataset,
 )
 
 logger = logging.getLogger(__name__)
@@ -62,8 +62,6 @@ _MONTHS = {
 }
 
 _NUMBER = re.compile(r"\d+(?:\.\d+)?|\.\d+")
-
-_CENT = Decimal("0.01")
 
 
 def merge_datetime(date_text: str, time_text: str) -> datetime:
@@ -120,7 +118,7 @@ def parse_money(text: str) -> Decimal:
     if "-" in cleaned.partition(numbers[0])[0]:
         raise ParseError(f"money {text!r}: negative amount")
     try:
-        return Decimal(numbers[0]).quantize(_CENT, rounding=ROUND_HALF_UP)
+        return Decimal(numbers[0]).quantize(CENT, rounding=ROUND_HALF_UP)
     except InvalidOperation:
         # More digits than the decimal context holds.
         raise ParseError(f"money {text!r}: amount out of range") from None

@@ -16,7 +16,7 @@ honest bids into a streak of three.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timedelta
 from typing import Iterator, Mapping
 
@@ -29,6 +29,15 @@ DEFAULT_DURATION_WEIGHTS: dict[int, int] = {1: 166, 3: 187, 5: 131, 7: 309, 10: 
 
 SCRAPE_WINDOW_START = datetime(2017, 3, 1, 0, 0, 0)
 _END_MARGIN_SEC = 3600
+
+# Colluding sellers, each with its own accomplice.
+SHILL_SELLERS = 5
+# A shill's run of bids ends before this fraction of the auction's duration.
+SHILL_ENTRY_QUANTILE = 0.25
+STARTING_PRICE_LOW_CENTS = 2000
+STARTING_PRICE_HIGH_CENTS = 40000
+MIN_INCREMENT_CENTS = 500
+MAX_INCREMENT_CENTS = 2500
 
 _S = DEFAULT_RAW_SCHEMA
 RAW_HEADER: tuple[str, ...] = (
@@ -91,7 +100,7 @@ def _fmt_money(cents: int) -> str:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Everything that shapes a generated corpus."""
+    """Everything a caller sets to shape a generated corpus."""
 
     seed: int = 7
     num_auctions: int = 200
@@ -100,17 +109,10 @@ class SynthConfig:
     )
     bidder_pool: int = 100
     seller_pool: int = 40
-    shill_sellers: int = 5
     shill_fraction: float = 0.10
     shill_run_length: int = 4
-    shill_entry_quantile: float = 0.25
-    shill_exit_quantile: float = 0.90
     min_auction_bids: int = 8
     max_auction_bids: int = 14
-    starting_price_low_cents: int = 2000
-    starting_price_high_cents: int = 40000
-    min_increment_cents: int = 500
-    max_increment_cents: int = 2500
     duplicate_row_rate: float = 0.0
     missing_bidder_rate: float = 0.0
     thin_auction_rate: float = 0.0
@@ -161,18 +163,10 @@ class SynthConfig:
             )
         if self.max_auction_bids < self.min_auction_bids:
             raise ConfigError("max_auction_bids must be >= min_auction_bids")
-        if not 0.0 < self.shill_entry_quantile < self.shill_exit_quantile <= 1.0:
-            raise ConfigError("need 0 < entry quantile < exit quantile <= 1")
         if self.bidder_pool < 7:
             raise ConfigError(f"bidder_pool must be >= 7, got {self.bidder_pool}")
         if self.seller_pool < 1:
             raise ConfigError("seller_pool must be >= 1")
-        if self.shill_fraction > 0 and self.shill_sellers < 1:
-            raise ConfigError("shill_sellers must be >= 1 when shills are planted")
-        if not 0 < self.starting_price_low_cents <= self.starting_price_high_cents:
-            raise ConfigError("starting price bounds are out of order")
-        if not 0 < self.min_increment_cents <= self.max_increment_cents:
-            raise ConfigError("increment bounds are out of order")
         counts = self._planned_counts()
         if sum(counts) > self.num_auctions:
             raise ConfigError(
@@ -204,16 +198,7 @@ class DefectManifest:
     missing_by_url: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "duplicate_rows": self.duplicate_rows,
-            "missing_bidder_rows": self.missing_bidder_rows,
-            "thin_auctions": self.thin_auctions,
-            "inconsistent_auctions": self.inconsistent_auctions,
-            "thin_auction_urls": list(self.thin_auction_urls),
-            "inconsistent_auction_urls": list(self.inconsistent_auction_urls),
-            "duplicates_by_url": dict(self.duplicates_by_url),
-            "missing_by_url": dict(self.missing_by_url),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -279,8 +264,8 @@ def _iter_auctions(
 
     honest_bidders = [f"u{i:04d}" for i in range(1, config.bidder_pool + 1)]
     honest_sellers = [f"s{i:03d}" for i in range(1, config.seller_pool + 1)]
-    accomplices = [f"x{i:02d}" for i in range(1, config.shill_sellers + 1)]
-    colluding_sellers = [f"cs{i:02d}" for i in range(1, config.shill_sellers + 1)]
+    accomplices = [f"x{i:02d}" for i in range(1, SHILL_SELLERS + 1)]
+    colluding_sellers = [f"cs{i:02d}" for i in range(1, SHILL_SELLERS + 1)]
 
     days_list = sorted(config.duration_weights)
     weights = [config.duration_weights[d] for d in days_list]
@@ -300,7 +285,7 @@ def _iter_auctions(
 
         accomplice: str | None = None
         if is_shill:
-            j = rng.randrange(config.shill_sellers)
+            j = rng.randrange(SHILL_SELLERS)
             seller = colluding_sellers[j]
             accomplice = accomplices[j]
         else:
@@ -324,7 +309,7 @@ def _iter_auctions(
 
         if is_shill:
             assert accomplice is not None
-            entry_cut = int(duration_sec * config.shill_entry_quantile)
+            entry_cut = int(duration_sec * SHILL_ENTRY_QUANTILE)
             n_pre = rng.randint(1, min(2, honest_slots - 2))
             sequence = (
                 honest_seq[:n_pre] + [accomplice] * run + honest_seq[n_pre:]
@@ -345,14 +330,12 @@ def _iter_auctions(
             )
 
         price_cents = rng.randrange(
-            config.starting_price_low_cents, config.starting_price_high_cents + 1
+            STARTING_PRICE_LOW_CENTS, STARTING_PRICE_HIGH_CENTS + 1
         )
         start_price_cents = price_cents
         amounts: list[int] = []
         for _ in range(n_bids):
-            price_cents += rng.randrange(
-                config.min_increment_cents, config.max_increment_cents + 1
-            )
+            price_cents += rng.randrange(MIN_INCREMENT_CENTS, MAX_INCREMENT_CENTS + 1)
             amounts.append(price_cents)
         winning_cents = amounts[-1]
 

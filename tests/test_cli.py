@@ -2,6 +2,7 @@
 import csv
 import functools
 import gc
+import io
 import json
 import sys
 import tempfile
@@ -329,16 +330,32 @@ def _outputs_of_every_reader(folder):
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
+def _quote_every_cell(data: bytes) -> bytes:
+    buffer = io.StringIO()
+    rows = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+    csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
 def test_a_byte_order_mark_changes_no_output(chain, tmp_path):
-    # Spreadsheet exports start a file with one; every table reader drops it.
-    plain, marked = tmp_path / "plain", tmp_path / "marked"
-    for folder, prefix in ((plain, b""), (marked, b"\xef\xbb\xbf")):
+    # Spreadsheet exports start a file with one, and some quote every
+    # cell; every table reader drops the mark before it reads the header.
+    bom = b"\xef\xbb\xbf"
+    variants = {
+        "plain": lambda data: data,
+        "marked": lambda data: bom + data,
+        "marked_quoted": lambda data: bom + _quote_every_cell(data),
+    }
+    outputs = {}
+    for variant, edit in variants.items():
+        folder = tmp_path / variant
         folder.mkdir()
         for name in ("corpus.csv", "clean.csv", "sb.csv"):
-            (folder / name).write_bytes(prefix + (chain / name).read_bytes())
-    expected = _outputs_of_every_reader(plain)
-    assert len(expected) == 7
-    assert _outputs_of_every_reader(marked) == expected
+            (folder / name).write_bytes(edit((chain / name).read_bytes()))
+        outputs[variant] = _outputs_of_every_reader(folder)
+    assert len(outputs["plain"]) == 7
+    assert outputs["marked"] == outputs["plain"]
+    assert outputs["marked_quoted"] == outputs["plain"]
 
 
 @functools.cache

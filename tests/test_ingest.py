@@ -448,6 +448,18 @@ def test_views_hold_one_str_per_distinct_id(tmp_path):
         assert len(set(map(id, sellers))) == len(set(sellers)) == 2
 
 
+def test_read_auctions_raises_a_bad_cell_in_its_one_pass(tmp_path, monkeypatch):
+    rows = base_rows()
+    rows[6][4] = "lots"  # a bid_amount that does not parse, on a later row
+    path = tmp_path / "clean.csv"
+    write_csv(path, PREPROCESSED_COLUMNS, rows)
+    expected = reference_outcome(path)
+    assert expected == (
+        "ParseError", f"{path}:row 7: bid_amount is not a number: 'lots'"
+    )
+    assert views_outcome(lambda: one_pass(monkeypatch, path)) == expected
+
+
 def test_read_auctions_on_an_empty_table(tmp_path, monkeypatch):
     path = tmp_path / "clean.csv"
     write_csv(path, PREPROCESSED_COLUMNS, [])

@@ -1,6 +1,7 @@
 """The package surface: the README's library example, import cost and
 module boundaries."""
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import shillbid
+from shillbid.metrics import BidderAggregate
+from shillbid.preprocess import PipelineConfig
 from shillbid.synth import SynthConfig, write_corpus
 
 README = Path(__file__).parents[1] / "README.md"
@@ -139,3 +142,32 @@ def test_only_ingest_frames_csv():
             if any(name.split(".")[0] == "csv" for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_every_config_field_has_a_reader():
+    # A config field or stored value that nothing reads is a knob that
+    # does nothing. A bounds check in a config's own validate is not a
+    # reader: it only guards the knob.
+    owners = (SynthConfig, PipelineConfig, BidderAggregate)
+    names = {cls.__name__ for cls in owners}
+    package = Path(shillbid.__file__).parent
+    read = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name in names:
+                node.body = [
+                    item for item in node.body if getattr(item, "name", None) != "validate"
+                ]
+        read.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+    unread = [
+        f"{cls.__name__}.{f.name}"
+        for cls in owners
+        for f in dataclasses.fields(cls)
+        if f.name not in read
+    ]
+    assert unread == []

@@ -133,15 +133,12 @@ def test_final_bid_is_never_blank_or_accomplice():
         dict(shill_run_length=6),  # needs min_auction_bids >= 9
         dict(min_auction_bids=4, shill_run_length=2, max_auction_bids=10),
         dict(max_auction_bids=7),
-        dict(shill_entry_quantile=0.95),
         dict(bidder_pool=3),
         dict(thin_auction_rate=0.5, inconsistent_auction_rate=0.5,
              shill_fraction=0.5),
         dict(duration_weights={}),
         dict(duration_weights={0: 1}),
         dict(duration_weights={200: 1}),
-        dict(starting_price_low_cents=0),
-        dict(min_increment_cents=0),
     ],
 )
 def test_config_validation_rejects(kwargs):
