@@ -6,15 +6,20 @@ rows, stats summarizes a feature dataset, validate re-checks any
 output file.
 
 Exit codes: 0 success, 1 I/O failure, 2 bad input or configuration,
-3 broken invariant or out-of-range metric.
+3 broken invariant or out-of-range metric. A command writes each output
+as <path>.tmp and moves them all into place only once every one is
+written, so a failed run leaves no new or half-written file behind.
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import logging
+import os
 import sys
+from contextlib import contextmanager, suppress
 from datetime import datetime
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -56,6 +61,34 @@ from .preprocess import (
 from .synth import SynthConfig, write_corpus
 
 log = logging.getLogger(__name__)
+
+
+@contextmanager
+def _outputs():
+    """Yield staged: staged(path) is the .tmp file to write path's output to.
+
+    When the block ends, every output is moved into place with
+    os.replace; if it raises, or a path is a directory, none is and no
+    .tmp file is left.
+    """
+    moves: dict[str, str] = {}
+
+    def staged(path: str | Path) -> str:
+        moves[f"{path}.tmp"] = str(path)
+        return f"{path}.tmp"
+
+    try:
+        yield staged
+        for path in moves.values():
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    except BaseException:
+        for tmp in moves:
+            with suppress(OSError):
+                os.remove(tmp)
+        raise
+    for tmp, path in moves.items():
+        os.replace(tmp, path)
 
 
 def _write_json(payload: dict, path: str | Path) -> None:
@@ -104,16 +137,17 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         scanner = RawScanner(args.input, config.schema)
         auctions, report = run_pipeline(scanner, config)
 
-    # The pipeline checked these exact views as its final self-check.
-    write_preprocessed(auctions, args.out, validate=False)
-    payload = {"cleansing": report.to_dict()}
-    if scanner is not None:
-        payload["ingest"] = scanner.report.to_dict()
-        if scanner.report.rejections:
-            rejects_path = args.out + ".rejects.csv"
-            write_rejects(scanner.report, rejects_path)
-            payload["ingest"]["rejects_file"] = rejects_path
-    _write_json(payload, args.report or args.out + ".report.json")
+    with _outputs() as staged:
+        # The pipeline checked these exact views as its final self-check.
+        write_preprocessed(auctions, staged(args.out), validate=False)
+        payload = {"cleansing": report.to_dict()}
+        if scanner is not None:
+            payload["ingest"] = scanner.report.to_dict()
+            if scanner.report.rejections:
+                rejects_path = args.out + ".rejects.csv"
+                write_rejects(scanner.report, staged(rejects_path))
+                payload["ingest"]["rejects_file"] = rejects_path
+        _write_json(payload, staged(args.report or args.out + ".report.json"))
     print(
         f"kept {report.after.records} rows across {report.after.auctions} "
         f"auctions -> {args.out}"
@@ -130,14 +164,13 @@ def cmd_features(args: argparse.Namespace) -> int:
     # Views in auction-id order: the instances come in (auction_id,
     # bidder_id) order, the order of both output files.
     instances = build_sb_dataset(auctions, aggregates, jobs=args.jobs)
-    write_sb_dataset(instances, args.out)
-
-    if args.scores:
-        write_scores(instances, score, args.scores)
-
-    winners = {a.auction_id: winner_of(a).bidder_id for a in auctions}
-    stats = pattern_stats(instances, threshold=args.threshold, winners=winners)
-    _write_json(stats.to_dict(), args.report or args.out + ".report.json")
+    with _outputs() as staged:
+        write_sb_dataset(instances, staged(args.out))
+        if args.scores:
+            write_scores(instances, score, staged(args.scores))
+        winners = {a.auction_id: winner_of(a).bidder_id for a in auctions}
+        stats = pattern_stats(instances, threshold=args.threshold, winners=winners)
+        _write_json(stats.to_dict(), staged(args.report or args.out + ".report.json"))
     print(
         f"wrote {len(instances)} instances across {stats.total_auctions} "
         f"auctions -> {args.out}"
@@ -159,7 +192,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out = Path(args.out)
     truth = args.truth or str(out.with_name(out.stem + ".truth.csv"))
     defects = args.defects or str(out.with_name(out.stem + ".defects.json"))
-    rows, manifest = write_corpus(config, args.out, truth, defects)
+    with _outputs() as staged:
+        rows, manifest = write_corpus(config, staged(args.out), staged(truth), staged(defects))
     print(
         f"wrote {rows} raw rows for {args.auctions} auctions -> {args.out}\n"
         f"labels -> {truth}\n"
@@ -184,7 +218,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     stats = pattern_stats(instances, threshold=args.threshold, winners=winners)
     print(format_stats_table(stats))
     if args.report:
-        _write_json(stats.to_dict(), args.report)
+        with _outputs() as staged:
+            _write_json(stats.to_dict(), staged(args.report))
     return 0
 
 

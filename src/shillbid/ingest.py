@@ -9,10 +9,11 @@ dropped: they land in a SchemaReport and can be written to a
 longer than csv.field_size_limit(), is a ParseError naming the file
 and the row.
 
-A bid table is read in one streaming pass, bid_rows, which parses each
-auction's cells once; read_auctions and the preprocess re-cleanse
-consume it. read_preprocessed parses every row in full, on its own, and
-is the reference both are tested against.
+A bid table is read line by line in one pass, _bid_lines, which splits
+each line on commas and parses an auction's cells once; read_auctions
+and the preprocess re-cleanse consume it. A table with a line that
+split may not read as csv does goes to read_preprocessed, which parses
+every row in full and on its own: the reference both are tested against.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from decimal import Decimal, InvalidOperation
 from itertools import count
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import InvariantError, OutlierError, ParseError, SchemaError
 from .model import (
@@ -36,7 +37,7 @@ from .model import (
     Bid,
     BidRecord,
     SBInstance,
-    auction_view,
+    bid_sort_key,
     check_dataset,
     validate_dataset,
     views_ok,
@@ -98,27 +99,30 @@ def load_raw_schema(path: str | Path) -> dict[str, str]:
 
 
 _LAYOUT_NAMES = {PREPROCESSED_COLUMNS: "preprocessed", SB_COLUMNS: "SB dataset"}
+T = TypeVar("T")
 
 
 @contextmanager
 def _table(
-    path: str | Path, layout: tuple[str, ...] | None = None
-) -> Iterator[tuple[tuple[str, ...], Iterator[tuple[int, list[str]]]]]:
-    """Open a CSV table; yield its header and its (n, cells) data rows.
+    path: str | Path,
+    layout: tuple[str, ...] | None = None,
+    split: Callable[[Iterable[str]], Iterator] = csv.reader,
+) -> Iterator[tuple[tuple[str, ...], Iterator[tuple]]]:
+    """Open a CSV table; yield its header and its (n, row) data rows.
 
-    n counts data rows from 1. A leading byte-order mark is skipped
-    before the header is parsed, so its first cell may be quoted. The
-    header must exist, parse and, when a layout is given, be that
-    layout. A line the csv reader refuses is a ParseError naming the
-    file and the header or the row.
+    n counts data rows from 1; split makes rows of the lines: cells with
+    csv.reader, each line's text with iter. A leading byte-order mark is
+    skipped, so the header's first cell may be quoted. The header must
+    exist, parse and, when a layout is given, be that layout. A line the
+    csv reader refuses is a ParseError naming the file and header or row.
     """
     with open(path, "r", encoding="utf-8", newline="") as handle:
         # Skip a byte-order mark, as spreadsheet exports write one.
         if handle.read(1) != "\ufeff":
             handle.seek(0)
-        reader = csv.reader(handle)
         try:
-            header = tuple(next(reader))
+            # The header's reader takes its line alone from the file.
+            header = tuple(next(csv.reader(handle)))
         except StopIteration:
             raise SchemaError(f"{path}: empty file, no header row") from None
         except csv.Error as exc:
@@ -129,7 +133,7 @@ def _table(
             )
         numbers = count(1)
         try:
-            yield header, zip(numbers, reader)
+            yield header, zip(numbers, split(handle))
         except csv.Error as exc:
             # zip draws a row's number before the reader refuses its line.
             raise ParseError(f"{path}:row {next(numbers) - 1}: {exc}") from None
@@ -234,9 +238,7 @@ class SchemaReport:
             "accepted": self.accepted_count,
             "rejected": self.rejected_count,
             "missing_values": dict(self.missing_values),
-            "rejections": [
-                {"row": r.row, "reason": r.reason} for r in self.rejections
-            ],
+            "rejections": [{"row": r.row, "reason": r.reason} for r in self.rejections],
         }
 
 
@@ -266,9 +268,7 @@ class RawScanner:
                 raise SchemaError(
                     f"{self.path}: header is missing required columns: {', '.join(missing)}"
                 )
-            dupes = sorted(
-                name for name in required if columns.count(name) > 1
-            )
+            dupes = sorted(name for name in required if columns.count(name) > 1)
             if dupes:
                 raise SchemaError(
                     f"{self.path}: required columns appear more than once: {', '.join(dupes)}"
@@ -281,13 +281,8 @@ class RawScanner:
             accepted = 0
             for n, cells in rows:
                 if len(cells) != width:
-                    report.rejections.append(
-                        RejectedRow(
-                            row=n,
-                            reason=f"column count: expected {width}, got {len(cells)}",
-                            cells=tuple(cells),
-                        )
-                    )
+                    reason = f"column count: expected {width}, got {len(cells)}"
+                    report.rejections.append(RejectedRow(n, reason, tuple(cells)))
                     continue
                 accepted += 1
                 if "" in cells:
@@ -305,8 +300,7 @@ def read_raw(
 ) -> tuple[list[RawRecord], SchemaReport]:
     """Read a raw scrape CSV into records plus a SchemaReport."""
     scanner = RawScanner(path, schema)
-    records = list(scanner)
-    return records, scanner.report
+    return list(scanner), scanner.report
 
 
 def write_rejects(report: SchemaReport, path: str | Path) -> None:
@@ -407,82 +401,104 @@ def read_preprocessed(path: str | Path) -> list[BidRecord]:
 
     Every row is parsed in full and on its own, with no shared state, so
     this reader, with validate_dataset, is the reference that the
-    streaming pass of bid_rows is tested against.
+    line-level pass of _bid_lines is tested against.
     """
     with _table(path, PREPROCESSED_COLUMNS) as (_, rows):
         return [_parse_preprocessed_row(cells, f"{path}:row {n}") for n, cells in rows]
 
 
-def bid_rows(path: str | Path) -> Iterator[tuple[int, BidRecord, str, Decimal, int]]:
-    """Stream a bid table as (record_id, head, bidder_id, amount, time) rows.
+class _NotPlain(Exception):
+    """A bid table line that str.split may not read as the csv reader does."""
 
-    head is a BidRecord whose auction-level fields are the row's. The
-    first row of each auction_id text is parsed in full and is its own
-    head. A later row that repeats that row's seller and auction-level
-    cells as text shares its head, and only its record_id, bid_amount
-    and bid_submit_time_sec are parsed, each distinct amount text once.
-    Any other row is parsed in full and is its own head. Every seller
-    and bidder id text is one shared str. A row that does not parse
-    raises what read_preprocessed raises for it.
+
+def _bid_lines(path: str | Path) -> Iterator[tuple[tuple, Bid]]:
+    """Stream a bid table as one (head, bid) per row, splitting its lines.
+
+    head holds an AuctionView's auction fields. A row repeating the
+    seller and auction-level text of its auction_id text's first row
+    shares that row's head and has only its bid cells parsed; any other
+    is parsed in full, its own head. Each id and amount text is read
+    into one object. A row that does not parse raises what
+    read_preprocessed raises. A line that split may not read as csv does
+    (with a quote or a CR, longer than csv.field_size_limit(), blank,
+    ragged, or with no final LF) raises _NotPlain.
     """
-    width = len(PREPROCESSED_COLUMNS)
-    # auction_id text -> (seller text, auction-level cells, head)
-    firsts: dict[str, tuple[str, list[str], BidRecord]] = {}
+    limit = csv.field_size_limit()
+    commas = len(PREPROCESSED_COLUMNS) - 1
+    # auction_id text -> (seller text, auction-level text, head)
+    firsts: dict[str, tuple[str, str, tuple]] = {}
     amounts: dict[str, Decimal] = {}
     ids: dict[str, str] = {}
-    with _table(path, PREPROCESSED_COLUMNS) as (_, rows):
-        for n, cells in rows:
-            first = firsts.get(cells[1]) if len(cells) == width else None
-            if first is not None and cells[2] == first[0] and cells[6:] == first[1]:
-                try:
-                    record_id = int(cells[0])
-                    amount = amounts.get(cells[4])
-                    if amount is None:
-                        amount = amounts[cells[4]] = _parse_cents(
-                            cells[4], "bid_amount", ""
-                        )
-                    submitted = int(cells[5])
-                except (ValueError, ParseError):
-                    # Reparse the row in full for the exact error.
-                    _parse_preprocessed_row(cells, f"{path}:row {n}")
-                    raise
-                bidder = cells[3]
-                yield record_id, first[2], ids.setdefault(bidder, bidder), amount, submitted
+    with _table(path, PREPROCESSED_COLUMNS, iter) as (_, lines):
+        for n, line in lines:
+            if (
+                '"' in line or "\r" in line or len(line) > limit
+                or line.count(",") != commas or line[-1] != "\n"
+            ):
+                raise _NotPlain
+            record_id, aid, seller, bidder, amount, submitted, level = line.split(",", 6)
+            first = firsts.get(aid)
+            if first is not None and seller == first[0] and level == first[1]:
+                head = first[2]
             else:
-                # Share the seller and bidder id texts.
-                cells[2:4] = [ids.setdefault(text, text) for text in cells[2:4]]
-                head = _parse_preprocessed_row(cells, f"{path}:row {n}")
-                firsts.setdefault(cells[1], (cells[2], cells[6:], head))
-                yield (
-                    head.record_id, head, head.bidder_id, head.bid_amount,
-                    head.bid_submit_time_sec,
+                cells = line[:-1].split(",")
+                rec = _parse_preprocessed_row(cells, f"{path}:row {n}")
+                head = (
+                    rec.auction_id, ids.setdefault(seller, seller), rec.num_bidders,
+                    rec.num_bids, amounts.setdefault(cells[8], rec.starting_price),
+                    amounts.setdefault(cells[9], rec.winning_bid),
+                    rec.auction_duration_sec, rec.start_time_sec, rec.end_time_sec,
                 )
+                firsts.setdefault(aid, (seller, level, head))
+            try:
+                value = amounts.get(amount)
+                if value is None:
+                    value = amounts[amount] = _parse_cents(amount, "bid_amount", "")
+                bid = Bid(ids.setdefault(bidder, bidder), value, int(submitted), int(record_id))
+            except (ValueError, ParseError):
+                # Reparse the row in full for the exact error.
+                _parse_preprocessed_row(line[:-1].split(","), f"{path}:row {n}")
+                raise
+            yield head, bid
 
 
-def _stream_auctions(path: str | Path) -> list[AuctionView] | None:
-    """The one streaming pass of read_auctions, over bid_rows.
+def read_bid_table(path: str | Path, take: Callable[..., T], reference: Callable[..., T]) -> T:
+    """take's result on the (head, bid) rows of _bid_lines, as they are read.
 
-    A row that does not parse raises what bid_rows raises, the
-    reference's error. Returns None as soon as the table holds anything
-    else it does not take as-is; read_auctions then runs the reference
-    path, which finds and reports it.
+    If take returns None, or the table holds a line that _bid_lines
+    leaves to the csv reader, reference's on read_preprocessed(path).
+    """
+    try:
+        result = take(_bid_lines(path))
+    except _NotPlain:
+        result = None
+    return reference(read_preprocessed(path)) if result is None else result
+
+
+def _checked_views(rows: Iterable[tuple[tuple, Bid]]) -> list[AuctionView] | None:
+    """The views of (head, bid) rows if each auction has one head and
+    model.views_ok passes them, else None. Bids whose times strictly
+    fall are in bid_sort_key order already; others are sorted.
     """
     # auction_id -> (head, bids)
-    auctions: dict[int, tuple[BidRecord, list[Bid]]] = {}
+    auctions: dict[int, tuple[tuple, list[Bid]]] = {}
     current = None
-    for record_id, head, bidder, amount, submitted in bid_rows(path):
+    for head, bid in rows:
         if head is not current:
-            # An auction's rows usually arrive together: look it up
-            # only when the auction changes.
             current = head
-            entry = auctions.setdefault(head.auction_id, (head, []))
+            entry = auctions.setdefault(head[0], (head, []))
             if entry[0] is not head:
                 # Auction-level text that differs from the auction's
                 # first row, or a second spelling of its id ("01").
                 return None
             bids = entry[1]
-        bids.append(Bid(bidder, amount, submitted, record_id))
-    views = [auction_view(*auctions[aid]) for aid in sorted(auctions)]
+        bids.append(bid)
+    views = []
+    for head, bids in map(auctions.pop, sorted(auctions)):
+        times = [bid.bid_submit_time_sec for bid in bids]
+        if times != sorted(set(times), reverse=True):
+            bids.sort(key=bid_sort_key)
+        views.append(AuctionView(*head, tuple(bids)))
     return views if views_ok(views) else None
 
 
@@ -490,21 +506,12 @@ def read_auctions(path: str | Path) -> list[AuctionView]:
     """Read a bid table into checked auction views in one streaming pass.
 
     Returns exactly what validate_dataset(read_preprocessed(path))
-    returns, without building a BidRecord per row or regrouping the
-    rows. The rows come from bid_rows; every row of an auction must
-    share the head of the auction's first row. The views are then
-    checked with model.views_ok, check_dataset's own test. A row that
-    does not parse (a ragged row, a cell that does not parse, a line
-    the csv reader refuses) raises the reference's ParseError from
-    bid_rows. Any other table this pass does not take as-is
-    (auction-level text that differs, any broken rule, ids that are not
-    dense or not in the pipeline's order) goes through the reference
-    path, so every result, error text and type is the reference's.
+    returns. A row that does not parse raises the reference's ParseError
+    once it is read. A table that read_bid_table or _checked_views does
+    not take as-is goes through the reference, so every result, error
+    text and type is the reference's.
     """
-    views = _stream_auctions(path)
-    if views is None:
-        views = validate_dataset(read_preprocessed(path))
-    return views
+    return read_bid_table(path, _checked_views, validate_dataset)
 
 
 def check_sb_dataset(instances: Sequence[SBInstance]) -> bool:
@@ -589,24 +596,16 @@ def read_sb_dataset(path: str | Path) -> list[SBInstance]:
     with _table(path, SB_COLUMNS) as (_, rows):
         for n, cells in rows:
             if len(cells) != width:
-                raise ParseError(
-                    f"{path}:row {n}: expected {width} cells, got {len(cells)}"
-                )
+                raise ParseError(f"{path}:row {n}: expected {width} cells, got {len(cells)}")
             try:
-                instances.append(
-                    SBInstance(int(cells[0]), cells[1], *map(float, cells[2:]))
-                )
+                instances.append(SBInstance(int(cells[0]), cells[1], *map(float, cells[2:])))
             except ValueError:
-                _raise_sb_cell_error(cells, f"{path}:row {n}")
+                # Name the first cell that does not parse: a metric, else the id.
+                for text in cells[2:]:
+                    try:
+                        float(text)
+                    except ValueError:
+                        raise ParseError(f"{path}:row {n}: metric cell is not a number") from None
+                _parse_int(cells[0], "auction_id", f"{path}:row {n}")
                 raise
     return instances
-
-
-def _raise_sb_cell_error(cells: Sequence[str], where: str) -> None:
-    """Raise the ParseError for the first feature-table cell that does not parse."""
-    for text in cells[2:]:
-        try:
-            float(text)
-        except ValueError:
-            raise ParseError(f"{where}: metric cell is not a number") from None
-    _parse_int(cells[0], "auction_id", where)

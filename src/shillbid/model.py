@@ -189,17 +189,12 @@ def _check_group(auction_id: int, rows: list[BidRecord]) -> None:
 _auction_fields = attrgetter(*_AUCTION_LEVEL)
 
 
-def auction_view(head: BidRecord, bids: Iterable[Bid]) -> AuctionView:
-    """The view of head's auction holding bids, in canonical order."""
+def _auction_view(rows: list[BidRecord]) -> AuctionView:
+    """The view of one auction's rows, its bids in canonical order."""
+    bids = (Bid(r.bidder_id, r.bid_amount, r.bid_submit_time_sec, r.record_id) for r in rows)
+    head = rows[0]
     return AuctionView(
         head.auction_id, *_auction_fields(head), tuple(sorted(bids, key=bid_sort_key))
-    )
-
-
-def _auction_view(rows: list[BidRecord]) -> AuctionView:
-    return auction_view(
-        rows[0],
-        (Bid(r.bidder_id, r.bid_amount, r.bid_submit_time_sec, r.record_id) for r in rows),
     )
 
 

@@ -16,11 +16,11 @@ The row pass is written once and shared by both input layouts.
 run_pipeline feeds it raw scrape rows projected to the logical fields,
 parsing date, clock and money text only for rows that survive to be
 grouped. run_pipeline_table feeds it the typed rows of a bid table as
-ingest.bid_rows streams them, and run_pipeline_records the fields of
-typed records. reconcile_counts and assign_identifiers have their own
-unit tests. The row pass is tested as a whole: the golden files pin its
-bytes, and the removal counts are checked against the defect manifest
-of a synthetic corpus.
+ingest.read_bid_table streams them, line by line, and
+run_pipeline_records the fields of typed records. reconcile_counts and
+assign_identifiers have their own unit tests. The row pass is tested as
+a whole: the golden files pin its bytes, and the removal counts are
+checked against the defect manifest of a synthetic corpus.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .ingest import DEFAULT_RAW_SCHEMA, LOGICAL_FIELDS, RawRecord, bid_rows
+from .ingest import DEFAULT_RAW_SCHEMA, LOGICAL_FIELDS, RawRecord, read_bid_table
 from .model import (
     CENT, PREPROCESSED_COLUMNS, AuctionView, Bid, BidRecord, auction_ok, check_dataset,
 )
@@ -723,7 +723,6 @@ def run_pipeline(
 _record_cells = attrgetter(*PREPROCESSED_COLUMNS[1:])
 _R = {name: i for i, name in enumerate(PREPROCESSED_COLUMNS[1:])}
 _record_bid = itemgetter(_R["bid_submit_time_sec"], _R["bid_amount"], _R["bidder_id"])
-_head_level = attrgetter(*PREPROCESSED_COLUMNS[6:])
 
 
 def _record_auction(cells: tuple) -> ParsedAuction:
@@ -768,17 +767,20 @@ def run_pipeline_table(
 ) -> tuple[list[AuctionView], CleansingReport]:
     """Re-run the cleansing chain over a bid table file, in one stream.
 
-    Each row of ingest.bid_rows enters the row pass as the tuple that
-    run_pipeline_records makes of its record, with no record built, so
-    the result is run_pipeline_records(read_preprocessed(path), config).
-    The one difference is the order of errors: the table is not read
-    whole first, so an auction-level disagreement raises before a cell
-    that does not parse in a later row.
+    Each row that ingest.read_bid_table reads enters the row pass as the
+    tuple that run_pipeline_records makes of its record, with no record
+    built, so the result is run_pipeline_records(read_preprocessed(path),
+    config), which runs instead on a table read_bid_table leaves to the
+    reference. The one difference is the order of errors: the table is
+    not read whole first, so an auction-level disagreement raises before
+    a cell that does not parse in a later row.
     """
-    return _run_typed(
-        (
-            (head.auction_id, head.seller_id, bidder, amount, submitted, *_head_level(head))
-            for _, head, bidder, amount, submitted in bid_rows(path)
+    return read_bid_table(
+        path,
+        lambda rows: _run_typed(
+            ((h[0], h[1], b.bidder_id, b.bid_amount, b.bid_submit_time_sec, *h[2:])
+             for h, b in rows),
+            config,
         ),
-        config,
+        lambda records: run_pipeline_records(records, config),
     )

@@ -1,4 +1,5 @@
 """End-to-end command-line behavior and exit codes."""
+import contextlib
 import csv
 import functools
 import gc
@@ -244,6 +245,25 @@ def test_features_rejects_bad_threshold_before_writing(chain, capsys):
         assert not path.exists(), path
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["preprocess", "--in", "corpus.csv", "--out", "clean2.csv", "--report", "taken"],
+        ["features", "--in", "clean.csv", "--out", "sb2.csv", "--scores", "taken"],
+    ],
+    ids=["preprocess-report", "features-scores"],
+)
+def test_a_failed_run_leaves_no_new_output(chain, capsys, monkeypatch, command):
+    # The last output's path is a directory, so the run fails after its
+    # other outputs are written: none of them, and no .tmp, may be left.
+    (chain / "taken").mkdir()
+    before = sorted(chain.iterdir())
+    monkeypatch.chdir(chain)
+    assert run(*command) == 1
+    assert "Is a directory: 'taken'" in capsys.readouterr().err
+    assert sorted(chain.iterdir()) == before
+
+
 def test_unknown_header_exits_2(tmp_path, capsys):
     path = tmp_path / "odd.csv"
     path.write_text("a,b\n1,2\n", encoding="utf-8")
@@ -369,49 +389,73 @@ def _small_raw_corpus():
     return header, rows
 
 
+def _write_rows(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    return path
+
+
+@functools.cache
+def _small_bid_table():
+    """Header and rows of the bid table preprocess writes from the small corpus."""
+    with tempfile.TemporaryDirectory() as tmp:
+        source = _write_rows(Path(tmp) / "corpus.csv", *_small_raw_corpus())
+        clean = Path(tmp) / "clean.csv"
+        assert main(["preprocess", "--in", str(source), "--out", str(clean)]) == 0
+        with open(clean, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+    return header, rows
+
+
 _EDIT_TEXTS = ["\x00", "\u0663", "\x1f", "9" * 40, "-5", "-5.00 $"]
+# Huge and negative amounts as a bid table writes money.
+_TABLE_EDIT_TEXTS = _EDIT_TEXTS[:-1] + ["-5.00", "9" * 40 + ".00"]
+_EDIT_KINDS = ["bom", "replace", "append", "huge-part", "swap"]
 
 
 @st.composite
-def raw_edits(draw):
-    """1-3 edits of the small corpus, as (kind, row, whole_auction, column, text).
+def cell_edits(draw, table, texts):
+    """1-3 edits of table()'s rows, as (kind, row, whole_auction, column, text).
 
     An edit puts a BOM at the start of the file; replaces, or appends
-    to, a cell with a listed text; sets one part of a date or clock to
-    99999999999; or swaps the start and end dates. whole_auction makes
-    it touch every row of the row's auction, not just the row.
+    to, a cell with one of texts; sets one part of a raw date or clock
+    to 99999999999; or swaps the start and end. whole_auction makes it
+    touch every row of the row's auction, not just the row.
     """
-    header, rows = _small_raw_corpus()
+    header, rows = table()
     when = [name for name in header if name.endswith(("Date", "Time"))]
+    kinds = [kind for kind in _EDIT_KINDS if when or kind != "huge-part"]
     edits = []
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["bom", "replace", "append", "huge-part", "swap"]))
+        kind = draw(st.sampled_from(kinds))
         row = draw(st.integers(0, len(rows) - 1))
         whole_auction = kind == "swap" or draw(st.booleans())
         if kind == "huge-part":
             column, text = draw(st.sampled_from(when)), draw(st.integers(0, 2))
         else:
-            column, text = draw(st.sampled_from(header)), draw(st.sampled_from(_EDIT_TEXTS))
+            column, text = draw(st.sampled_from(header)), draw(st.sampled_from(texts))
         edits.append((kind, row, whole_auction, column, text))
     return edits
 
 
-def _apply_raw_edits(edits):
-    """The small corpus's header and rows with edits applied."""
-    names, rows = _small_raw_corpus()
+def _apply_edits(table, key, start, end, edits):
+    """table()'s header and rows with edits applied.
+
+    key names the column that tells auctions apart; a swap exchanges
+    the start and end columns.
+    """
+    names, rows = table()
     header, rows = list(names), [list(cells) for cells in rows]
-    url_at = names.index(DEFAULT_RAW_SCHEMA["auction_url"])
-    start = names.index(DEFAULT_RAW_SCHEMA["start_date"])
-    end = names.index(DEFAULT_RAW_SCHEMA["end_date"])
+    key_at, start_at, end_at = map(names.index, (key, start, end))
     for kind, row, whole_auction, column, text in edits:
         if kind == "bom":
             header[0] = "\ufeff" + header[0].lstrip("\ufeff")
             continue
         picked = rows[row]
-        targets = [c for c in rows if c[url_at] == picked[url_at]] if whole_auction else [picked]
+        targets = [c for c in rows if c[key_at] == picked[key_at]] if whole_auction else [picked]
         if kind == "swap":
             for cells in targets:
-                cells[start], cells[end] = cells[end], cells[start]
+                cells[start_at], cells[end_at] = cells[end_at], cells[start_at]
             continue
         at = names.index(column)
         if kind == "huge-part":
@@ -424,22 +468,46 @@ def _apply_raw_edits(edits):
     return header, rows
 
 
+def _check_never_exits_3(name, header, rows):
+    """preprocess --min-bids 1 on the rows exits 0, then features on its
+    output exits 0 too, or exits 2 with an error line, never a traceback.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        source = _write_rows(Path(tmp) / name, header, rows)
+        clean = Path(tmp) / "clean.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["preprocess", "--in", str(source), "--out", str(clean), "--min-bids", "1"])
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+        else:
+            assert main(["features", "--in", str(clean), "--out", str(Path(tmp) / "sb.csv")]) == 0
+
+
+_RAW_AUCTION_COLUMNS = [DEFAULT_RAW_SCHEMA[name] for name in ("auction_url", "start_date", "end_date")]
+
+
 @settings(max_examples=500, deadline=None)
-@given(raw_edits())
+@given(cell_edits(_small_raw_corpus, _EDIT_TEXTS))
 def test_an_edited_raw_corpus_never_exits_3(edits):
     # Whatever the edits do, preprocess cleans the corpus or refuses a
     # cell it cannot read, and never raises; what it writes, features
     # reads. --min-bids 1 keeps every edited auction in play.
-    header, rows = _apply_raw_edits(edits)
-    with tempfile.TemporaryDirectory() as tmp:
-        source = Path(tmp) / "corpus.csv"
-        with open(source, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
-        clean = Path(tmp) / "clean.csv"
-        code = main(["preprocess", "--in", str(source), "--out", str(clean), "--min-bids", "1"])
-        assert code in (0, 2)
-        if code == 0:
-            assert main(["features", "--in", str(clean), "--out", str(Path(tmp) / "sb.csv")]) == 0
+    _check_never_exits_3(
+        "corpus.csv", *_apply_edits(_small_raw_corpus, *_RAW_AUCTION_COLUMNS, edits)
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(cell_edits(_small_bid_table, _TABLE_EDIT_TEXTS))
+def test_an_edited_bid_table_never_exits_3(edits):
+    # A hand-edited bid table is input, not the package's own data: the
+    # re-cleanse drops or refuses what it cannot keep, and never exits 3.
+    _check_never_exits_3(
+        "table.csv",
+        *_apply_edits(_small_bid_table, "auction_id", "start_time_sec", "end_time_sec", edits),
+    )
 
 
 _GOLDEN_RAW = Path(__file__).parent / "golden" / "raw_corpus.csv"

@@ -477,6 +477,23 @@ def test_read_auctions_groups_interleaved_rows(tmp_path, monkeypatch):
     assert views_outcome(lambda: one_pass(monkeypatch, path)) == expected
 
 
+def test_read_auctions_orders_bids_the_file_holds_out_of_order(tmp_path, monkeypatch):
+    # Each auction's rows in reverse: the one pass sorts them back.
+    rows = base_rows()
+    path = tmp_path / "clean.csv"
+    write_csv(path, PREPROCESSED_COLUMNS, rows[4::-1] + rows[7:4:-1] + rows[:7:-1])
+    expected = reference_outcome(path)
+    assert expected[0] == "ok"
+    assert views_outcome(lambda: one_pass(monkeypatch, path)) == expected
+    # Row 4's time ties row 1's: ordered by time, then amount, record 4
+    # comes second although the record ids ascend in the file.
+    rows[3][5] = rows[0][5]
+    write_csv(path, PREPROCESSED_COLUMNS, rows)
+    expected = reference_outcome(path)
+    assert expected[0] == "ok"
+    assert views_outcome(lambda: read_auctions(path)) == expected
+
+
 def test_read_auctions_merges_auction_ids_1_and_01(tmp_path):
     # int() reads both texts as auction 1, so the reference groups them.
     rows = base_rows()
@@ -615,6 +632,98 @@ def test_read_auctions_matches_the_reference(rows):
         path = Path(tmp) / "clean.csv"
         write_csv(path, PREPROCESSED_COLUMNS, rows)
         assert views_outcome(lambda: read_auctions(path)) == reference_outcome(path)
+
+
+def _csv_line(cells):
+    """cells as one LF-ended row, each quoted as the package's writers quote it."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+    return buffer.getvalue()[:-2] + "\n"
+
+
+def _table_bytes(rows):
+    return "".join(map(_csv_line, [PREPROCESSED_COLUMNS, *rows])).encode("utf-8")
+
+
+def _renamed(old, new):
+    """The base table with the id old, of auction 2 mid-file, spelled new."""
+    return lambda: _table_bytes(
+        [[new if cell == old else cell for cell in row] for row in base_rows()]
+    )
+
+
+def _edited(column, value):
+    def make():
+        rows = base_rows()
+        rows[6][column] = value
+        return _table_bytes(rows)
+    return make
+
+
+def _ragged(width):
+    def make():
+        rows = base_rows()
+        rows[6] = (rows[6] + ["1"])[:width]
+        return _table_bytes(rows)
+    return make
+
+
+def _blank_line():
+    lines = _table_bytes(base_rows()).splitlines(keepends=True)
+    return b"".join(lines[:7] + [b"\n"] + lines[7:])
+
+
+_LIMIT = csv.field_size_limit()
+
+# (how the table is made, what the reference makes of it, whether the
+# line-level pass leaves the table to the reference)
+_TABLES_THE_SPLIT_REFUSES_OR_REJECTS = {
+    "comma-in-id": (_renamed("b3", "b,3"), "ok", True),
+    "quote-in-id": (_renamed("b3", 'b"3'), "ok", True),
+    "cr-in-id": (_renamed("b3", "b\r3"), "ok", True),
+    "lf-in-id": (_renamed("b3", "b\n3"), "ok", True),
+    "line-over-field-limit": (_renamed("b3", "b" * _LIMIT), "ok", True),
+    "cell-over-field-limit": (_renamed("b3", "b" * (_LIMIT + 1)), "ParseError", True),
+    "blank-line": (_blank_line, "ParseError", True),
+    "short-row": (_ragged(12), "ParseError", True),
+    "long-row": (_ragged(14), "ParseError", True),
+    "no-final-newline": (lambda: _table_bytes(base_rows())[:-1], "ok", True),
+    "crlf-line-ends": (lambda: _table_bytes(base_rows()).replace(b"\n", b"\r\n"), "ok", True),
+    "not-utf8": (
+        lambda: _table_bytes(base_rows()).replace(b"b3", b"b\xff", 1), "UnicodeDecodeError", False
+    ),
+    "bom": (lambda: b"\xef\xbb\xbf" + _table_bytes(base_rows()), "ok", False),
+    "amount-lots": (_edited(4, "lots"), "ParseError", False),
+    "amount-snan": (_edited(4, "sNaN"), "ParseError", False),
+    "amount-huge-exponent": (_edited(4, "1e999999999999999999"), "ParseError", False),
+}
+
+
+@pytest.mark.parametrize(
+    "make, kind, refused",
+    list(_TABLES_THE_SPLIT_REFUSES_OR_REJECTS.values()),
+    ids=list(_TABLES_THE_SPLIT_REFUSES_OR_REJECTS),
+)
+def test_a_table_the_split_refuses_or_rejects_reads_like_the_reference(
+    tmp_path, monkeypatch, make, kind, refused
+):
+    path = tmp_path / "clean.csv"
+    path.write_bytes(make())
+    expected = reference_outcome(path)
+    assert expected[0] == kind, expected
+    records = views_outcome(lambda: run_pipeline_records(read_preprocessed(path)))
+    calls = []
+
+    def spy(path):
+        calls.append(path)
+        return read_preprocessed(path)
+
+    monkeypatch.setattr("shillbid.ingest.read_preprocessed", spy)
+    assert views_outcome(lambda: read_auctions(path)) == expected
+    assert views_outcome(lambda: run_pipeline_table(path)) == records
+    # A refused table goes to the reference; any other is read, or
+    # rejected with the reference's error, in the one pass.
+    assert calls == ([path, path] if refused else [])
 
 
 # --- re-cleansing a bid table ------------------------------------------------

@@ -25,8 +25,8 @@ from shillbid.errors import (
 from shillbid.ingest import (
     DEFAULT_RAW_SCHEMA,
     RawScanner,
+    _bid_lines,
     _parse_cents,
-    bid_rows,
     read_preprocessed,
     write_preprocessed,
 )
@@ -296,7 +296,7 @@ _CELLS = st.one_of(
 @given(st.lists(_CELLS, min_size=1, max_size=4))
 def test_read_preprocessed_money_cells_match_parse_cents(texts):
     # Row 1 opens the auction; each later row shares its auction-level
-    # cells, so bid_rows parses only its bid cells, amounts through its
+    # cells, so _bid_lines parses only its bid cells, amounts through its
     # cache. read_preprocessed parses every cell of every row.
     first = ["1", "1", "s1", "alice", "18.00", "150000", "2", "3",
              "5.00", "20.00", "432000", "532000", "100000"]
@@ -321,12 +321,14 @@ def test_read_preprocessed_money_cells_match_parse_cents(texts):
         assert expected[0] in ("ok", "ParseError"), expected
         actual = _outcome(lambda: [str(r.bid_amount) for r in read_preprocessed(path)])
         assert actual == expected
-        assert _outcome(lambda: [str(row[3]) for row in bid_rows(path)]) == expected
+        assert _outcome(
+            lambda: [str(bid.bid_amount) for _, bid in _bid_lines(path)]
+        ) == expected
         if expected[0] == "ok":
-            streamed = list(bid_rows(path))
-            for a, b in zip(streamed[1:], streamed[1 + len(texts):]):
-                assert a[3] is b[3]  # one Decimal per amount text
-                assert a[1] is streamed[0][1]  # one head per auction
+            streamed = list(_bid_lines(path))
+            for (head, a), (_, b) in zip(streamed[1:], streamed[1 + len(texts):]):
+                assert a.bid_amount is b.bid_amount  # one Decimal per amount text
+                assert head is streamed[0][0]  # one head per auction
 
 
 # --- record-list stages -----------------------------------------------------
