@@ -9,6 +9,17 @@ dropped: they land in a SchemaReport and can be written to a
 longer than csv.field_size_limit(), is a ParseError naming the file
 and the row.
 
+A raw scrape reaches the pipeline through RawScanner.pairs, which
+parses each auction's cells once. The text before the first bid column
+repeats on every row of an auction, so a line that starts with the
+prefix of the line before it shares that line's head and has only its
+rest split on commas. A line without such a prefix, or whose rest holds
+a quote or a CR, has the wrong cell count or another auction cell, and
+a line over the field limit or without a final LF, goes to one
+csv.reader, which numbers rows as csv records. Iterating a RawScanner
+reads every row with csv.reader into a RawRecord: read_raw, the
+reference the prefix path is tested against.
+
 A bid table is read line by line in one pass, _bid_lines, which splits
 each line on commas and parses an auction's cells once; read_auctions
 and the preprocess re-cleanse consume it. A table with a line that
@@ -23,7 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from itertools import count
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -198,17 +209,6 @@ class RawRecord(Mapping[str, str]):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RawRecord({dict(self)!r})"
 
-    def project(self, pick: Callable[[tuple[str, ...]], tuple[str, ...]]) -> tuple[str, ...]:
-        """Apply pick, an operator.itemgetter over cell positions, to the cells.
-
-        The fast path for bulk pipelines: one C call per row.
-        """
-        return pick(self._values)
-
-    @property
-    def index(self) -> dict[str, int]:
-        return self._index
-
 
 @dataclass(frozen=True, slots=True)
 class RejectedRow:
@@ -223,9 +223,12 @@ class SchemaReport:
 
     columns: tuple[str, ...] = ()
     row_count: int = 0
-    accepted_count: int = 0
     missing_values: dict[str, int] = field(default_factory=dict)
     rejections: list[RejectedRow] = field(default_factory=list)
+
+    @property
+    def accepted_count(self) -> int:
+        return self.row_count - len(self.rejections)
 
     @property
     def rejected_count(self) -> int:
@@ -242,10 +245,17 @@ class SchemaReport:
         }
 
 
+# A raw row as a (head, bid) pair: the logical cells of its auction and
+# of its bid. The bidder comes last, where the bid-table layout has it.
+BID_FIELDS = ("bid_date", "bid_time", "bid_amount", "bidder_id")
+HEAD_FIELDS = tuple(name for name in LOGICAL_FIELDS if name not in BID_FIELDS)
+
+
 class RawScanner:
     """Streams accepted rows of a raw CSV while building a SchemaReport.
 
-    Iterate it once; afterwards .report holds the final accounting.
+    Iterate it once, as RawRecords or through pairs(); afterwards
+    .report holds the final accounting.
     """
 
     def __init__(self, path: str | Path, schema: Mapping[str, str] | None = None):
@@ -254,14 +264,13 @@ class RawScanner:
         self.report = SchemaReport()
         self._consumed = False
 
-    def __iter__(self) -> Iterator[RawRecord]:
+    @contextmanager
+    def _scan(self, split: Callable[[Iterable[str]], Iterator]):
+        """_table over the file, once its header holds each schema column once."""
         if self._consumed:
             raise RuntimeError("RawScanner can only be iterated once")
         self._consumed = True
-        with _table(self.path) as (columns, rows):
-            index: dict[str, int] = {}
-            for pos, name in enumerate(columns):
-                index.setdefault(name, pos)
+        with _table(self.path, split=split) as (columns, rows):
             required = set(self.schema.values())
             missing = sorted(required - set(columns))
             if missing:
@@ -273,26 +282,107 @@ class RawScanner:
                 raise SchemaError(
                     f"{self.path}: required columns appear more than once: {', '.join(dupes)}"
                 )
-            report = self.report
-            report.columns = columns
-            misses = dict.fromkeys(columns, 0)
-            width = len(columns)
-            n = 0
-            accepted = 0
+            self.report.columns = columns
+            self.report.missing_values = dict.fromkeys(columns, 0)
+            yield columns, rows
+
+    def _accept(self, n: int, cells: list[str]) -> bool:
+        """Count csv record n, cells, into the report; whether it is whole."""
+        report = self.report
+        report.row_count = n
+        if len(cells) != len(report.columns):
+            reason = f"column count: expected {len(report.columns)}, got {len(cells)}"
+            report.rejections.append(RejectedRow(n, reason, tuple(cells)))
+            return False
+        if "" in cells:
+            for name, text in zip(report.columns, cells):
+                if not text:
+                    report.missing_values[name] += 1
+        return True
+
+    def __iter__(self) -> Iterator[RawRecord]:
+        """Each accepted row as a RawRecord, every row read by csv.reader."""
+        with self._scan(csv.reader) as (columns, rows):
+            index: dict[str, int] = {}
+            for pos, name in enumerate(columns):
+                index.setdefault(name, pos)
             for n, cells in rows:
-                if len(cells) != width:
-                    reason = f"column count: expected {width}, got {len(cells)}"
-                    report.rejections.append(RejectedRow(n, reason, tuple(cells)))
-                    continue
-                accepted += 1
-                if "" in cells:
-                    for pos, value in enumerate(cells):
-                        if not value:
-                            misses[columns[pos]] += 1
-                yield RawRecord(columns, index, tuple(cells))
-            report.row_count = n
-            report.accepted_count = accepted
-            report.missing_values = misses
+                if self._accept(n, cells):
+                    yield RawRecord(columns, index, tuple(cells))
+
+    def pairs(self) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+        """Each accepted row as (head, bid), its HEAD_FIELDS and BID_FIELDS cells.
+
+        A line's prefix is its text before the first column of a bid
+        field, its rest the text after. A line that starts with the first
+        cell of the line before, a record of its own with a plain rest,
+        takes that line's head and prefix; each later line with the
+        prefix shares the head and has only its rest split on commas,
+        unless the rest holds a quote or a CR, has the wrong cell count
+        or another head cell, or the line is longer than
+        csv.field_size_limit() or has no final LF. Any other line goes to
+        one csv.reader, so rows are numbered as csv records and the report
+        is what iterating RawRecords makes.
+        """
+        with self._scan(iter) as (columns, lines):
+            at = {name: columns.index(self.schema[name]) for name in LOGICAL_FIELDS}
+            cut = min(at[name] for name in BID_FIELDS)
+            full_head = itemgetter(*(at[name] for name in HEAD_FIELDS))
+            full_bid = itemgetter(*(at[name] for name in BID_FIELDS))
+            rest_bid = itemgetter(*(at[name] - cut for name in BID_FIELDS))
+            # Head cells in the rest, which each line must repeat.
+            late = [at[name] - cut for name in HEAD_FIELDS if at[name] > cut]
+            rest_late = itemgetter(*late) if late else None
+            rest_width, limit = len(columns) - cut, csv.field_size_limit()
+            misses = self.report.missing_values
+            # The reader takes the line handed to it, then, for a record
+            # that spans lines, the file's next ones.
+            pending: list[str] = []
+            reader = csv.reader(
+                iter(lambda: pending.pop() if pending else next(lines, (0, None))[1], None)
+            )
+            # No line starts with two LFs, so none has this first prefix.
+            prefix, size, head, head_late, blank, last, n = "\n\n", 0, None, None, (), None, 0
+            for _, line in lines:
+                n += 1
+                if last is not None:
+                    if line.startswith(last[0]) and not line.startswith(prefix):
+                        # The last line's prefix ends at its rest_width-th
+                        # comma from the end, if no quote is after that comma.
+                        text = last_line.rsplit(",", rest_width)[0] + ","
+                        if '"' not in last_line[len(text):]:
+                            prefix, size, head = text, len(text), last_head
+                            head_late = rest_late(last[cut:]) if late else None
+                            blank = [name for name, cell in zip(columns, last[:cut]) if not cell]
+                    last = None
+                if line.startswith(prefix) and line[-1] == "\n":
+                    rest = line[size:-1]
+                    cells = rest.split(",")
+                    if (
+                        len(cells) == rest_width and '"' not in rest and "\r" not in rest
+                        and len(rest) <= limit and (not late or rest_late(cells) == head_late)
+                    ):
+                        for name in blank:
+                            misses[name] += 1
+                        if "" in cells:
+                            for name, text in zip(columns[cut:], cells):
+                                if not text:
+                                    misses[name] += 1
+                        yield head, rest_bid(cells)
+                        continue
+                pending.append(line)
+                read = reader.line_num
+                try:
+                    cells = next(reader)
+                except csv.Error as exc:
+                    raise ParseError(f"{self.path}:row {n}: {exc}") from None
+                if self._accept(n, cells):
+                    own = full_head(cells)
+                    if cut and reader.line_num == read + 1:
+                        # A record on one line: the next line may share its prefix.
+                        last, last_line, last_head = cells, line, own
+                    yield own, full_bid(cells)
+            self.report.row_count = n
 
 
 def read_raw(
@@ -411,10 +501,13 @@ class _NotPlain(Exception):
     """A bid table line that str.split may not read as the csv reader does."""
 
 
-def _bid_lines(path: str | Path) -> Iterator[tuple[tuple, Bid]]:
+def _bid_lines(
+    path: str | Path, make_bid: Callable[[str, Decimal, int, int], T] = Bid
+) -> Iterator[tuple[tuple, T]]:
     """Stream a bid table as one (head, bid) per row, splitting its lines.
 
-    head holds an AuctionView's auction fields. A row repeating the
+    head holds an AuctionView's auction fields; bid is make_bid(bidder_id,
+    bid_amount, bid_submit_time_sec, record_id). A row repeating the
     seller and auction-level text of its auction_id text's first row
     shares that row's head and has only its bid cells parsed; any other
     is parsed in full, its own head. Each id and amount text is read
@@ -454,7 +547,9 @@ def _bid_lines(path: str | Path) -> Iterator[tuple[tuple, Bid]]:
                 value = amounts.get(amount)
                 if value is None:
                     value = amounts[amount] = _parse_cents(amount, "bid_amount", "")
-                bid = Bid(ids.setdefault(bidder, bidder), value, int(submitted), int(record_id))
+                bid = make_bid(
+                    ids.setdefault(bidder, bidder), value, int(submitted), int(record_id)
+                )
             except (ValueError, ParseError):
                 # Reparse the row in full for the exact error.
                 _parse_preprocessed_row(line[:-1].split(","), f"{path}:row {n}")
@@ -462,14 +557,19 @@ def _bid_lines(path: str | Path) -> Iterator[tuple[tuple, Bid]]:
             yield head, bid
 
 
-def read_bid_table(path: str | Path, take: Callable[..., T], reference: Callable[..., T]) -> T:
+def read_bid_table(
+    path: str | Path,
+    take: Callable[..., T],
+    reference: Callable[..., T],
+    make_bid: Callable[[str, Decimal, int, int], object] = Bid,
+) -> T:
     """take's result on the (head, bid) rows of _bid_lines, as they are read.
 
     If take returns None, or the table holds a line that _bid_lines
     leaves to the csv reader, reference's on read_preprocessed(path).
     """
     try:
-        result = take(_bid_lines(path))
+        result = take(_bid_lines(path, make_bid))
     except _NotPlain:
         result = None
     return reference(read_preprocessed(path)) if result is None else result

@@ -12,10 +12,13 @@ whose built view breaks any other rule of the bid table
 AuctionView per kept auction, numbered and checked, which
 ingest.write_preprocessed writes as it is.
 
-The row pass is written once and shared by both input layouts.
-run_pipeline feeds it raw scrape rows projected to the logical fields,
-parsing date, clock and money text only for rows that survive to be
-grouped. run_pipeline_table feeds it the typed rows of a bid table as
+The row pass is written once and shared by both input layouts, as
+(head, bid) pairs of an auction's cells and a bid's; the readers give
+all rows of an auction one head object, so the pass compares heads by
+identity first. run_pipeline feeds it the pairs of
+ingest.RawScanner.pairs, or of any other raw records, parsing date,
+clock and money text only for rows that survive to be grouped.
+run_pipeline_table feeds it the typed rows of a bid table as
 ingest.read_bid_table streams them, line by line, and
 run_pipeline_records the fields of typed records. reconcile_counts and
 assign_identifiers have their own unit tests. The row pass is tested as
@@ -24,6 +27,7 @@ checked against the defect manifest of a synthetic corpus.
 """
 from __future__ import annotations
 
+import functools
 import logging
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
@@ -32,7 +36,7 @@ from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from operator import attrgetter, itemgetter
 from pathlib import Path
 import re
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     ConfigError,
@@ -41,7 +45,10 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .ingest import DEFAULT_RAW_SCHEMA, LOGICAL_FIELDS, RawRecord, read_bid_table
+from .ingest import (
+    BID_FIELDS, DEFAULT_RAW_SCHEMA, HEAD_FIELDS, LOGICAL_FIELDS, RawScanner, SchemaReport,
+    read_bid_table,
+)
 from .model import (
     CENT, PREPROCESSED_COLUMNS, AuctionView, Bid, BidRecord, auction_ok, check_dataset,
 )
@@ -124,19 +131,23 @@ def parse_money(text: str) -> Decimal:
         raise ParseError(f"money {text!r}: amount out of range") from None
 
 
+# An amount as a scrape writes it: parse_money's result is the Decimal
+# of its text before " $", whose 22 digits fit the decimal context.
+_PLAIN_MONEY = re.compile(r"[0-9]{1,20}\.[0-9]{2} \$")
+
+
 def money_parser() -> Callable[[str], Decimal]:
     """Return parse_money behind a text -> Decimal cache.
 
-    A scrape repeats few distinct amounts, so each is parsed once and
-    every row with the same text shares one Decimal.
+    Each distinct text is parsed once and every row with the same text
+    shares one Decimal. A text in the scrape's own form, "123.45 $",
+    skips parse_money's search for the number.
     """
-    cache: dict[str, Decimal] = {}
-
+    @functools.cache
     def parse(text: str) -> Decimal:
-        value = cache.get(text)
-        if value is None:
-            value = cache[text] = parse_money(text)
-        return value
+        if _PLAIN_MONEY.fullmatch(text):
+            return Decimal(text[:-2])
+        return parse_money(text)
 
     return parse
 
@@ -273,6 +284,7 @@ def assign_identifiers(
     record ids, 1..M; a dropped one takes none. Both numberings depend
     only on row content, never on input order, and along each view the
     record ids ascend, so its bids are in canonical bid_sort_key order.
+    A kept auction's bid list is emptied once its view holds the bids.
     """
     views: list[AuctionView] = []
     thin: list[ParsedAuction] = []
@@ -301,6 +313,7 @@ def assign_identifiers(
         if auction_ok(view):
             views.append(view)
             record_id += len(bids)
+            bids.clear()
         else:
             contradictory.append(auction)
     return views, thin, inconsistent, contradictory
@@ -397,15 +410,7 @@ class PipelineConfig:
             raise ConfigError(f"min_winning_price must be a finite amount, got {price}")
 
 
-# Positions inside the projected logical tuple.
-_F = {name: i for i, name in enumerate(LOGICAL_FIELDS)}
-_BIDDER = _F["bidder_id"]
-_BID_AMOUNT = _F["bid_amount"]
-_BID_DATE = _F["bid_date"]
-_BID_TIME = _F["bid_time"]
-_WINNING_PRICE = _F["winning_price"]
-# Every logical field from start_date on is auction-level.
-_START_DATE = _F["start_date"]
+_WINNING_PRICE = HEAD_FIELDS.index("winning_price")
 
 
 def _dedup_key(cells: tuple[str, ...]):
@@ -418,34 +423,32 @@ def _dedup_key(cells: tuple[str, ...]):
 
 
 def _parse_auction_level(
-    cells: tuple[str, ...],
+    head: tuple[str, ...],
     config: PipelineConfig,
     money: Callable[[str], Decimal],
 ) -> ParsedAuction:
-    key = cells[0]
+    # The cells of ingest.HEAD_FIELDS, in its order.
+    key, seller, start_date, start_clock, end_date, end_clock, days, starting, winning, \
+        num_bids, num_bidders = head
     where = f"auction {key!r}"
-    start_dt = merge_datetime(cells[_F["start_date"]], cells[_F["start_time"]])
-    end_dt = merge_datetime(cells[_F["end_date"]], cells[_F["end_time"]])
+    start_dt = merge_datetime(start_date, start_clock)
+    end_dt = merge_datetime(end_date, end_clock)
     try:
-        days = int(cells[_F["duration_days"]])
+        duration_sec = duration_days_to_seconds(int(days))
     except ValueError:
-        raise ParseError(
-            f"{where}: duration is not an integer: {cells[_F['duration_days']]!r}"
-        ) from None
-    duration_sec = duration_days_to_seconds(days)
+        raise ParseError(f"{where}: duration is not an integer: {days!r}") from None
     try:
-        num_bids = int(cells[_F["num_bids"]])
-        num_bidders = int(cells[_F["num_bidders"]])
+        num_bids, num_bidders = int(num_bids), int(num_bidders)
     except ValueError:
         raise ParseError(f"{where}: bid/bidder counts are not integers") from None
     return ParsedAuction(
         key=key,
-        seller_id=cells[_F["seller_id"]],
+        seller_id=seller,
         start_time_sec=to_countdown_seconds(start_dt, config.reference_epoch),
         end_time_sec=to_countdown_seconds(end_dt, config.reference_epoch),
         auction_duration_sec=duration_sec,
-        starting_price=money(cells[_F["starting_price"]]),
-        winning_bid=money(cells[_F["winning_price"]]),
+        starting_price=money(starting),
+        winning_bid=money(winning),
         num_bids=num_bids,
         num_bidders=num_bidders,
     )
@@ -460,89 +463,91 @@ class _Counters:
 
 
 def _group_rows(
-    rows: Iterable[tuple],
+    rows: Iterable[tuple[tuple, tuple]],
     config: PipelineConfig,
-    level_at: int,
     winning: Callable[[tuple], Decimal],
     dedup_key: Callable[[tuple], object],
     new_auction: Callable[[tuple], ParsedAuction],
     new_bid: Callable[[tuple], tuple[int, Decimal, str]],
-) -> tuple[dict, _Counters, Totals]:
+) -> tuple[list[ParsedAuction], _Counters, Totals]:
     """The row-wise stages, one streaming pass shared by both layouts.
 
-    Cells 0, 1 and 2 of a row are its auction key, seller and bidder;
-    cells 2 up to level_at are bid-level and every cell from level_at
-    on is auction-level. A row is dropped by the winning-price floor,
-    else counted into the before totals, then dropped if its dedup_key
-    was seen, then if its bidder is blank. What is left joins its
-    auction's group: new_auction builds the group from the first such
-    row, and every later row must repeat its seller and auction-level
-    cells. before.attributes is the bid table's width; the raw adapter
-    sets the scrape's.
+    Each row is a (head, bid) pair: head holds the auction-level cells,
+    its auction key and seller first, and bid the bid-level cells, its
+    bidder last. A row is dropped by the winning-price floor, else
+    counted into the before totals, then dropped if its dedup_key was
+    seen, then if its bidder is blank. What is left joins its auction's
+    group: new_auction builds the group from the first such row's head,
+    which every later row must repeat. before.attributes is the bid
+    table's width; the raw adapter sets the scrape's.
 
-    Duplicate keys come in two disjoint kinds. Each auction key keeps
-    one entry, made from its first row that passes the floor: that
-    row's seller and auction-level cells and a short token. A row that
-    repeats its auction's entry is keyed by dedup_key of the token and
-    its bid-level cells; any other row by dedup_key of the whole row,
-    which has more cells. Two rows are duplicates exactly when they are
-    equal, and the entry's text is held once per auction, not once per
-    row. The entry also serves the grouping check, unless the group's
-    first row differs from it (every earlier row of the auction was
-    dropped, for a blank bidder or as a copy): then that group's seller
-    and cells are held apart.
+    Readers share one head object among the rows of an auction, so
+    "same head" is tested by identity first, then by ==. Each auction
+    key keeps one entry, the head of its first row that passes the floor
+    and a short token. A row with its entry's head is keyed by
+    dedup_key of the token and its bid cells; any other by dedup_key of
+    its head and bid cells, which has more cells. Two rows are
+    duplicates exactly when they are equal. The entry's head also serves
+    the grouping check, unless the group's first row has another (every
+    earlier row of the auction was dropped, for a blank bidder or as a
+    copy): then that group's head is held apart.
     """
     min_price = config.min_winning_price
     counters = _Counters()
     seen: set = set()
-    # auction key -> (seller, auction-level cells, token) of its first row
+    # auction key -> (head of its first row, token)
     entries: dict = {}
-    # auction key -> (seller, auction-level cells) of a group that
-    # differs from its auction's entry
+    # auction key -> head of a group that differs from its auction's entry
     apart: dict = {}
     bidders_seen: set[str] = set()
     sellers_seen: set[str] = set()
     rows_before = 0
     groups: dict = {}
 
-    for row in rows:
-        if min_price is not None and winning(row) <= min_price:
+    last = None
+    for head, bid in rows:
+        if min_price is not None and winning(head) <= min_price:
             counters.price_filtered += 1
             continue
 
-        key = row[0]
-        seller = row[1]
         rows_before += 1
-        sellers_seen.add(seller)
-        bidder = row[2]
-        if bidder and not bidder.isspace():
+        if head is not last:
+            # The first of a run of rows that share one head object.
+            last = head
+            key = head[0]
+            sellers_seen.add(head[1])
+            entry = entries.get(key)
+            if entry is None:
+                entry = entries[key] = (head, str(len(entries)))
+            same = head is entry[0] or head == entry[0]
+            mark = (entry[1],) if same else head
+            group = None
+        bidder = bid[-1]
+        blank = not bidder or bidder.isspace()
+        if not blank:
             bidders_seen.add(bidder)
 
-        level = row[level_at:]
-        entry = entries.get(key)
-        if entry is None:
-            entry = entries[key] = (seller, level, str(len(entries)))
-        same = seller == entry[0] and level == entry[1]
-        dup = dedup_key((entry[2], *row[2:level_at]) if same else row)
+        dup = dedup_key(mark + bid)
         if dup in seen:
             counters.duplicates += 1
             continue
         seen.add(dup)
 
-        if not bidder or bidder.isspace():
+        if blank:
             counters.missing_bidder += 1
             continue
 
-        group = groups.get(key)
         if group is None:
-            groups[key] = group = new_auction(row)
-            if not same:
-                apart[key] = (seller, level)
-        elif (not same or key in apart) and apart.get(key) != (seller, level):
-            raise DataConsistencyError(
-                f"auction {key!r}: rows disagree on auction-level fields"
-            )
-        group.bids.append(new_bid(row))
+            group = groups.get(key)
+            if group is None:
+                groups[key] = group = new_auction(head)
+                if not same:
+                    apart[key] = head
+            elif (not same or key in apart) and apart.get(key) != head:
+                raise DataConsistencyError(
+                    f"auction {key!r}: rows disagree on auction-level fields"
+                )
+        group.bids.append(new_bid(bid))
 
     before = Totals(
         auctions=len(entries),
@@ -551,16 +556,16 @@ def _group_rows(
         seller_ids=len(sellers_seen),
         attributes=len(PREPROCESSED_COLUMNS),
     )
-    return groups, counters, before
+    # A list: the dict's table is freed before _finish builds the views.
+    return list(groups.values()), counters, before
 
 
 def _finish(
-    groups: dict,
+    auctions: list[ParsedAuction],
     before: Totals,
     counters: _Counters,
     config: PipelineConfig,
 ) -> tuple[list[AuctionView], CleansingReport]:
-    auctions = list(groups.values())
     bids_fixed, bidders_fixed = reconcile_counts(auctions)
     views, thin, inconsistent, contradictory = assign_identifiers(auctions, config.min_bids)
     check_dataset(views)
@@ -640,111 +645,110 @@ def _finish(
     return views, report
 
 
+def _mapping_pairs(
+    records: Iterable[Mapping[str, str]], schema: Mapping[str, str], report: SchemaReport
+) -> Iterator[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """(head, bid) pairs of column-name -> text mappings, as RawScanner.pairs
+    makes them; report takes the first record's columns and the count."""
+    head_names = [schema[name] for name in HEAD_FIELDS]
+    bid_names = [schema[name] for name in BID_FIELDS]
+    for rec in records:
+        try:
+            pair = tuple(rec[name] for name in head_names), tuple(rec[name] for name in bid_names)
+        except KeyError as exc:
+            raise SchemaError(f"missing required column {exc.args[0]!r}") from None
+        if not report.row_count:
+            report.columns = tuple(rec)
+        report.row_count += 1
+        yield pair
+
+
 def run_pipeline(
     records: Iterable[Mapping[str, str]], config: PipelineConfig | None = None
 ) -> tuple[list[AuctionView], CleansingReport]:
     """Run the whole cleansing chain over raw records.
 
     Accepts any iterable of column-name -> text mappings and streams
-    it, so a generator (for instance a RawScanner) keeps peak memory at
-    the projected row width. Each record is projected to the logical
-    fields, in LOGICAL_FIELDS order, and enters the shared row pass;
-    its text is parsed only once a row survives to be grouped. Returns
-    the kept auctions as checked views, in id order, and the report.
+    it, so a generator keeps peak memory at the projected row width. A
+    RawScanner over config's schema enters the shared row pass through
+    its pairs(), which parse an auction's cells once; any other records
+    are projected to the same (head, bid) pairs. A row's text is parsed
+    only once it survives to be grouped. Returns the kept auctions as
+    checked views, in id order, and the report.
     """
     config = config or PipelineConfig()
     config.validate()
-    raw_names = tuple(config.schema[name] for name in LOGICAL_FIELDS)
     money = money_parser()
     countdown = countdown_parser(config.reference_epoch)
-    raw_width = 0
-
-    def project(rows: Iterable[Mapping[str, str]]):
-        nonlocal raw_width
-        pick_for: int | None = None
-        for rec in rows:
-            if isinstance(rec, RawRecord):
-                index = rec.index
-                if pick_for != id(index):
-                    try:
-                        pick = itemgetter(*(index[name] for name in raw_names))
-                    except KeyError as exc:
-                        raise SchemaError(f"missing required column {exc.args[0]!r}") from None
-                    pick_for = id(index)
-                cells = rec.project(pick)
-            else:
-                try:
-                    cells = tuple(rec[name] for name in raw_names)
-                except KeyError as exc:
-                    raise SchemaError(f"missing required column {exc.args[0]!r}") from None
-            if not raw_width:
-                raw_width = len(rec)
-            yield cells
+    if isinstance(records, RawScanner) and records.schema == dict(config.schema):
+        rows, source = records.pairs(), records.report
+    else:
+        source = SchemaReport()
+        rows = _mapping_pairs(records, config.schema, source)
 
     # id text -> one shared str, so a bidder's thousands of rows hold
     # one object, not one each.
     ids: dict[str, str] = {}
 
-    def new_auction(cells: tuple[str, ...]) -> ParsedAuction:
-        auction = _parse_auction_level(cells, config, money)
+    def new_auction(head: tuple[str, ...]) -> ParsedAuction:
+        auction = _parse_auction_level(head, config, money)
         auction.seller_id = ids.setdefault(auction.seller_id, auction.seller_id)
         return auction
 
-    def new_bid(cells: tuple[str, ...]) -> tuple[int, Decimal, str]:
+    def new_bid(bid: tuple[str, ...]) -> tuple[int, Decimal, str]:
+        date, clock, amount, bidder = bid
         try:
-            when = countdown(cells[_BID_DATE], cells[_BID_TIME])
+            when = countdown(date, clock)
         except ParseError:
             # Keep the single-stage order: a malformed date or clock is
             # named first, then a bad amount, then an event past the epoch.
-            merge_datetime(cells[_BID_DATE], cells[_BID_TIME])
-            money(cells[_BID_AMOUNT])
+            merge_datetime(date, clock)
+            money(amount)
             raise
-        bidder = cells[_BIDDER]
-        return (when, money(cells[_BID_AMOUNT]), ids.setdefault(bidder, bidder))
+        return (when, money(amount), ids.setdefault(bidder, bidder))
 
-    groups, counters, before = _group_rows(
-        project(records),
+    auctions, counters, before = _group_rows(
+        rows,
         config,
-        _START_DATE,
-        lambda cells: money(cells[_WINNING_PRICE]),
+        lambda head: money(head[_WINNING_PRICE]),
         _dedup_key,
         new_auction,
         new_bid,
     )
+    raw_width = len(source.columns) if source.accepted_count else 0
     counters.columns_dropped = max(0, raw_width - len(LOGICAL_FIELDS))
     before = replace(before, attributes=raw_width)
     # Free the parse caches and the id map before _finish builds the
     # views, so they add nothing to the peak.
     del money, countdown, ids
-    return _finish(groups, before, counters, config)
+    return _finish(auctions, before, counters, config)
 
 
-# A typed record enters the row pass as its fields after record_id.
-_record_cells = attrgetter(*PREPROCESSED_COLUMNS[1:])
-_R = {name: i for i, name in enumerate(PREPROCESSED_COLUMNS[1:])}
-_record_bid = itemgetter(_R["bid_submit_time_sec"], _R["bid_amount"], _R["bidder_id"])
+# A typed row enters the row pass as (head, bid): the head in
+# AuctionView's field order, the bid as ParsedAuction keeps it.
+_record_head = attrgetter(
+    "auction_id", "seller_id", "num_bidders", "num_bids", "starting_price",
+    "winning_bid", "auction_duration_sec", "start_time_sec", "end_time_sec",
+)
+_record_bid = attrgetter("bid_submit_time_sec", "bid_amount", "bidder_id")
 
 
-def _record_auction(cells: tuple) -> ParsedAuction:
-    key, seller, _, _, _, bidders, bids, starting, winning, duration, start, end = cells
+def _record_auction(head: tuple) -> ParsedAuction:
+    key, seller, bidders, bids, starting, winning, duration, start, end = head
     return ParsedAuction(key, seller, start, end, duration, starting, winning, bids, bidders)
 
 
 def _run_typed(
-    rows: Iterable[tuple], config: PipelineConfig | None
+    rows: Iterable[tuple[tuple, tuple]], config: PipelineConfig | None
 ) -> tuple[list[AuctionView], CleansingReport]:
     config = config or PipelineConfig()
     config.validate()
-    groups, counters, before = _group_rows(
-        rows,
-        config,
-        _R["num_bidders"],
-        itemgetter(_R["winning_bid"]),
-        lambda cells: cells,
-        _record_auction,
-        _record_bid,
+    # tuple() of a tuple is that tuple: a bid is its own key cells and
+    # is kept as it is.
+    auctions, counters, before = _group_rows(
+        rows, config, itemgetter(5), tuple, _record_auction, tuple
     )
-    return _finish(groups, before, counters, config)
+    return _finish(auctions, before, counters, config)
 
 
 def run_pipeline_records(
@@ -752,14 +756,14 @@ def run_pipeline_records(
 ) -> tuple[list[AuctionView], CleansingReport]:
     """Re-run the cleansing chain over the typed records of a bid table.
 
-    Each record enters the same row pass as a raw row, as the tuple of
-    its fields after record_id. That tuple is its own duplicate key, so
+    Each record enters the same row pass as a raw row, as the pair of
+    its auction fields and its bid fields, without record_id: so
     record_id, which is re-assigned anyway, never tells two copies of a
     bid apart. Returns views and a report, as run_pipeline does.
     Cleansing is idempotent: feeding the pipeline the records of its
     own output reproduces that output exactly and reports zero removals.
     """
-    return _run_typed(map(_record_cells, records), config)
+    return _run_typed(((_record_head(r), _record_bid(r)) for r in records), config)
 
 
 def run_pipeline_table(
@@ -768,19 +772,17 @@ def run_pipeline_table(
     """Re-run the cleansing chain over a bid table file, in one stream.
 
     Each row that ingest.read_bid_table reads enters the row pass as the
-    tuple that run_pipeline_records makes of its record, with no record
-    built, so the result is run_pipeline_records(read_preprocessed(path),
-    config), which runs instead on a table read_bid_table leaves to the
-    reference. The one difference is the order of errors: the table is
-    not read whole first, so an auction-level disagreement raises before
-    a cell that does not parse in a later row.
+    pair run_pipeline_records makes of its record, with the head that
+    its auction's rows share and no record built, so the result is
+    run_pipeline_records(read_preprocessed(path), config), which runs
+    instead on a table read_bid_table leaves to the reference. The one
+    difference is the order of errors: the table is not read whole
+    first, so an auction-level disagreement raises before a cell that
+    does not parse in a later row.
     """
     return read_bid_table(
         path,
-        lambda rows: _run_typed(
-            ((h[0], h[1], b.bidder_id, b.bid_amount, b.bid_submit_time_sec, *h[2:])
-             for h, b in rows),
-            config,
-        ),
+        lambda rows: _run_typed(rows, config),
         lambda records: run_pipeline_records(records, config),
+        lambda bidder, amount, time, record_id: (time, amount, bidder),
     )

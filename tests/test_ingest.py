@@ -1,5 +1,6 @@
 """CSV readers and writers: raw scrapes, bid tables, feature datasets."""
 import csv
+import functools
 import io
 import math
 import random
@@ -43,7 +44,13 @@ from shillbid.model import (
     SBInstance,
     validate_dataset,
 )
-from shillbid.preprocess import run_pipeline, run_pipeline_records, run_pipeline_table
+from shillbid.preprocess import (
+    PipelineConfig,
+    run_pipeline,
+    run_pipeline_records,
+    run_pipeline_table,
+)
+from shillbid.synth import SynthConfig, write_corpus
 
 from .conftest import make_view, records_of
 from .test_preprocess import five_bid_auction
@@ -756,6 +763,352 @@ def test_run_pipeline_table_reports_a_disagreement_before_a_later_bad_cell(tmp_p
         run_pipeline_table(path)
     with pytest.raises(ParseError, match="row 3: bid_submit_time_sec"):
         run_pipeline_records(read_preprocessed(path))
+
+
+# --- raw rows through the prefix path ---------------------------------------
+
+@functools.cache
+def _raw_lines():
+    """The lines of a small synth scrape, header first: 6 auctions of
+    contiguous rows, with copied rows and blank bidders."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw.csv"
+        write_corpus(
+            SynthConfig(num_auctions=6, duplicate_row_rate=0.1, missing_bidder_rate=0.1), path
+        )
+        with open(path, encoding="utf-8", newline="") as fh:
+            return tuple(fh)
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(lines), encoding="utf-8", newline="")
+    return path
+
+
+def _raw_outcome(path, run, schema=None):
+    """The views, cleansing report, ingest report and rejects sidecar bytes
+    of run(path, config), or the type and text of what it raised."""
+    config = PipelineConfig(schema=dict(schema or DEFAULT_RAW_SCHEMA))
+    try:
+        views, report, ingest = run(path, config)
+    except Exception as exc:  # compared, not swallowed
+        return (type(exc).__name__, str(exc))
+    sidecar = path.with_name(path.name + ".rejects.csv")
+    write_rejects(ingest, sidecar)
+    return ("ok", repr(views), report.to_dict(), ingest.to_dict(), sidecar.read_bytes())
+
+
+def _through_pairs(path, config):
+    scanner = RawScanner(path, config.schema)
+    views, report = run_pipeline(scanner, config)
+    return views, report, scanner.report
+
+
+def _through_csv_reader(path, config):
+    records, ingest = read_raw(path, config.schema)
+    return (*run_pipeline(records, config), ingest)
+
+
+def _assert_paths_agree(path, schema=None):
+    """The prefix path's outcome equals the csv.reader reference's; returns it."""
+    expected = _raw_outcome(path, _through_csv_reader, schema)
+    assert _raw_outcome(path, _through_pairs, schema) == expected
+    return expected
+
+
+def _distinct_heads(path, schema=None):
+    """How many distinct head objects RawScanner.pairs gives."""
+    return len({id(head): head for head, _ in RawScanner(path, schema).pairs()})
+
+
+def _auctions_in(lines):
+    return len({line.split(",", 1)[0] for line in lines[1:]})
+
+
+def _column(name):
+    return _raw_lines()[0].rstrip("\n").split(",").index(name)
+
+
+def _cell(n, name, text):
+    """Line n (0 is the header) with one cell set, quoted as csv.writer would."""
+    def edit(lines):
+        cells = next(csv.reader([lines[n]]))
+        cells[_column(name)] = text
+        lines[n] = _csv_line(cells)
+    return edit
+
+
+def _text(n, old, new):
+    def edit(lines):
+        assert old in lines[n]
+        lines[n] = lines[n].replace(old, new, 1)
+    return edit
+
+
+def _ragged_line(n, width):
+    def edit(lines):
+        cells = next(csv.reader([lines[n]]))
+        lines[n] = _csv_line((cells + ["x"])[:width])
+    return edit
+
+
+def _both(first, second):
+    def edit(lines):
+        first(lines)
+        second(lines)
+    return edit
+
+
+def _interleave(lines):
+    # The rows of the first two auctions, taken in turn.
+    urls = [line.split(",", 1)[0] for line in lines[1:]]
+    a = urls.count(urls[0])
+    b = urls.count(urls[a])
+    mixed = [line for pair in zip(lines[1:1 + a], lines[1 + a:1 + a + b]) for line in pair]
+    lines[1:1 + a + b] = mixed + lines[1 + min(a, b):1 + a] + lines[1 + a + min(a, b):1 + a + b]
+
+
+def _blank_auction_cell(name):
+    # One auction's cell in the prefix blank on all its rows.
+    def edit(lines):
+        url = lines[1].split(",", 1)[0]
+        for n, line in enumerate(lines):
+            if line.split(",", 1)[0] == url:
+                _cell(n, name, "")(lines)
+    return edit
+
+
+def _quoted_comma_then_long_copy(lines):
+    # The first row of the second auction, with a quoted comma in its
+    # rest, then a copy with a plain rest and one cell more.
+    urls = [line.split(",", 1)[0] for line in lines]
+    n = next(n for n, url in enumerate(urls) if n > 1 and url != urls[1])
+    _cell(n, "Image URL", "a,b")(lines)
+    lines.insert(n + 1, lines[n])
+    _cell(n + 1, "Image URL", "a")(lines)
+    _ragged_line(n + 1, 29)(lines)
+
+
+def _shuffle(lines):
+    lines[1:] = random.Random(4).sample(lines[1:], len(lines) - 1)
+
+
+_LIMIT_CELL = "x" * csv.field_size_limit()
+
+# name -> (edit of the corpus lines, header first; what the reference makes of it)
+_PREFIX_PATH_EDITS = {
+    "as-written": (lambda lines: None, "ok"),
+    # A record over two lines, then a ragged row numbered as a csv record.
+    "quoted-lf-in-prefix": (_both(_text(3, ", ", ",\n"), _ragged_line(9, 27)), "ok"),
+    "quoted-lf-in-rest": (_both(_cell(4, "Image URL", "a\nb"), _ragged_line(9, 29)), "ok"),
+    "quoted-lf-in-bidder": (_both(_cell(4, "Bidder ID", "u\n1"), _ragged_line(9, 27)), "ok"),
+    # A record whose first line ends in more plain cells than a rest has,
+    # then a copy of it: that line's tail is not a rest.
+    "quoted-lf-after-commas": (
+        _both(
+            _cell(3, "Product Location", "a,b,c,d,e,f,g,h,i,j,k\nl"),
+            lambda lines: lines.insert(4, lines[3]),
+        ),
+        "ok",
+    ),
+    # A quoted comma in a rest, then a long row of the same bidder: the
+    # first line's text before its last rest_width commas is no prefix.
+    "quoted-comma-in-rest": (_quoted_comma_then_long_copy, "ok"),
+    "bare-cr-line-end": (_text(5, "\n", "\r"), "ok"),
+    "bare-cr-in-cell": (_cell(5, "Image URL", "a\rb"), "ok"),
+    "crlf-line-end": (_text(5, "\n", "\r\n"), "ok"),
+    "crlf-everywhere": (
+        lambda lines: lines.__setitem__(slice(None), [x.replace("\n", "\r\n") for x in lines]),
+        "ok",
+    ),
+    "cell-over-field-limit": (_cell(5, "Image URL", _LIMIT_CELL + "x"), "ParseError"),
+    "cell-at-field-limit": (_cell(5, "Image URL", _LIMIT_CELL), "ok"),
+    "short-row-after-shared": (_ragged_line(6, 20), "ok"),
+    "long-row-after-shared": (_ragged_line(6, 29), "ok"),
+    "blank-line": (lambda lines: lines.insert(5, "\n"), "ok"),
+    "no-final-lf": (lambda lines: lines.__setitem__(-1, lines[-1][:-1]), "ok"),
+    "no-final-lf-ragged": (lambda lines: lines.__setitem__(-1, lines[-1][:-4]), "ok"),
+    "interleaved": (_interleave, "ok"),
+    "blank-prefix-cell": (_blank_auction_cell("Product Condition"), "ok"),
+    "blank-rest-cell": (_cell(4, "Bidder Rating", ""), "ok"),
+    "quoted-first-cell": (
+        lambda lines: lines.__setitem__(
+            slice(1, None), ['"' + x.replace(",", '",', 1) for x in lines[1:]]
+        ),
+        "ok",
+    ),
+    "shuffled": (_shuffle, "ok"),
+}
+
+
+@pytest.mark.parametrize(
+    "edit, kind", list(_PREFIX_PATH_EDITS.values()), ids=list(_PREFIX_PATH_EDITS)
+)
+def test_the_prefix_path_reads_a_raw_corpus_like_the_csv_reader(tmp_path, edit, kind):
+    lines = list(_raw_lines())
+    edit(lines)
+    expected = _assert_paths_agree(_write_lines(tmp_path / "raw.csv", lines))
+    assert expected[0] == kind, expected
+
+
+def test_the_prefix_path_shares_one_head_per_auction(tmp_path):
+    lines = list(_raw_lines())
+    path = _write_lines(tmp_path / "raw.csv", lines)
+    assert _distinct_heads(path) == _auctions_in(lines)
+    # A blank cell in a shared prefix is counted on every row.
+    _blank_auction_cell("Product Condition")(lines)
+    _write_lines(path, lines)
+    rows = [line for line in lines if line.startswith(lines[1].split(",", 1)[0])]
+    assert _distinct_heads(path) == _auctions_in(lines)
+    assert _assert_paths_agree(path)[3]["missing_values"]["Product Condition"] == len(rows)
+
+
+def test_the_prefix_path_numbers_rows_as_csv_records(tmp_path):
+    lines = list(_raw_lines())
+    _both(_cell(4, "Image URL", "a\nb"), _ragged_line(9, 27))(lines)
+    path = _write_lines(tmp_path / "raw.csv", lines)
+    scanner = RawScanner(path)
+    list(scanner.pairs())
+    assert [r.row for r in scanner.report.rejections] == [9]
+    assert scanner.report.row_count == len(lines) - 1
+
+
+def test_the_prefix_path_names_a_cell_over_the_field_limit(tmp_path):
+    lines = list(_raw_lines())
+    _cell(5, "Image URL", _LIMIT_CELL + "x")(lines)
+    path = _write_lines(tmp_path / "raw.csv", lines)
+    with pytest.raises(ParseError) as caught:
+        list(RawScanner(path).pairs())
+    assert str(caught.value) == (
+        f"{path}:row 5: field larger than field limit ({csv.field_size_limit()})"
+    )
+
+
+def _reorder(lines, order):
+    """lines with their columns in order, a list of header names."""
+    rows = list(csv.reader(lines))
+    at = [rows[0].index(name) for name in order]
+    return [_csv_line([cells[i] for i in at]) for cells in rows]
+
+
+def _moved(name, after):
+    header = _raw_lines()[0].rstrip("\n").split(",")
+    header.remove(name)
+    header.insert(header.index(after) + 1, name)
+    return header
+
+
+def test_a_schema_whose_first_column_is_bid_level_shares_no_prefix(tmp_path):
+    header = _raw_lines()[0].rstrip("\n").split(",")
+    lines = _reorder(_raw_lines(), ["Bid Amount", *(n for n in header if n != "Bid Amount")])
+    path = _write_lines(tmp_path / "raw.csv", lines)
+    assert _assert_paths_agree(path)[0] == "ok"
+    assert _distinct_heads(path) == len(lines) - 1
+    # The same layout under renamed headers and a schema that maps them.
+    renamed = {name: f"col {i}" for i, name in enumerate(next(csv.reader(lines)))}
+    lines[0] = _csv_line(renamed[name] for name in next(csv.reader(lines)))
+    schema = {key: renamed[name] for key, name in DEFAULT_RAW_SCHEMA.items()}
+    path = _write_lines(tmp_path / "renamed.csv", lines)
+    assert _assert_paths_agree(path, schema)[0] == "ok"
+    assert _distinct_heads(path, schema) == len(lines) - 1
+
+
+def test_an_auction_cell_after_the_bid_cells_is_read_from_each_line(tmp_path):
+    lines = _reorder(_raw_lines(), _moved("Number of Bidders", "Bid Amount"))
+    path = _write_lines(tmp_path / "raw.csv", lines)
+    assert _assert_paths_agree(path)[0] == "ok"
+    assert _distinct_heads(path) == _auctions_in(lines)
+    # A line whose late cell differs from its auction's head is parsed in
+    # full, its own head: the auction's rows disagree, as the reference finds.
+    lines = list(_raw_lines())
+    bidder = _column("Bidder ID")
+    n = next(n for n in range(3, len(lines)) if next(csv.reader([lines[n]]))[bidder])
+    _cell(n, "Number of Bidders", "99")(lines)
+    lines = _reorder(lines, _moved("Number of Bidders", "Bid Amount"))
+    _write_lines(path, lines)
+    assert _distinct_heads(path) == _auctions_in(lines) + 1
+    assert _assert_paths_agree(path)[0] == "DataConsistencyError"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: lines.__setitem__(slice(None), [x.replace("\n", "\r\n") for x in lines]),
+        _text(5, "\n", "\r\n"),
+        lambda lines: lines.__setitem__(-1, lines[-1][:-1]),
+    ],
+    ids=["crlf-everywhere", "crlf-line-end", "no-final-lf"],
+)
+def test_the_prefix_path_reads_a_last_column_bidder_exactly(tmp_path, edit):
+    # The line end sits next to a logical cell: a CR kept in it, or a
+    # last character cut off with the LF, would change the bidder. The
+    # other bidder columns follow the bid amount, so lines share prefixes.
+    header = _raw_lines()[0].rstrip("\n").split(",")
+    bidder = ["Bidder Rating", "Bidder Account Link"]
+    order = [name for name in header if name not in bidder + ["Bidder ID"]]
+    at = order.index("Bid Amount") + 1
+    lines = _reorder(_raw_lines(), order[:at] + bidder + order[at:] + ["Bidder ID"])
+    assert _distinct_heads(_write_lines(tmp_path / "raw.csv", lines)) == _auctions_in(lines)
+    edit(lines)
+    assert _assert_paths_agree(_write_lines(tmp_path / "raw.csv", lines))[0] == "ok"
+
+
+def test_run_pipeline_reads_mappings_and_records_as_it_reads_the_scanner(tmp_path):
+    def outcome(records):
+        views, report = run_pipeline(records)
+        return repr(views), report.to_dict()
+
+    path = _write_lines(tmp_path / "raw.csv", _raw_lines())
+    scanned = outcome(RawScanner(path))
+    records, _ = read_raw(path)
+    assert outcome(records) == scanned
+    assert outcome([dict(r) for r in records]) == scanned
+    # A scanner over another schema is read as records, by config's schema.
+    other = dict(DEFAULT_RAW_SCHEMA, num_bids="Number of Bidders", num_bidders="Number of Bids")
+    assert outcome(RawScanner(path, other)) == scanned
+
+
+_RAW_EDIT_TEXTS = ['"', '""', ",", "\n", "\r", "\r\n", " "]
+
+
+@st.composite
+def edited_raw_lines(draw):
+    """The small scrape's lines under a few text edits: a quote, comma,
+    LF, CR or space put anywhere, a cell dropped, added or blanked on
+    one line or on all of one auction's lines."""
+    lines = list(_raw_lines())
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        n = draw(st.integers(min_value=1, max_value=len(lines) - 1))
+        op = draw(st.sampled_from(["text", "text", "drop", "add", "blank", "blank-auction"]))
+        cells = lines[n].split(",")
+        k = draw(st.integers(min_value=0, max_value=len(cells) - 1))
+        if op == "text":
+            at = draw(st.integers(min_value=0, max_value=len(lines[n])))
+            lines[n] = lines[n][:at] + draw(st.sampled_from(_RAW_EDIT_TEXTS)) + lines[n][at:]
+            continue
+        if op == "blank-auction":
+            for m, line in enumerate(lines[1:], 1):
+                if line.split(",", 1)[0] == cells[0]:
+                    pieces = line.split(",")
+                    pieces[k] = "\n" if pieces[k].endswith("\n") else ""
+                    lines[m] = ",".join(pieces)
+            continue
+        if op == "drop":
+            del cells[k]
+        elif op == "add":
+            cells.insert(k, draw(st.sampled_from(["", "x", "1"])))
+        else:
+            cells[k] = ""
+        line = ",".join(cells)
+        lines[n] = line if line.endswith("\n") else line + "\n"
+    return lines
+
+
+@settings(max_examples=300)
+@given(edited_raw_lines())
+def test_the_prefix_path_matches_the_csv_reader_on_edited_lines(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_paths_agree(_write_lines(Path(tmp) / "raw.csv", lines))
 
 
 # --- feature dataset round trip ---------------------------------------------

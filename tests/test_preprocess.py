@@ -274,6 +274,19 @@ def test_money_parser_matches_parse_money(texts):
             assert parse(text) is parse(text)  # one shared Decimal per text
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["0.00 $", "007.50 $", "286.45 $", "9" * 20 + ".99 $", "9" * 21 + ".99 $",
+     "286.45  $", "286.4 $", "286.455 $", "-286.45 $", "\u0663.45 $", "286.45 $ "],
+)
+def test_money_parser_reads_the_scrape_form_as_parse_money_does(text):
+    expected = _outcome(lambda: parse_money(text))
+    parse = money_parser()
+    assert _outcome(lambda: parse(text)) == expected
+    if expected[0] == "ok":
+        assert parse(text).as_tuple() == parse_money(text).as_tuple()
+
+
 _CELLS = st.one_of(
     st.sampled_from(
         ["20.50", "20.5", "20", "20.001", "1e2", "NaN", "-Infinity", " 3.00",

@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Time the preprocess pipeline in-process on a corpus and on a shuffled copy.
+
+A raw scrape goes through run_pipeline(RawScanner(path)), a bid table
+through run_pipeline_table(path), with the cyclic garbage collector off
+as the CLI runs them. Each run is a fresh child process, so its peak
+RSS is its own, and prints one JSON line: the source tree, the corpus
+order, seconds, peak RSS in MB, the rows kept and the sha256 of the
+report JSON (equal digests mean equal reports).
+
+The shuffled copy holds the corpus's lines after the header in an order
+drawn from --shuffle-seed; it is written once, under --work. A corpus
+with a record that spans lines (a quoted line feed) cannot be shuffled
+this way. With more than one --src, the runs alternate between them,
+so each round is one run of each tree on each order, the first tree
+first in odd rounds and last in even ones.
+
+Run from the repository root:
+
+    python3 tools/time_pipeline.py corpus.csv --runs 3
+    python3 tools/time_pipeline.py corpus.csv --src src --src ../parent/src
+"""
+from __future__ import annotations
+
+import argparse
+import gc
+import hashlib
+import json
+import random
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def child(src: str, corpus: str) -> dict:
+    """One timed run in this process, against the package under src."""
+    sys.path.insert(0, src)
+    from shillbid.ingest import RawScanner, read_header
+    from shillbid.model import PREPROCESSED_COLUMNS
+    from shillbid.preprocess import PipelineConfig, run_pipeline, run_pipeline_table
+
+    config = PipelineConfig()
+    gc.disable()
+    started = time.perf_counter()
+    if read_header(corpus) == PREPROCESSED_COLUMNS:
+        views, report = run_pipeline_table(corpus, config)
+    else:
+        views, report = run_pipeline(RawScanner(corpus, config.schema), config)
+    seconds = time.perf_counter() - started
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    return {
+        "seconds": round(seconds, 3),
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "kept_rows": report.after.records,
+        "report_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+    }
+
+
+def shuffled_copy(corpus: Path, seed: int, work: Path) -> Path:
+    out = work / f"{corpus.stem}.shuffled-{seed}{corpus.suffix}"
+    if not out.exists():
+        with open(corpus, "r", encoding="utf-8", newline="") as handle:
+            header, *lines = handle
+        if lines and not lines[-1].endswith("\n"):
+            lines[-1] += "\n"
+        random.Random(seed).shuffle(lines)
+        work.mkdir(parents=True, exist_ok=True)
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(header)
+            handle.writelines(lines)
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("corpus", type=Path)
+    parser.add_argument("--runs", type=int, default=3, help="rounds (default 3)")
+    parser.add_argument(
+        "--src", action="append", help="package source tree (default: this checkout's src)"
+    )
+    parser.add_argument("--shuffle-seed", type=int, default=7)
+    parser.add_argument("--no-shuffle", action="store_true", help="time the corpus as it is only")
+    parser.add_argument("--work", type=Path, default=Path(".time_pipeline"))
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    srcs = [str(Path(s).resolve()) for s in args.src or [ROOT / "src"]]
+    if args.child:
+        print(json.dumps(child(srcs[0], str(args.corpus))))
+        return 0
+    orders = [("as-is", args.corpus)]
+    if not args.no_shuffle:
+        orders.append(("shuffled", shuffled_copy(args.corpus, args.shuffle_seed, args.work)))
+    for run in range(1, args.runs + 1):
+        for order, path in orders:
+            # Alternate which tree runs first, so a slow stretch of the
+            # host does not always fall on the same one.
+            for src in srcs if run % 2 else srcs[::-1]:
+                out = subprocess.run(
+                    [sys.executable, __file__, str(path), "--src", src, "--child"],
+                    check=True, capture_output=True, text=True,
+                ).stdout
+                result = {"run": run, "src": src, "order": order, **json.loads(out)}
+                print(json.dumps(result), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
