@@ -138,7 +138,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         auctions, report = run_pipeline(scanner, config)
 
     with _outputs() as staged:
-        # The pipeline checked these exact views as its final self-check.
+        # The pipeline judged these views by model.auction_fault, and their ids.
         write_preprocessed(auctions, staged(args.out), validate=False)
         payload = {"cleansing": report.to_dict()}
         if scanner is not None:

@@ -51,7 +51,6 @@ from .model import (
     bid_sort_key,
     check_dataset,
     validate_dataset,
-    views_ok,
 )
 
 # Logical field -> raw column header. The keys are the contract; the
@@ -414,9 +413,10 @@ def write_preprocessed(
     whatever the order of the views and of their bids (views sharing an
     auction_id are written one after the other). The bytes are those
     csv.writer gives; each view's auction-level cells are rendered once.
-    validate=True runs check_dataset first; a caller that has just
-    checked the views (the pipeline checks its own output) may pass
-    validate=False to skip the duplicate pass.
+    validate=True runs model.check_dataset first; a caller that has
+    just checked the views (the pipeline judges each view it builds by
+    model.auction_fault and checks their ids) may pass validate=False to
+    skip the duplicate pass.
     """
     if validate:
         check_dataset(auctions)
@@ -490,8 +490,8 @@ def read_preprocessed(path: str | Path) -> list[BidRecord]:
     """Read a previously written bid table back into typed records.
 
     Every row is parsed in full and on its own, with no shared state, so
-    this reader, with validate_dataset, is the reference that the
-    line-level pass of _bid_lines is tested against.
+    this reader is the reference that the line-level pass of _bid_lines
+    is tested against; model.validate_dataset judges its records.
     """
     with _table(path, PREPROCESSED_COLUMNS) as (_, rows):
         return [_parse_preprocessed_row(cells, f"{path}:row {n}") for n, cells in rows]
@@ -576,9 +576,11 @@ def read_bid_table(
 
 
 def _checked_views(rows: Iterable[tuple[tuple, Bid]]) -> list[AuctionView] | None:
-    """The views of (head, bid) rows if each auction has one head and
-    model.views_ok passes them, else None. Bids whose times strictly
-    fall are in bid_sort_key order already; others are sorted.
+    """The views of (head, bid) rows, or None if an auction has two heads.
+
+    Views that break a rule raise what model.check_dataset raises. Bids
+    whose times strictly fall are in bid_sort_key order already; others
+    are sorted.
     """
     # auction_id -> (head, bids)
     auctions: dict[int, tuple[tuple, list[Bid]]] = {}
@@ -599,17 +601,17 @@ def _checked_views(rows: Iterable[tuple[tuple, Bid]]) -> list[AuctionView] | Non
         if times != sorted(set(times), reverse=True):
             bids.sort(key=bid_sort_key)
         views.append(AuctionView(*head, tuple(bids)))
-    return views if views_ok(views) else None
+    check_dataset(views)
+    return views
 
 
 def read_auctions(path: str | Path) -> list[AuctionView]:
     """Read a bid table into checked auction views in one streaming pass.
 
-    Returns exactly what validate_dataset(read_preprocessed(path))
-    returns. A row that does not parse raises the reference's ParseError
-    once it is read. A table that read_bid_table or _checked_views does
-    not take as-is goes through the reference, so every result, error
-    text and type is the reference's.
+    Returns or raises exactly what validate_dataset(read_preprocessed(path))
+    does. A row that does not parse raises once it is read, a broken rule
+    once the views are built. Only a table that read_bid_table leaves to
+    the reference, or with two heads for an auction, is read twice.
     """
     return read_bid_table(path, _checked_views, validate_dataset)
 

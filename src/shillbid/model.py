@@ -3,7 +3,9 @@
 An AuctionView is the one in-memory shape of an auction: the pipeline
 numbers and checks views, write_preprocessed writes them, read_auctions
 reads them back. A BidRecord, one row of the bid table, is built only
-where a table is read row by row or checked by the reference rules.
+where a table is read row by row. The bid table's rules are written
+once: auction_fault names the first rule a view breaks, check_ids holds
+the id rules, and check_dataset and validate_dataset apply both.
 
 Time is stored as countdown seconds: whole seconds remaining until a
 fixed reference moment, so later events carry smaller values. All money
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
 from decimal import Decimal
+from itertools import pairwise
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -166,26 +169,6 @@ _AUCTION_LEVEL = (
     "end_time_sec",
 )
 
-
-def _check_group(auction_id: int, rows: list[BidRecord]) -> None:
-    """Cross-record rules of one auction: field agreement, stored counts."""
-    head = rows[0]
-    for row in rows[1:]:
-        for name in _AUCTION_LEVEL:
-            if getattr(row, name) != getattr(head, name):
-                raise InvariantError(f"auction {auction_id}: records disagree on {name}")
-    if len(rows) != head.num_bids:
-        raise InvariantError(
-            f"auction {auction_id}: num_bids={head.num_bids} but {len(rows)} rows"
-        )
-    distinct = len({r.bidder_id for r in rows})
-    if distinct != head.num_bidders:
-        raise InvariantError(
-            f"auction {auction_id}: num_bidders={head.num_bidders} "
-            f"but {distinct} distinct bidders"
-        )
-
-
 _auction_fields = attrgetter(*_AUCTION_LEVEL)
 
 
@@ -198,189 +181,155 @@ def _auction_view(rows: list[BidRecord]) -> AuctionView:
     )
 
 
-def validate_bid_record(rec: BidRecord) -> list[str]:
-    """Return human-readable violations for a single record."""
-    bad: list[str] = []
-    if rec.record_id < 1:
-        bad.append(f"record_id {rec.record_id} is not positive")
-    if rec.auction_id < 1:
-        bad.append(f"auction_id {rec.auction_id} is not positive")
-    if not rec.bidder_id or rec.bidder_id.isspace():
-        bad.append("bidder_id is blank")
-    if not rec.seller_id or rec.seller_id.isspace():
-        bad.append("seller_id is blank")
-    # Compare exponents, not values: Decimal("650.5") == Decimal("650.50")
-    # numerically, but only the latter serializes with two digits.
-    # same_quantum is False for every non-finite value.
-    if not rec.bid_amount.same_quantum(CENT):
-        bad.append(f"bid_amount {rec.bid_amount} is not a 2-digit fixed-point amount")
-    if not rec.starting_price.same_quantum(CENT):
-        bad.append(
-            f"starting_price {rec.starting_price} is not a 2-digit fixed-point amount"
-        )
-    if not rec.winning_bid.same_quantum(CENT):
-        bad.append(f"winning_bid {rec.winning_bid} is not a 2-digit fixed-point amount")
-    if not 1 <= rec.num_bidders <= rec.num_bids:
-        bad.append(f"counts out of order: num_bidders={rec.num_bidders} num_bids={rec.num_bids}")
-    if rec.winning_bid <= 0:
-        bad.append(f"winning_bid {rec.winning_bid} is not positive")
-    if not 0 <= rec.starting_price <= rec.winning_bid:
-        bad.append(
-            f"starting_price {rec.starting_price} outside [0, winning_bid={rec.winning_bid}]"
-        )
-    if rec.bid_amount > rec.winning_bid:
-        bad.append(f"bid_amount {rec.bid_amount} above winning_bid {rec.winning_bid}")
-    if rec.auction_duration_sec <= 0:
-        bad.append(f"auction_duration_sec {rec.auction_duration_sec} is not positive")
-    if rec.start_time_sec - rec.end_time_sec != rec.auction_duration_sec:
-        bad.append(
-            f"duration mismatch: start-end={rec.start_time_sec - rec.end_time_sec} "
-            f"!= {rec.auction_duration_sec}"
-        )
-    if rec.end_time_sec < 0:
-        bad.append(f"end_time_sec {rec.end_time_sec} is negative")
-    if not rec.end_time_sec <= rec.bid_submit_time_sec <= rec.start_time_sec:
-        bad.append(
-            f"bid time {rec.bid_submit_time_sec} outside auction window "
-            f"[{rec.end_time_sec}, {rec.start_time_sec}]"
-        )
-    return bad
+def _level_text(rec: BidRecord) -> tuple:
+    """rec's auction-level fields, each amount as its text."""
+    return (
+        rec.seller_id, rec.num_bidders, rec.num_bids, str(rec.starting_price),
+        str(rec.winning_bid), rec.auction_duration_sec, rec.start_time_sec, rec.end_time_sec,
+    )
 
 
-def _checked_groups(records: Sequence[BidRecord]) -> dict[int, list[BidRecord]]:
-    """Run every dataset rule and return the rows grouped by auction.
+def validate_dataset(records: Iterable[BidRecord]) -> list[AuctionView]:
+    """Check the records of a bid table; return their views by auction id.
 
-    The reference check: each record goes through validate_bid_record,
-    in record order, then the ids and each auction's group are checked.
+    The records of one auction must agree on every auction-level field,
+    amounts compared as text, so "20.5" and "20.50" disagree; the views
+    built from them must then pass check_dataset. Otherwise
+    InvariantError names the first broken rule.
     """
-    violations: list[str] = []
-    seen_record_ids: set[int] = set()
     by_auction: dict[int, list[BidRecord]] = {}
     for rec in records:
         by_auction.setdefault(rec.auction_id, []).append(rec)
-        for msg in validate_bid_record(rec):
-            violations.append(f"record {rec.record_id}: {msg}")
-        if rec.record_id in seen_record_ids:
-            violations.append(f"record_id {rec.record_id} appears more than once")
-        seen_record_ids.add(rec.record_id)
-        if len(violations) >= 20:
-            break
-    if not violations:
-        if records and seen_record_ids != set(range(1, len(records) + 1)):
-            violations.append("record_id values are not dense 1..M")
-        if by_auction and by_auction.keys() != set(range(1, len(by_auction) + 1)):
-            violations.append("auction_id values are not dense 1..N")
-    if not violations:
-        try:
-            for auction_id in sorted(by_auction):
-                _check_group(auction_id, by_auction[auction_id])
-        except InvariantError as exc:
-            violations.append(str(exc))
-    if violations:
-        head = "; ".join(violations[:5])
-        more = len(violations) - 5
-        if more > 0:
-            head += f" (+{more} more)"
-        raise InvariantError(head)
-    return by_auction
+    views = []
+    for rows in map(by_auction.pop, sorted(by_auction)):
+        head = _level_text(rows[0])
+        for text in map(_level_text, rows):
+            if text != head:
+                name = next(n for n, a, b in zip(_AUCTION_LEVEL, head, text) if a != b)
+                raise InvariantError(f"auction {rows[0].auction_id}: records disagree on {name}")
+        views.append(_auction_view(rows))
+    check_dataset(views)
+    return views
 
 
-def validate_dataset(records: Sequence[BidRecord]) -> list[AuctionView]:
-    """Check flat records against every dataset rule; return their views.
+# The paper's inconsistent-price rule: the chronologically last bid, or
+# the starting price, above the winning bid. preprocess files an auction
+# that breaks it as inconsistent, and one that breaks any other rule as
+# contradictory.
+INCONSISTENT_PRICE = "inconsistent_price"
 
-    The reference check: passing means ids are dense 1..N / 1..M and all
-    per-record and cross-record rules hold; otherwise InvariantError
-    names the first few violations. The views come from the grouping
-    the checks produce anyway.
-    """
-    by_auction = _checked_groups(records)
-    return [_auction_view(by_auction[aid]) for aid in sorted(by_auction)]
+_bid_amount = attrgetter("bid_amount")
 
 
-def auction_ok(view: AuctionView) -> bool:
-    """True when an auction breaks no dataset rule other than the id rules.
+def auction_fault(view: AuctionView) -> str | None:
+    """The first rule of the bid table a view breaks, as "<rule>: <detail>".
 
-    validate_bid_record's auction-level rules run once, its bid rules
-    once per bid, then the stored counts are compared with the bids;
-    callers check the ids. Each amount's scale is tested before it is
-    compared, so a non-finite amount is refused, never compared. The
-    pipeline drops an auction whose view it refuses; for the views of
-    check_dataset, False only says the reference has to decide.
+    None when it breaks none; the id rules are check_dataset's. The
+    rules run in one fixed order: the scale of every amount, so a
+    non-finite amount is never compared; then INCONSISTENT_PRICE;
+    then the auction's fields and stored counts; then each bid in order;
+    last the count of distinct bidders.
     """
     seller = view.seller_id
     starting = view.starting_price
     winning = view.winning_bid
+    duration = view.auction_duration_sec
     start = view.start_time_sec
     end = view.end_time_sec
     bids = view.bids
+    # Compare exponents, not values: Decimal("650.5") == Decimal("650.50")
+    # numerically, but only the latter serializes with two digits.
+    # same_quantum is False for every non-finite value.
     if not (
-        seller and not seller.isspace()
-        and starting.same_quantum(CENT) and winning.same_quantum(CENT)
-        and winning > 0 and 0 <= starting <= winning
-        and start - end == view.auction_duration_sec > 0 and end >= 0
-        and view.num_bids == len(bids) and view.num_bidders >= 1
+        starting.same_quantum(CENT) and winning.same_quantum(CENT)
+        and all(map(CENT.same_quantum, map(_bid_amount, bids)))
     ):
-        return False
+        amounts = [("starting_price", starting), ("winning_bid", winning)]
+        amounts += [("bid_amount", amount) for amount in map(_bid_amount, bids)]
+        name, amount = next(pair for pair in amounts if not pair[1].same_quantum(CENT))
+        return f"scale: {name} {amount} is not a 2-digit fixed-point amount"
+    if bids and bids[-1].bid_amount > winning:
+        return f"inconsistent_price: bid_amount {bids[-1].bid_amount} above winning_bid {winning}"
+    if starting > winning:
+        return f"inconsistent_price: starting_price {starting} outside [0, winning_bid={winning}]"
+    if not seller or seller.isspace():
+        return "seller_blank: seller_id is blank"
+    if winning <= 0:
+        return f"winning_not_positive: winning_bid {winning} is not positive"
+    if starting < 0:
+        return f"starting_negative: starting_price {starting} outside [0, winning_bid={winning}]"
+    if duration <= 0:
+        return f"duration_not_positive: auction_duration_sec {duration} is not positive"
+    if start - end != duration:
+        return f"duration_identity: duration mismatch: start-end={start - end} != {duration}"
+    if end < 0:
+        return f"end_negative: end_time_sec {end} is negative"
+    num_bids, num_bidders = view.num_bids, view.num_bidders
+    if num_bids != len(bids):
+        return f"bid_count: num_bids={num_bids} but {len(bids)} rows"
+    if not 1 <= num_bidders <= num_bids:
+        return f"count_order: counts out of order: num_bidders={num_bidders} num_bids={num_bids}"
     for bid in bids:
         bidder = bid.bidder_id
-        amount = bid.bid_amount
-        if not (
-            bidder and not bidder.isspace()
-            and amount.same_quantum(CENT) and amount <= winning
-            and end <= bid.bid_submit_time_sec <= start
-        ):
-            return False
-    # With the bids counted, this also gives num_bidders <= num_bids.
-    return len({bid.bidder_id for bid in bids}) == view.num_bidders
-
-
-_after_seller = attrgetter(*_AUCTION_LEVEL[1:])
-
-
-def _flatten(auctions: Iterable[AuctionView]) -> list[BidRecord]:
-    """The records of a set of views, in view order, then bid order."""
-    return [
-        BidRecord(
-            bid.record_id, view.auction_id, view.seller_id, bid.bidder_id,
-            bid.bid_amount, bid.bid_submit_time_sec, *_after_seller(view),
-        )
-        for view in auctions
-        for bid in view.bids
-    ]
+        if not bidder or bidder.isspace():
+            return "bidder_blank: bidder_id is blank"
+        if bid.bid_amount > winning:
+            return f"bid_above_winning: bid_amount {bid.bid_amount} above winning_bid {winning}"
+        if not end <= bid.bid_submit_time_sec <= start:
+            return (
+                f"bid_outside_window: bid time {bid.bid_submit_time_sec} "
+                f"outside auction window [{end}, {start}]"
+            )
+    distinct = len({bid.bidder_id for bid in bids})
+    if distinct != num_bidders:
+        return f"bidder_count: num_bidders={num_bidders} but {distinct} distinct bidders"
+    return None
 
 
 _record_id = attrgetter("record_id")
+_auction_id = attrgetter("auction_id")
 
 
-def views_ok(auctions: Sequence[AuctionView]) -> bool:
-    """True when views have the pipeline's own shape and break no rule.
+def check_ids(auctions: Sequence[AuctionView]) -> None:
+    """Raise InvariantError unless the views hold auction ids 1..N and
+    record ids 1..M, each once.
 
-    The shape: views numbered 1..N in order, each passing auction_ok,
-    whose bids hold record ids 1..M in order. False only says the
-    reference has to decide.
+    Views in the pipeline's own shape, numbered 1..N in order with
+    record ids ascending along them, pass in one walk; only other views
+    have their ids sorted.
     """
     next_id = 1
     for auction_id, view in enumerate(auctions, 1):
         count = len(view.bids)
-        if (
-            view.auction_id != auction_id
-            or list(map(_record_id, view.bids)) != list(range(next_id, next_id + count))
-            or not auction_ok(view)
+        if view.auction_id != auction_id or (
+            list(map(_record_id, view.bids)) != list(range(next_id, next_id + count))
         ):
-            return False
+            break
         next_id += count
-    return True
+    else:
+        return
+    record_ids = sorted(bid.record_id for view in auctions for bid in view.bids)
+    copied = next((b for a, b in pairwise(record_ids) if a == b), None)
+    if copied is not None:
+        raise InvariantError(f"record_id {copied} appears more than once")
+    if record_ids != list(range(1, len(record_ids) + 1)):
+        raise InvariantError("record_id values are not dense 1..M")
+    if sorted(map(_auction_id, auctions)) != list(range(1, len(auctions) + 1)):
+        raise InvariantError("auction_id values are not dense 1..N")
 
 
 def check_dataset(auctions: Sequence[AuctionView]) -> None:
     """Raise InvariantError unless the views make a valid bid table.
 
-    Valid means what validate_dataset accepts of their records. Views
-    that fail views_ok go through the reference, which either accepts
-    them or raises its own error, with its text.
+    The id rules (check_ids) come first; then the first view that
+    breaks a rule raises "auction <id>: <rule>: <detail>", from
+    auction_fault.
     """
-    if not views_ok(auctions):
-        _checked_groups(_flatten(auctions))
+    check_ids(auctions)
+    for view in auctions:
+        fault = auction_fault(view)
+        if fault is not None:
+            raise InvariantError(f"auction {view.auction_id}: {fault}")
 
 
 @fast_frozen_init

@@ -6,11 +6,10 @@ blank bidder id and groups the rest into auctions, checking that each
 auction's rows agree; each bid is kept as a (bid_submit_time_sec,
 bid_amount, bidder_id) tuple. Then scraped counts are reconciled
 against actual rows, and one walk in start order drops each auction
-with too few bids, else with a price above its winning price, else
-whose built view breaks any other rule of the bid table
-(model.auction_ok), and numbers the rest densely. The result is one
-AuctionView per kept auction, numbered and checked, which
-ingest.write_preprocessed writes as it is.
+with too few bids, else whose built view breaks a rule of the bid
+table, filed by the rule model.auction_fault names, and numbers the
+rest densely. The result is one AuctionView per kept auction, numbered
+and checked, which ingest.write_preprocessed writes as it is.
 
 The row pass is written once and shared by both input layouts, as
 (head, bid) pairs of an auction's cells and a bid's; the readers give
@@ -50,7 +49,8 @@ from .ingest import (
     read_bid_table,
 )
 from .model import (
-    CENT, PREPROCESSED_COLUMNS, AuctionView, Bid, BidRecord, auction_ok, check_dataset,
+    CENT, INCONSISTENT_PRICE, PREPROCESSED_COLUMNS, AuctionView, Bid, BidRecord,
+    auction_fault, check_ids,
 )
 
 logger = logging.getLogger(__name__)
@@ -273,11 +273,11 @@ def assign_identifiers(
     Returns (views, thin, inconsistent, contradictory). Auctions are
     walked once from the earliest start (largest start countdown), ties
     broken by key, and each goes to the first of these it falls under:
-    thin when it has fewer than min_bids bids; inconsistent when its
-    chronologically last bid or its starting price is above its winning
-    price (both strictly); contradictory when its view breaks any other
-    rule of the bid table, as model.auction_ok judges it. Counts are
-    compared with the bids, so they should be reconciled first.
+    thin when it has fewer than min_bids bids; else inconsistent when
+    the first rule its view breaks, as model.auction_fault names it, is
+    INCONSISTENT_PRICE (its chronologically last bid or its starting
+    price above its winning price), contradictory when it is any other.
+    Counts are compared with the bids, so reconcile them first.
 
     A kept auction takes the next auction id, 1..N, and its bids,
     sorted in place by (descending time, amount, bidder), the next
@@ -293,27 +293,26 @@ def assign_identifiers(
     record_id = 1
     for auction in sorted(auctions, key=lambda a: (-a.start_time_sec, a.key)):
         bids = auction.bids
-        winning = auction.winning_bid
         if len(bids) < min_bids:
             thin.append(auction)
             continue
         bids.sort(key=_bid_order)
-        if bids[-1][1] > winning or auction.starting_price > winning:
-            inconsistent.append(auction)
-            continue
         view = AuctionView(
             len(views) + 1, auction.seller_id, auction.num_bidders, auction.num_bids,
-            auction.starting_price, winning, auction.auction_duration_sec,
+            auction.starting_price, auction.winning_bid, auction.auction_duration_sec,
             auction.start_time_sec, auction.end_time_sec,
             tuple(
                 Bid(bidder, amount, time, rid)
                 for rid, (time, amount, bidder) in enumerate(bids, record_id)
             ),
         )
-        if auction_ok(view):
+        fault = auction_fault(view)
+        if fault is None:
             views.append(view)
             record_id += len(bids)
             bids.clear()
+        elif fault.startswith(INCONSISTENT_PRICE):
+            inconsistent.append(auction)
         else:
             contradictory.append(auction)
     return views, thin, inconsistent, contradictory
@@ -568,7 +567,7 @@ def _finish(
 ) -> tuple[list[AuctionView], CleansingReport]:
     bids_fixed, bidders_fixed = reconcile_counts(auctions)
     views, thin, inconsistent, contradictory = assign_identifiers(auctions, config.min_bids)
-    check_dataset(views)
+    check_ids(views)
 
     thin_rows = sum(len(a.bids) for a in thin)
     inconsistent_rows = sum(len(a.bids) for a in inconsistent)

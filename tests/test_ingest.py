@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shillbid.cli import main as cli_main
 from shillbid.errors import (
     DataConsistencyError,
     InvariantError,
@@ -465,6 +466,30 @@ def test_read_auctions_raises_a_bad_cell_in_its_one_pass(tmp_path, monkeypatch):
         "ParseError", f"{path}:row 7: bid_amount is not a number: 'lots'"
     )
     assert views_outcome(lambda: one_pass(monkeypatch, path)) == expected
+
+
+def faulty_table(tmp_path):
+    """base_rows with a later bid of auction 2 above its winning_bid."""
+    rows = base_rows()
+    rows[6][4] = "24.00"
+    path = tmp_path / "clean.csv"
+    write_csv(path, PREPROCESSED_COLUMNS, rows)
+    return path
+
+
+FAULT = "auction 2: bid_above_winning: bid_amount 24.00 above winning_bid 14.00"
+
+
+def test_read_auctions_raises_a_broken_rule_in_its_one_pass(tmp_path, monkeypatch):
+    path = faulty_table(tmp_path)
+    assert reference_outcome(path) == ("InvariantError", FAULT)
+    assert views_outcome(lambda: one_pass(monkeypatch, path)) == ("InvariantError", FAULT)
+
+
+def test_validate_names_the_auction_and_the_rule_a_table_breaks(tmp_path, capsys):
+    path = faulty_table(tmp_path)
+    assert cli_main(["validate", "--in", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {FAULT}\n"
 
 
 def test_read_auctions_on_an_empty_table(tmp_path, monkeypatch):

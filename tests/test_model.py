@@ -1,5 +1,6 @@
 """Core type behavior: grouping, winners, validation."""
 import dataclasses
+import itertools
 import random
 import re
 import tempfile
@@ -20,14 +21,16 @@ from shillbid.model import (
     SB_COLUMNS,
     BidRecord,
     SBInstance,
+    auction_fault,
     check_dataset,
     fast_frozen_init,
-    validate_bid_record,
     validate_dataset,
     validate_weights,
     winner_of,
 )
 
+from . import _oracle
+from ._oracle import validate_bid_record
 from .conftest import D, make_view, random_micro_corpus, records_of
 
 
@@ -172,10 +175,24 @@ def test_validate_dataset_accepts_two_row_auction():
     assert sorted(b.bidder_id for b in view.bids) == ["alice", "bob"]
 
 
+# A second row whose auction-level field differs from the first row's
+# is named by the first such field: records that disagree are caught
+# before any rule is judged on the auction's view. Keyed by the fields
+# a case changes.
+SECOND_ROW_FRAGMENTS = {
+    ("seller_id",): "disagree on seller_id",
+    ("num_bidders", "num_bids"): "disagree on num_bids",
+    ("num_bidders",): "disagree on num_bidders",
+    ("winning_bid", "bid_amount", "starting_price"): "disagree on starting_price",
+    ("start_time_sec",): "disagree on start_time_sec",
+}
+
+
 @pytest.mark.parametrize("kwargs, fragment", RECORD_VIOLATIONS)
 def test_validate_dataset_flags_each_violation_on_second_row(kwargs, fragment):
     # Auction-level rules run once per auction; a bad value on a later
     # row must still be caught.
+    fragment = SECOND_ROW_FRAGMENTS.get(tuple(kwargs), fragment)
     with pytest.raises(InvariantError, match=re.escape(fragment)):
         validate_dataset(two_row_auction(**kwargs))
 
@@ -192,6 +209,7 @@ def test_validate_dataset_flags_scale_on_second_row(field, first_value, second_v
     # Decimal("20.5") == Decimal("20.50") as numbers, but only the latter
     # serializes with two digits: a shortcut that compared the second
     # row's fields with the first row's by value would let it through.
+    # Auction-level amounts are compared as text, so the records disagree.
     first = record(
         record_id=1, num_bids=2, num_bidders=2, winning_bid="20.50",
         bid_amount="18.00",
@@ -202,7 +220,11 @@ def test_validate_dataset_flags_scale_on_second_row(field, first_value, second_v
     )
     assert getattr(second, field) == getattr(first, field)
     validate_dataset([first, dataclasses.replace(second, **{field: D(first_value)})])
-    with pytest.raises(InvariantError, match=f"{field} {second_value} is not a 2-digit"):
+    fragment = (
+        f"{field} {second_value} is not a 2-digit" if field == "bid_amount"
+        else f"records disagree on {field}"
+    )
+    with pytest.raises(InvariantError, match=fragment):
         validate_dataset([first, second])
 
 
@@ -261,7 +283,7 @@ def test_validate_dataset_empty_is_fine():
     validate_dataset([])
 
 
-# --- check_dataset: one predicate against the reference ----------------------
+# --- check_dataset: one rule list against the oracle -------------------------
 
 def check_outcome(call):
     """None, or the type and text of what call raised."""
@@ -319,7 +341,7 @@ def second_as(specs, **kwargs):
     return renumbered(views)
 
 
-# One case per clause of auction_ok and of check_dataset's id rules; each
+# One case per rule of auction_fault and of check_dataset's id rules; each
 # breaks that clause alone. A scale break ("24.0") reads back from text
 # as the valid two-digit amount, so it is checked in memory only.
 PREDICATE_CASES = [
@@ -361,9 +383,16 @@ PREDICATE_CASES = [
     ids=[case[0] for case in PREDICATE_CASES],
 )
 def test_check_dataset_breaks_like_the_reference(tmp_path, views, from_text):
+    assert _oracle.dataset_violations(records_of(views))
     expected = check_outcome(lambda: validate_dataset(records_of(views)))
     assert expected is not None and expected[0] == "InvariantError"
-    assert check_outcome(lambda: check_dataset(views)) == expected
+    outcome = check_outcome(lambda: check_dataset(views))
+    if all(view.bids for view in views):
+        assert outcome == expected
+    else:
+        # Records cannot hold an auction without bids: its id goes missing.
+        assert outcome == ("InvariantError", "auction 2: count_order: counts out of order: "
+                           "num_bidders=0 num_bids=0")
     if from_text:
         path = tmp_path / "clean.csv"
         write_preprocessed(views, path, validate=False)
@@ -381,6 +410,32 @@ def test_check_dataset_accepts_valid_views_off_the_pipeline_shape():
     )
     check_dataset([dataclasses.replace(views[0], bids=renumbered_bids), *views[1:]])
     check_dataset([])
+
+
+# One edit of valid_views()[1] per rule, in auction_fault's order; no
+# two change the same field.
+ORDERED_BREAKS = [
+    ("scale", {"starting_price": Decimal("7.0")}),
+    ("inconsistent_price", {"winning_bid": D("31.00")}),
+    ("seller_blank", {"seller_id": " "}),
+    ("duration_identity", {"start_time_sec": 100_000 + 5 * 86400 + 1}),
+    ("bid_count", {"num_bids": 4}),
+    ("bid_outside_window", {"bids": second_bid(2, bid_submit_time_sec=99_999)[1].bids}),
+    ("bidder_count", {"num_bidders": 1}),
+]
+
+
+def test_auction_fault_names_the_earlier_of_two_broken_rules():
+    view = valid_views()[1]
+    assert auction_fault(view) is None
+    for rule, edit in ORDERED_BREAKS:
+        assert auction_fault(dataclasses.replace(view, **edit)).startswith(f"{rule}: ")
+    for (rule, first), (_, later) in itertools.combinations(ORDERED_BREAKS, 2):
+        both = dataclasses.replace(view, **first, **later)
+        assert auction_fault(both).startswith(f"{rule}: ")
+    assert auction_fault(dataclasses.replace(view, **ORDERED_BREAKS[0][1])) == (
+        "scale: starting_price 7.0 is not a 2-digit fixed-point amount"
+    )
 
 
 _VIEW_EDITS = {
@@ -429,8 +484,9 @@ def edited_corpora(draw):
 @settings(max_examples=300)
 @given(edited_corpora())
 def test_check_dataset_raises_iff_the_reference_does(views):
-    expected = check_outcome(lambda: validate_dataset(records_of(views)))
-    assert check_outcome(lambda: check_dataset(views)) == expected
+    outcome = check_outcome(lambda: check_dataset(views))
+    assert (outcome is not None) == bool(_oracle.dataset_violations(records_of(views)))
+    assert outcome is None or outcome[0] == "InvariantError"
 
 
 @settings(max_examples=500, deadline=None)

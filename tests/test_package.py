@@ -122,6 +122,43 @@ def test_each_auction_is_walked_only_by_the_metric_pass():
     assert offenders == []
 
 
+def _identifier(node) -> str | None:
+    """The name a node uses or defines, if any."""
+    for attr in ("id", "attr", "name"):
+        if isinstance(getattr(node, attr, None), str):
+            return getattr(node, attr)
+    return None
+
+
+def test_the_bid_table_rules_are_written_once():
+    # model.auction_fault is the one list of the bid table's rules: only
+    # it tests an amount's scale, and the per-record copy of the rules
+    # lives in the test oracle, not in the package.
+    package = Path(shillbid.__file__).parent
+    gone = {
+        "validate_bid_record", "_check_group", "_checked_groups", "_flatten",
+        "auction_ok", "views_ok",
+    }
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        offenders += [
+            f"{path.name}:{getattr(node, 'lineno', 0)}: {_identifier(node)}"
+            for node in ast.walk(tree)
+            if _identifier(node) in gone
+        ]
+        if path.name == "model.py":
+            tree.body = [
+                node for node in tree.body if getattr(node, "name", None) != "auction_fault"
+            ]
+        offenders += [
+            f"{path.name}:{node.lineno}: same_quantum"
+            for node in ast.walk(tree)
+            if _identifier(node) == "same_quantum"
+        ]
+    assert offenders == []
+
+
 def test_only_ingest_frames_csv():
     # How a table is opened, framed and quoted is one decision, made in
     # ingest. synth writes the raw corpus its own way: its bytes feed

@@ -405,6 +405,15 @@ def test_filter_inconsistent_is_strict():
     assert thin == contradictory == []
 
 
+def test_an_inconsistent_price_is_filed_before_a_blank_seller():
+    # model.auction_fault names the inconsistent-price rule before any
+    # other rule of the view, so the paper's rule files the auction.
+    both = parsed_auction(seller=" ", winning_bid=Decimal("13.99"))
+    views, thin, inconsistent, contradictory = assign_identifiers([both], 5)
+    assert inconsistent == [both]
+    assert views == thin == contradictory == []
+
+
 def test_filter_contradictory_drops_each_broken_rule_at_its_boundary():
     end = 600_000 - 5 * 86400
 
