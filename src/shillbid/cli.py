@@ -69,11 +69,14 @@ def _outputs():
 
     When the block ends, every output is moved into place with
     os.replace; if it raises, or a path is a directory, none is and no
-    .tmp file is left.
+    .tmp file is left. A path staged twice is a ConfigError, as one
+    output would silently overwrite the other.
     """
     moves: dict[str, str] = {}
 
     def staged(path: str | Path) -> str:
+        if os.path.realpath(path) in map(os.path.realpath, moves.values()):
+            raise ConfigError(f"{path} is named as more than one output")
         moves[f"{path}.tmp"] = str(path)
         return f"{path}.tmp"
 

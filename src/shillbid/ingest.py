@@ -15,16 +15,19 @@ repeats on every row of an auction, so a line that starts with the
 prefix of the line before it shares that line's head and has only its
 rest split on commas. A line without such a prefix, or whose rest holds
 a quote or a CR, has the wrong cell count or another auction cell, and
-a line over the field limit or without a final LF, goes to one
-csv.reader, which numbers rows as csv records. Iterating a RawScanner
+a line over the field limit or without a final LF, goes to
+_csv_records: one csv.reader that reads the record starting at that
+line, so rows are numbered as csv records. Iterating a RawScanner
 reads every row with csv.reader into a RawRecord: read_raw, the
 reference the prefix path is tested against.
 
-A bid table is read line by line in one pass, _bid_lines, which splits
+A bid table is read line by line in one pass, bid_rows, which splits
 each line on commas and parses an auction's cells once; read_auctions
-and the preprocess re-cleanse consume it. A table with a line that
-split may not read as csv does goes to read_preprocessed, which parses
-every row in full and on its own: the reference both are tested against.
+and the preprocess re-cleanse consume it. A line that split may not
+read as csv does goes to _csv_records too, so each line of either
+table is read once. read_preprocessed, which reads every row with
+csv.reader and parses it in full and on its own, is the reference that
+bid_rows is tested against; nothing in the package calls it.
 """
 from __future__ import annotations
 
@@ -48,9 +51,8 @@ from .model import (
     Bid,
     BidRecord,
     SBInstance,
-    bid_sort_key,
+    auction_views,
     check_dataset,
-    validate_dataset,
 )
 
 # Logical field -> raw column header. The keys are the contract; the
@@ -250,6 +252,33 @@ BID_FIELDS = ("bid_date", "bid_time", "bid_amount", "bidder_id")
 HEAD_FIELDS = tuple(name for name in LOGICAL_FIELDS if name not in BID_FIELDS)
 
 
+def _csv_records(
+    path: str | Path, lines: Iterator[tuple[int, str]]
+) -> Callable[[int, str], tuple[list[str], bool]]:
+    """record(n, line): the cells of csv record n, which starts at line,
+    and whether it ends on that line.
+
+    One csv.reader reads each record from the line handed to it, then,
+    for a record that spans lines, the next ones of lines. A record it
+    refuses is a ParseError naming the file and row n.
+    """
+    pending: list[str] = []
+    reader = csv.reader(
+        iter(lambda: pending.pop() if pending else next(lines, (0, None))[1], None)
+    )
+
+    def record(n: int, line: str) -> tuple[list[str], bool]:
+        pending.append(line)
+        read = reader.line_num
+        try:
+            cells = next(reader)
+        except csv.Error as exc:
+            raise ParseError(f"{path}:row {n}: {exc}") from None
+        return cells, reader.line_num == read + 1
+
+    return record
+
+
 class RawScanner:
     """Streams accepted rows of a raw CSV while building a SchemaReport.
 
@@ -334,12 +363,7 @@ class RawScanner:
             rest_late = itemgetter(*late) if late else None
             rest_width, limit = len(columns) - cut, csv.field_size_limit()
             misses = self.report.missing_values
-            # The reader takes the line handed to it, then, for a record
-            # that spans lines, the file's next ones.
-            pending: list[str] = []
-            reader = csv.reader(
-                iter(lambda: pending.pop() if pending else next(lines, (0, None))[1], None)
-            )
+            record = _csv_records(self.path, lines)
             # No line starts with two LFs, so none has this first prefix.
             prefix, size, head, head_late, blank, last, n = "\n\n", 0, None, None, (), None, 0
             for _, line in lines:
@@ -369,15 +393,10 @@ class RawScanner:
                                     misses[name] += 1
                         yield head, rest_bid(cells)
                         continue
-                pending.append(line)
-                read = reader.line_num
-                try:
-                    cells = next(reader)
-                except csv.Error as exc:
-                    raise ParseError(f"{self.path}:row {n}: {exc}") from None
+                cells, alone = record(n, line)
                 if self._accept(n, cells):
                     own = full_head(cells)
-                    if cut and reader.line_num == read + 1:
+                    if cut and alone:
                         # A record on one line: the next line may share its prefix.
                         last, last_line, last_head = cells, line, own
                     yield own, full_bid(cells)
@@ -489,32 +508,30 @@ def _parse_preprocessed_row(cells: Sequence[str], where: str) -> BidRecord:
 def read_preprocessed(path: str | Path) -> list[BidRecord]:
     """Read a previously written bid table back into typed records.
 
-    Every row is parsed in full and on its own, with no shared state, so
-    this reader is the reference that the line-level pass of _bid_lines
+    Every row is read by csv.reader and parsed in full, on its own and
+    with no shared state, so this reader is the reference that bid_rows
     is tested against; model.validate_dataset judges its records.
     """
     with _table(path, PREPROCESSED_COLUMNS) as (_, rows):
         return [_parse_preprocessed_row(cells, f"{path}:row {n}") for n, cells in rows]
 
 
-class _NotPlain(Exception):
-    """A bid table line that str.split may not read as the csv reader does."""
-
-
-def _bid_lines(
+def bid_rows(
     path: str | Path, make_bid: Callable[[str, Decimal, int, int], T] = Bid
 ) -> Iterator[tuple[tuple, T]]:
-    """Stream a bid table as one (head, bid) per row, splitting its lines.
+    """Stream a bid table as one (head, bid) per csv record, in one pass.
 
-    head holds an AuctionView's auction fields; bid is make_bid(bidder_id,
-    bid_amount, bid_submit_time_sec, record_id). A row repeating the
-    seller and auction-level text of its auction_id text's first row
-    shares that row's head and has only its bid cells parsed; any other
-    is parsed in full, its own head. Each id and amount text is read
-    into one object. A row that does not parse raises what
-    read_preprocessed raises. A line that split may not read as csv does
-    (with a quote or a CR, longer than csv.field_size_limit(), blank,
-    ragged, or with no final LF) raises _NotPlain.
+    head holds an AuctionView's fields before its bids; bid is
+    make_bid(bidder_id, bid_amount, bid_submit_time_sec, record_id). A
+    line is split on commas unless split may not read it as csv does:
+    a line with a quote or a CR, the wrong comma count, no final LF or
+    more characters than csv.field_size_limit() goes to one csv.reader,
+    which reads the record that starts there, so rows are numbered as
+    csv records. A split row repeating the seller and auction-level text
+    of the first split row of its auction_id text shares that row's head
+    and has only its bid cells parsed; any other row is parsed in full,
+    its own head. Each id and amount text is read into one object. A row
+    that does not parse raises what read_preprocessed raises.
     """
     limit = csv.field_size_limit()
     commas = len(PREPROCESSED_COLUMNS) - 1
@@ -522,27 +539,37 @@ def _bid_lines(
     firsts: dict[str, tuple[str, str, tuple]] = {}
     amounts: dict[str, Decimal] = {}
     ids: dict[str, str] = {}
+
+    def head_of(n: int, cells: list[str]) -> tuple:
+        """Row n, cells, parsed in full, as its own head."""
+        rec = _parse_preprocessed_row(cells, f"{path}:row {n}")
+        return (
+            rec.auction_id, ids.setdefault(rec.seller_id, rec.seller_id), rec.num_bidders,
+            rec.num_bids, amounts.setdefault(cells[8], rec.starting_price),
+            amounts.setdefault(cells[9], rec.winning_bid),
+            rec.auction_duration_sec, rec.start_time_sec, rec.end_time_sec,
+        )
+
     with _table(path, PREPROCESSED_COLUMNS, iter) as (_, lines):
-        for n, line in lines:
+        record = _csv_records(path, lines)
+        n = 0
+        for _, line in lines:
+            n += 1
             if (
                 '"' in line or "\r" in line or len(line) > limit
                 or line.count(",") != commas or line[-1] != "\n"
             ):
-                raise _NotPlain
-            record_id, aid, seller, bidder, amount, submitted, level = line.split(",", 6)
-            first = firsts.get(aid)
-            if first is not None and seller == first[0] and level == first[1]:
-                head = first[2]
+                cells = record(n, line)[0]
+                head = head_of(n, cells)
+                record_id, _, _, bidder, amount, submitted = cells[:6]
             else:
-                cells = line[:-1].split(",")
-                rec = _parse_preprocessed_row(cells, f"{path}:row {n}")
-                head = (
-                    rec.auction_id, ids.setdefault(seller, seller), rec.num_bidders,
-                    rec.num_bids, amounts.setdefault(cells[8], rec.starting_price),
-                    amounts.setdefault(cells[9], rec.winning_bid),
-                    rec.auction_duration_sec, rec.start_time_sec, rec.end_time_sec,
-                )
-                firsts.setdefault(aid, (seller, level, head))
+                record_id, aid, seller, bidder, amount, submitted, level = line.split(",", 6)
+                first = firsts.get(aid)
+                if first is not None and seller == first[0] and level == first[1]:
+                    head = first[2]
+                else:
+                    head = head_of(n, line[:-1].split(","))
+                    firsts.setdefault(aid, (seller, level, head))
             try:
                 value = amounts.get(amount)
                 if value is None:
@@ -551,69 +578,21 @@ def _bid_lines(
                     ids.setdefault(bidder, bidder), value, int(submitted), int(record_id)
                 )
             except (ValueError, ParseError):
-                # Reparse the row in full for the exact error.
+                # Only a row that shares its head gets here, as a row
+                # parsed in full has passed: reparse it for the exact error.
                 _parse_preprocessed_row(line[:-1].split(","), f"{path}:row {n}")
                 raise
             yield head, bid
 
 
-def read_bid_table(
-    path: str | Path,
-    take: Callable[..., T],
-    reference: Callable[..., T],
-    make_bid: Callable[[str, Decimal, int, int], object] = Bid,
-) -> T:
-    """take's result on the (head, bid) rows of _bid_lines, as they are read.
-
-    If take returns None, or the table holds a line that _bid_lines
-    leaves to the csv reader, reference's on read_preprocessed(path).
-    """
-    try:
-        result = take(_bid_lines(path, make_bid))
-    except _NotPlain:
-        result = None
-    return reference(read_preprocessed(path)) if result is None else result
-
-
-def _checked_views(rows: Iterable[tuple[tuple, Bid]]) -> list[AuctionView] | None:
-    """The views of (head, bid) rows, or None if an auction has two heads.
-
-    Views that break a rule raise what model.check_dataset raises. Bids
-    whose times strictly fall are in bid_sort_key order already; others
-    are sorted.
-    """
-    # auction_id -> (head, bids)
-    auctions: dict[int, tuple[tuple, list[Bid]]] = {}
-    current = None
-    for head, bid in rows:
-        if head is not current:
-            current = head
-            entry = auctions.setdefault(head[0], (head, []))
-            if entry[0] is not head:
-                # Auction-level text that differs from the auction's
-                # first row, or a second spelling of its id ("01").
-                return None
-            bids = entry[1]
-        bids.append(bid)
-    views = []
-    for head, bids in map(auctions.pop, sorted(auctions)):
-        times = [bid.bid_submit_time_sec for bid in bids]
-        if times != sorted(set(times), reverse=True):
-            bids.sort(key=bid_sort_key)
-        views.append(AuctionView(*head, tuple(bids)))
-    check_dataset(views)
-    return views
-
-
 def read_auctions(path: str | Path) -> list[AuctionView]:
-    """Read a bid table into checked auction views in one streaming pass.
+    """Read a bid table into checked auction views, each line once.
 
     Returns or raises exactly what validate_dataset(read_preprocessed(path))
     does. A row that does not parse raises once it is read, a broken rule
-    once the views are built. Only a table that read_bid_table leaves to
-    the reference, or with two heads for an auction, is read twice.
+    once every row is.
     """
-    return read_bid_table(path, _checked_views, validate_dataset)
+    return auction_views(bid_rows(path))
 
 
 def check_sb_dataset(instances: Sequence[SBInstance]) -> bool:

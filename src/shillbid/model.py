@@ -3,9 +3,12 @@
 An AuctionView is the one in-memory shape of an auction: the pipeline
 numbers and checks views, write_preprocessed writes them, read_auctions
 reads them back. A BidRecord, one row of the bid table, is built only
-where a table is read row by row. The bid table's rules are written
-once: auction_fault names the first rule a view breaks, check_ids holds
-the id rules, and check_dataset and validate_dataset apply both.
+where a table is read row by row. auction_views is the one grouping of
+a bid table's (head, bid) rows into views, whether they come from
+ingest.bid_rows or, through validate_dataset, from records. The bid
+table's rules are written once: auction_fault names the first rule a
+view breaks, check_ids holds the id rules, and check_dataset applies
+both.
 
 Time is stored as countdown seconds: whole seconds remaining until a
 fixed reference moment, so later events carry smaller values. All money
@@ -169,47 +172,60 @@ _AUCTION_LEVEL = (
     "end_time_sec",
 )
 
-_auction_fields = attrgetter(*_AUCTION_LEVEL)
+# A BidRecord's head: its auction fields in AuctionView's field order.
+record_head = attrgetter("auction_id", *_AUCTION_LEVEL)
 
 
-def _auction_view(rows: list[BidRecord]) -> AuctionView:
-    """The view of one auction's rows, its bids in canonical order."""
-    bids = (Bid(r.bidder_id, r.bid_amount, r.bid_submit_time_sec, r.record_id) for r in rows)
-    head = rows[0]
-    return AuctionView(
-        head.auction_id, *_auction_fields(head), tuple(sorted(bids, key=bid_sort_key))
-    )
+def auction_views(rows: Iterable[tuple[tuple, Bid]]) -> list[AuctionView]:
+    """Check the (head, bid) rows of a bid table; return their views by auction id.
 
-
-def _level_text(rec: BidRecord) -> tuple:
-    """rec's auction-level fields, each amount as its text."""
-    return (
-        rec.seller_id, rec.num_bidders, rec.num_bids, str(rec.starting_price),
-        str(rec.winning_bid), rec.auction_duration_sec, rec.start_time_sec, rec.end_time_sec,
-    )
+    head holds an AuctionView's fields before bids, head[0] its auction
+    id. A head that is not its auction's first head object must agree
+    with it on every auction-level field as text, so "-0.00" and "0.00"
+    disagree, as do Decimal("20.5") and Decimal("20.50"). Once every row
+    is read, InvariantError names the first field that the first such
+    row of the lowest such auction id disagrees on; else the views must
+    pass check_dataset.
+    """
+    # auction_id -> (first head, bids)
+    auctions: dict[int, tuple[tuple, list[Bid]]] = {}
+    # auction_id -> the field its first disagreeing row disagrees on
+    disagree: dict[int, str] = {}
+    current = None
+    for head, bid in rows:
+        if head is not current:
+            current = head
+            first, bids = auctions.setdefault(head[0], (head, []))
+            if first is not head and head[0] not in disagree:
+                texts = zip(_AUCTION_LEVEL, map(str, first[1:]), map(str, head[1:]))
+                name = next((name for name, a, b in texts if a != b), None)
+                if name is not None:
+                    disagree[head[0]] = name
+        bids.append(bid)
+    if disagree:
+        auction_id = min(disagree)
+        raise InvariantError(f"auction {auction_id}: records disagree on {disagree[auction_id]}")
+    views = []
+    for head, bids in map(auctions.pop, sorted(auctions)):
+        times = [bid.bid_submit_time_sec for bid in bids]
+        # Bids whose times strictly fall are in bid_sort_key order already.
+        if times != sorted(set(times), reverse=True):
+            bids.sort(key=bid_sort_key)
+        views.append(AuctionView(*head, tuple(bids)))
+    check_dataset(views)
+    return views
 
 
 def validate_dataset(records: Iterable[BidRecord]) -> list[AuctionView]:
     """Check the records of a bid table; return their views by auction id.
 
-    The records of one auction must agree on every auction-level field,
-    amounts compared as text, so "20.5" and "20.50" disagree; the views
-    built from them must then pass check_dataset. Otherwise
-    InvariantError names the first broken rule.
+    auction_views of each record's head and Bid, so the records of one
+    auction must agree on every auction-level field, amounts as text.
     """
-    by_auction: dict[int, list[BidRecord]] = {}
-    for rec in records:
-        by_auction.setdefault(rec.auction_id, []).append(rec)
-    views = []
-    for rows in map(by_auction.pop, sorted(by_auction)):
-        head = _level_text(rows[0])
-        for text in map(_level_text, rows):
-            if text != head:
-                name = next(n for n, a, b in zip(_AUCTION_LEVEL, head, text) if a != b)
-                raise InvariantError(f"auction {rows[0].auction_id}: records disagree on {name}")
-        views.append(_auction_view(rows))
-    check_dataset(views)
-    return views
+    return auction_views(
+        (record_head(r), Bid(r.bidder_id, r.bid_amount, r.bid_submit_time_sec, r.record_id))
+        for r in records
+    )
 
 
 # The paper's inconsistent-price rule: the chronologically last bid, or

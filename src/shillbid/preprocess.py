@@ -18,7 +18,7 @@ identity first. run_pipeline feeds it the pairs of
 ingest.RawScanner.pairs, or of any other raw records, parsing date,
 clock and money text only for rows that survive to be grouped.
 run_pipeline_table feeds it the typed rows of a bid table as
-ingest.read_bid_table streams them, line by line, and
+ingest.bid_rows streams them, each line read once, and
 run_pipeline_records the fields of typed records. reconcile_counts and
 assign_identifiers have their own unit tests. The row pass is tested as
 a whole: the golden files pin its bytes, and the removal counts are
@@ -46,11 +46,11 @@ from .errors import (
 )
 from .ingest import (
     BID_FIELDS, DEFAULT_RAW_SCHEMA, HEAD_FIELDS, LOGICAL_FIELDS, RawScanner, SchemaReport,
-    read_bid_table,
+    bid_rows,
 )
 from .model import (
     CENT, INCONSISTENT_PRICE, PREPROCESSED_COLUMNS, AuctionView, Bid, BidRecord,
-    auction_fault, check_ids,
+    auction_fault, check_ids, record_head,
 )
 
 logger = logging.getLogger(__name__)
@@ -725,10 +725,6 @@ def run_pipeline(
 
 # A typed row enters the row pass as (head, bid): the head in
 # AuctionView's field order, the bid as ParsedAuction keeps it.
-_record_head = attrgetter(
-    "auction_id", "seller_id", "num_bidders", "num_bids", "starting_price",
-    "winning_bid", "auction_duration_sec", "start_time_sec", "end_time_sec",
-)
 _record_bid = attrgetter("bid_submit_time_sec", "bid_amount", "bidder_id")
 
 
@@ -762,7 +758,7 @@ def run_pipeline_records(
     Cleansing is idempotent: feeding the pipeline the records of its
     own output reproduces that output exactly and reports zero removals.
     """
-    return _run_typed(((_record_head(r), _record_bid(r)) for r in records), config)
+    return _run_typed(((record_head(r), _record_bid(r)) for r in records), config)
 
 
 def run_pipeline_table(
@@ -770,18 +766,15 @@ def run_pipeline_table(
 ) -> tuple[list[AuctionView], CleansingReport]:
     """Re-run the cleansing chain over a bid table file, in one stream.
 
-    Each row that ingest.read_bid_table reads enters the row pass as the
-    pair run_pipeline_records makes of its record, with the head that
-    its auction's rows share and no record built, so the result is
-    run_pipeline_records(read_preprocessed(path), config), which runs
-    instead on a table read_bid_table leaves to the reference. The one
+    Each row that ingest.bid_rows reads enters the row pass as the pair
+    run_pipeline_records makes of its record, with the head that its
+    auction's rows share and no record built, so the result is
+    run_pipeline_records(read_preprocessed(path), config). The one
     difference is the order of errors: the table is not read whole
     first, so an auction-level disagreement raises before a cell that
     does not parse in a later row.
     """
-    return read_bid_table(
-        path,
-        lambda rows: _run_typed(rows, config),
-        lambda records: run_pipeline_records(records, config),
-        lambda bidder, amount, time, record_id: (time, amount, bidder),
+    return _run_typed(
+        bid_rows(path, lambda bidder, amount, time, record_id: (time, amount, bidder)),
+        config,
     )

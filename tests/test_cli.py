@@ -264,6 +264,22 @@ def test_a_failed_run_leaves_no_new_output(chain, capsys, monkeypatch, command):
     assert sorted(chain.iterdir()) == before
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["preprocess", "--in", "corpus.csv", "--out", "x.csv", "--report", "x.csv"],
+        ["features", "--in", "clean.csv", "--out", "f.csv", "--scores", "./f.csv"],
+    ],
+    ids=["preprocess-out-report", "features-out-scores"],
+)
+def test_an_output_named_twice_exits_2_and_writes_nothing(chain, capsys, monkeypatch, command):
+    before = sorted(chain.iterdir())
+    monkeypatch.chdir(chain)
+    assert run(*command) == 2
+    assert "is named as more than one output" in capsys.readouterr().err
+    assert sorted(chain.iterdir()) == before
+
+
 def test_unknown_header_exits_2(tmp_path, capsys):
     path = tmp_path / "odd.csv"
     path.write_text("a,b\n1,2\n", encoding="utf-8")

@@ -73,15 +73,12 @@ def _builds_bid_record(node) -> bool:
 
 def test_bid_records_are_built_only_at_the_edges():
     # An auction travels from the pipeline to the writer as one view. A
-    # BidRecord is a row of a bid table that is read back (ingest) or
-    # checked by the reference rules (model); no other module builds one.
-    # Inside ingest, only the full parse of one row builds one: the
-    # streaming pass shares the head of each auction's first row.
+    # BidRecord is a row of a bid table that is read back, and only the
+    # full parse of one row in ingest builds one: the streaming pass
+    # shares the head of each auction's first row.
     package = Path(shillbid.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
-        if path.name == "model.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         if path.name == "ingest.py":
             tree.body = [
@@ -155,6 +152,25 @@ def test_the_bid_table_rules_are_written_once():
             f"{path.name}:{node.lineno}: same_quantum"
             for node in ast.walk(tree)
             if _identifier(node) == "same_quantum"
+        ]
+    assert offenders == []
+
+
+def test_each_bid_table_line_is_read_once():
+    # bid_rows reads every line of a bid table, a line the split refuses
+    # through the per-line csv fallback, and model.auction_views is the
+    # one grouping of its rows; the whole-file re-read through the
+    # reference reader is gone.
+    package = Path(shillbid.__file__).parent
+    gone = {"_NotPlain", "read_bid_table", "_checked_views", "_auction_view"}
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        offenders += [
+            f"{path.name}:{getattr(node, 'lineno', 0)}: {_identifier(node)}"
+            for node in ast.walk(tree)
+            if _identifier(node) in gone
+            or isinstance(node, ast.Call) and _identifier(node.func) == "read_preprocessed"
         ]
     assert offenders == []
 

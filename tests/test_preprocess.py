@@ -25,8 +25,8 @@ from shillbid.errors import (
 from shillbid.ingest import (
     DEFAULT_RAW_SCHEMA,
     RawScanner,
-    _bid_lines,
     _parse_cents,
+    bid_rows,
     read_preprocessed,
     write_preprocessed,
 )
@@ -309,7 +309,7 @@ _CELLS = st.one_of(
 @given(st.lists(_CELLS, min_size=1, max_size=4))
 def test_read_preprocessed_money_cells_match_parse_cents(texts):
     # Row 1 opens the auction; each later row shares its auction-level
-    # cells, so _bid_lines parses only its bid cells, amounts through its
+    # cells, so bid_rows parses only its bid cells, amounts through its
     # cache. read_preprocessed parses every cell of every row.
     first = ["1", "1", "s1", "alice", "18.00", "150000", "2", "3",
              "5.00", "20.00", "432000", "532000", "100000"]
@@ -335,10 +335,10 @@ def test_read_preprocessed_money_cells_match_parse_cents(texts):
         actual = _outcome(lambda: [str(r.bid_amount) for r in read_preprocessed(path)])
         assert actual == expected
         assert _outcome(
-            lambda: [str(bid.bid_amount) for _, bid in _bid_lines(path)]
+            lambda: [str(bid.bid_amount) for _, bid in bid_rows(path)]
         ) == expected
         if expected[0] == "ok":
-            streamed = list(_bid_lines(path))
+            streamed = list(bid_rows(path))
             for (head, a), (_, b) in zip(streamed[1:], streamed[1 + len(texts):]):
                 assert a.bid_amount is b.bid_amount  # one Decimal per amount text
                 assert head is streamed[0][0]  # one head per auction
