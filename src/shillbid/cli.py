@@ -130,19 +130,23 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     )
     config.validate()
 
-    header = read_header(args.input)
-    scanner = None
-    if header == PREPROCESSED_COLUMNS:
-        # Already-cleaned input: re-run the stages on its typed rows.
-        log.info("input is in preprocessed layout, re-cleansing")
-        auctions, report = run_pipeline_table(args.input, config)
-    else:
-        scanner = RawScanner(args.input, config.schema)
-        auctions, report = run_pipeline(scanner, config)
-
     with _outputs() as staged:
+        # Name the outputs before the input is read, so a clash costs no
+        # scan; only the scan knows whether a rejects file is needed.
+        out = staged(args.out)
+        report_path = staged(args.report or args.out + ".report.json")
+        header = read_header(args.input)
+        scanner = None
+        if header == PREPROCESSED_COLUMNS:
+            # Already-cleaned input: re-run the stages on its typed rows.
+            log.info("input is in preprocessed layout, re-cleansing")
+            auctions, report = run_pipeline_table(args.input, config)
+        else:
+            scanner = RawScanner(args.input, config.schema)
+            auctions, report = run_pipeline(scanner, config)
+
         # The pipeline judged these views by model.auction_fault, and their ids.
-        write_preprocessed(auctions, staged(args.out), validate=False)
+        write_preprocessed(auctions, out, validate=False)
         payload = {"cleansing": report.to_dict()}
         if scanner is not None:
             payload["ingest"] = scanner.report.to_dict()
@@ -150,7 +154,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
                 rejects_path = args.out + ".rejects.csv"
                 write_rejects(scanner.report, staged(rejects_path))
                 payload["ingest"]["rejects_file"] = rejects_path
-        _write_json(payload, staged(args.report or args.out + ".report.json"))
+        _write_json(payload, report_path)
     print(
         f"kept {report.after.records} rows across {report.after.auctions} "
         f"auctions -> {args.out}"
@@ -162,18 +166,22 @@ def cmd_features(args: argparse.Namespace) -> int:
     # Reject the configuration before anything is read or written.
     score = weight_scorer(load_weights(args.weights) if args.weights else None)
     check_threshold(args.threshold)
-    auctions = read_auctions(args.input)
-    aggregates = compute_global_aggregates(auctions)
-    # Views in auction-id order: the instances come in (auction_id,
-    # bidder_id) order, the order of both output files.
-    instances = build_sb_dataset(auctions, aggregates, jobs=args.jobs)
     with _outputs() as staged:
-        write_sb_dataset(instances, staged(args.out))
-        if args.scores:
-            write_scores(instances, score, staged(args.scores))
+        # Name the outputs before the input is read, so a clash costs no read.
+        out = staged(args.out)
+        scores_path = args.scores and staged(args.scores)
+        report_path = staged(args.report or args.out + ".report.json")
+        auctions = read_auctions(args.input)
+        aggregates = compute_global_aggregates(auctions)
+        # Views in auction-id order: the instances come in (auction_id,
+        # bidder_id) order, the order of both output files.
+        instances = build_sb_dataset(auctions, aggregates, jobs=args.jobs)
+        write_sb_dataset(instances, out)
+        if scores_path:
+            write_scores(instances, score, scores_path)
         winners = {a.auction_id: winner_of(a).bidder_id for a in auctions}
         stats = pattern_stats(instances, threshold=args.threshold, winners=winners)
-        _write_json(stats.to_dict(), staged(args.report or args.out + ".report.json"))
+        _write_json(stats.to_dict(), report_path)
     print(
         f"wrote {len(instances)} instances across {stats.total_auctions} "
         f"auctions -> {args.out}"

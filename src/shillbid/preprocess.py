@@ -3,13 +3,16 @@
 Stage order is fixed. One streaming row pass applies the optional
 winning-price floor, collapses exact duplicates, drops rows with a
 blank bidder id and groups the rest into auctions, checking that each
-auction's rows agree; each bid is kept as a (bid_submit_time_sec,
-bid_amount, bidder_id) tuple. Then scraped counts are reconciled
-against actual rows, and one walk in start order drops each auction
-with too few bids, else whose built view breaks a rule of the bid
-table, filed by the rule model.auction_fault names, and numbers the
-rest densely. The result is one AuctionView per kept auction, numbered
-and checked, which ingest.write_preprocessed writes as it is.
+auction's rows agree. Inside the cleanse an auction is a (head, bids)
+pair: head holds AuctionView's fields before bids, with the auction's
+key where the id goes, and each bid is a (bid_submit_time_sec,
+bid_amount, bidder_id) tuple. Then one walk in start order,
+assign_identifiers, reconciles each auction's scraped counts with its
+rows, drops it when it has too few bids, else when its built view
+breaks a rule of the bid table, filed by the rule model.auction_fault
+names, and numbers the rest densely. The result is one AuctionView per
+kept auction, numbered and checked, which ingest.write_preprocessed
+writes as it is.
 
 The row pass is written once and shared by both input layouts, as
 (head, bid) pairs of an auction's cells and a bid's; the readers give
@@ -19,10 +22,10 @@ ingest.RawScanner.pairs, or of any other raw records, parsing date,
 clock and money text only for rows that survive to be grouped.
 run_pipeline_table feeds it the typed rows of a bid table as
 ingest.bid_rows streams them, each line read once, and
-run_pipeline_records the fields of typed records. reconcile_counts and
-assign_identifiers have their own unit tests. The row pass is tested as
-a whole: the golden files pin its bytes, and the removal counts are
-checked against the defect manifest of a synthetic corpus.
+run_pipeline_records the fields of typed records. assign_identifiers
+has its own unit tests. The row pass is tested as a whole: the golden
+files pin its bytes, and the removal counts are checked against the
+defect manifest of a synthetic corpus.
 """
 from __future__ import annotations
 
@@ -217,45 +220,9 @@ def to_countdown_seconds(event: datetime, reference: datetime) -> int:
     return seconds
 
 
-@dataclass(slots=True)
-class ParsedAuction:
-    """One auction mid-pipeline, before identifiers exist.
-
-    Its fields are named as AuctionView's; each bid is a
-    (bid_submit_time_sec, bid_amount, bidder_id) tuple.
-    """
-
-    key: str | int
-    seller_id: str
-    start_time_sec: int
-    end_time_sec: int
-    auction_duration_sec: int
-    starting_price: Decimal
-    winning_bid: Decimal
-    num_bids: int
-    num_bidders: int
-    bids: list[tuple[int, Decimal, str]] = field(default_factory=list)
-
-
-def reconcile_counts(auctions: Iterable[ParsedAuction]) -> tuple[int, int]:
-    """Overwrite scraped bid/bidder counts that contradict the rows.
-
-    Returns how many auctions had each count fixed. The rows are the
-    ground truth; the scraped numbers may predate row-level cleansing
-    or simply be corrupt.
-    """
-    bids_fixed = 0
-    bidders_fixed = 0
-    for auction in auctions:
-        actual_bids = len(auction.bids)
-        actual_bidders = len({b[2] for b in auction.bids})
-        if auction.num_bids != actual_bids:
-            auction.num_bids = actual_bids
-            bids_fixed += 1
-        if auction.num_bidders != actual_bidders:
-            auction.num_bidders = actual_bidders
-            bidders_fixed += 1
-    return bids_fixed, bidders_fixed
+# One auction inside the cleanse, (head, bids), as the module docstring
+# describes it; the key is the URL text or the bid-table id.
+_Auction = tuple[tuple, list[tuple[int, Decimal, str]]]
 
 
 def _bid_order(bid: tuple[int, Decimal, str]) -> tuple[int, Decimal, str]:
@@ -266,18 +233,22 @@ def _bid_order(bid: tuple[int, Decimal, str]) -> tuple[int, Decimal, str]:
 
 
 def assign_identifiers(
-    auctions: Iterable[ParsedAuction], min_bids: int
-) -> tuple[list[AuctionView], list[ParsedAuction], list[ParsedAuction], list[ParsedAuction]]:
-    """Judge each auction; number and build a view of each one kept.
+    auctions: Iterable[_Auction], min_bids: int
+) -> tuple[list[AuctionView], list[_Auction], list[_Auction], list[_Auction], int, int]:
+    """Reconcile and judge each auction; number and build a view of each one kept.
 
-    Returns (views, thin, inconsistent, contradictory). Auctions are
-    walked once from the earliest start (largest start countdown), ties
-    broken by key, and each goes to the first of these it falls under:
-    thin when it has fewer than min_bids bids; else inconsistent when
-    the first rule its view breaks, as model.auction_fault names it, is
-    INCONSISTENT_PRICE (its chronologically last bid or its starting
-    price above its winning price), contradictory when it is any other.
-    Counts are compared with the bids, so reconcile them first.
+    Returns (views, thin, inconsistent, contradictory, bids_fixed,
+    bidders_fixed). Auctions are walked once from the earliest start
+    (largest start countdown), ties broken by key. Each auction's stored
+    bid and bidder counts are set to those of its rows, which are the
+    ground truth: the scraped numbers may predate row-level cleansing or
+    simply be corrupt. bids_fixed and bidders_fixed count the auctions,
+    thin ones included, whose count that changed. Then each goes to the
+    first of these it falls under: thin when it has fewer than min_bids
+    bids; else inconsistent when the first rule its view breaks, as
+    model.auction_fault names it, is INCONSISTENT_PRICE (its
+    chronologically last bid or its starting price above its winning
+    price), contradictory when it is any other.
 
     A kept auction takes the next auction id, 1..N, and its bids,
     sorted in place by (descending time, amount, bidder), the next
@@ -287,20 +258,23 @@ def assign_identifiers(
     A kept auction's bid list is emptied once its view holds the bids.
     """
     views: list[AuctionView] = []
-    thin: list[ParsedAuction] = []
-    inconsistent: list[ParsedAuction] = []
-    contradictory: list[ParsedAuction] = []
+    thin: list[_Auction] = []
+    inconsistent: list[_Auction] = []
+    contradictory: list[_Auction] = []
+    bids_fixed = bidders_fixed = 0
     record_id = 1
-    for auction in sorted(auctions, key=lambda a: (-a.start_time_sec, a.key)):
-        bids = auction.bids
-        if len(bids) < min_bids:
+    # head[7] is the start countdown, head[0] the key.
+    for auction in sorted(auctions, key=lambda a: (-a[0][7], a[0][0])):
+        head, bids = auction
+        num_bids, num_bidders = len(bids), len({bid[2] for bid in bids})
+        bids_fixed += head[3] != num_bids
+        bidders_fixed += head[2] != num_bidders
+        if num_bids < min_bids:
             thin.append(auction)
             continue
         bids.sort(key=_bid_order)
         view = AuctionView(
-            len(views) + 1, auction.seller_id, auction.num_bidders, auction.num_bids,
-            auction.starting_price, auction.winning_bid, auction.auction_duration_sec,
-            auction.start_time_sec, auction.end_time_sec,
+            len(views) + 1, head[1], num_bidders, num_bids, *head[4:],
             tuple(
                 Bid(bidder, amount, time, rid)
                 for rid, (time, amount, bidder) in enumerate(bids, record_id)
@@ -309,13 +283,13 @@ def assign_identifiers(
         fault = auction_fault(view)
         if fault is None:
             views.append(view)
-            record_id += len(bids)
+            record_id += num_bids
             bids.clear()
         elif fault.startswith(INCONSISTENT_PRICE):
             inconsistent.append(auction)
         else:
             contradictory.append(auction)
-    return views, thin, inconsistent, contradictory
+    return views, thin, inconsistent, contradictory, bids_fixed, bidders_fixed
 
 
 @dataclass(frozen=True, slots=True)
@@ -425,7 +399,10 @@ def _parse_auction_level(
     head: tuple[str, ...],
     config: PipelineConfig,
     money: Callable[[str], Decimal],
-) -> ParsedAuction:
+    ids: dict[str, str],
+) -> tuple:
+    """The head of a raw auction in AuctionView's field order, its key
+    where the id goes and its seller the one str of ids for that text."""
     # The cells of ingest.HEAD_FIELDS, in its order.
     key, seller, start_date, start_clock, end_date, end_clock, days, starting, winning, \
         num_bids, num_bidders = head
@@ -440,16 +417,11 @@ def _parse_auction_level(
         num_bids, num_bidders = int(num_bids), int(num_bidders)
     except ValueError:
         raise ParseError(f"{where}: bid/bidder counts are not integers") from None
-    return ParsedAuction(
-        key=key,
-        seller_id=seller,
-        start_time_sec=to_countdown_seconds(start_dt, config.reference_epoch),
-        end_time_sec=to_countdown_seconds(end_dt, config.reference_epoch),
-        auction_duration_sec=duration_sec,
-        starting_price=money(starting),
-        winning_bid=money(winning),
-        num_bids=num_bids,
-        num_bidders=num_bidders,
+    return (
+        key, ids.setdefault(seller, seller), num_bidders, num_bids,
+        money(starting), money(winning), duration_sec,
+        to_countdown_seconds(start_dt, config.reference_epoch),
+        to_countdown_seconds(end_dt, config.reference_epoch),
     )
 
 
@@ -466,9 +438,9 @@ def _group_rows(
     config: PipelineConfig,
     winning: Callable[[tuple], Decimal],
     dedup_key: Callable[[tuple], object],
-    new_auction: Callable[[tuple], ParsedAuction],
+    new_head: Callable[[tuple], tuple],
     new_bid: Callable[[tuple], tuple[int, Decimal, str]],
-) -> tuple[list[ParsedAuction], _Counters, Totals]:
+) -> tuple[list[_Auction], _Counters, Totals]:
     """The row-wise stages, one streaming pass shared by both layouts.
 
     Each row is a (head, bid) pair: head holds the auction-level cells,
@@ -476,9 +448,10 @@ def _group_rows(
     bidder last. A row is dropped by the winning-price floor, else
     counted into the before totals, then dropped if its dedup_key was
     seen, then if its bidder is blank. What is left joins its auction's
-    group: new_auction builds the group from the first such row's head,
-    which every later row must repeat. before.attributes is the bid
-    table's width; the raw adapter sets the scrape's.
+    group, the (new_head(head), [new_bid(bid), ...]) pair made from the
+    first such row's head, which every later row must repeat.
+    before.attributes is the bid table's width; the raw adapter sets the
+    scrape's.
 
     Readers share one head object among the rows of an auction, so
     "same head" is tested by identity first, then by ==. Each auction
@@ -520,7 +493,7 @@ def _group_rows(
                 entry = entries[key] = (head, str(len(entries)))
             same = head is entry[0] or head == entry[0]
             mark = (entry[1],) if same else head
-            group = None
+            bids = None
         bidder = bid[-1]
         blank = not bidder or bidder.isspace()
         if not blank:
@@ -536,17 +509,18 @@ def _group_rows(
             counters.missing_bidder += 1
             continue
 
-        if group is None:
+        if bids is None:
             group = groups.get(key)
             if group is None:
-                groups[key] = group = new_auction(head)
+                groups[key] = group = (new_head(head), [])
                 if not same:
                     apart[key] = head
             elif (not same or key in apart) and apart.get(key) != head:
                 raise DataConsistencyError(
                     f"auction {key!r}: rows disagree on auction-level fields"
                 )
-        group.bids.append(new_bid(bid))
+            bids = group[1]
+        bids.append(new_bid(bid))
 
     before = Totals(
         auctions=len(entries),
@@ -560,18 +534,19 @@ def _group_rows(
 
 
 def _finish(
-    auctions: list[ParsedAuction],
+    auctions: list[_Auction],
     before: Totals,
     counters: _Counters,
     config: PipelineConfig,
 ) -> tuple[list[AuctionView], CleansingReport]:
-    bids_fixed, bidders_fixed = reconcile_counts(auctions)
-    views, thin, inconsistent, contradictory = assign_identifiers(auctions, config.min_bids)
+    views, thin, inconsistent, contradictory, bids_fixed, bidders_fixed = (
+        assign_identifiers(auctions, config.min_bids)
+    )
     check_ids(views)
 
-    thin_rows = sum(len(a.bids) for a in thin)
-    inconsistent_rows = sum(len(a.bids) for a in inconsistent)
-    contradictory_rows = sum(len(a.bids) for a in contradictory)
+    thin_rows = sum(len(bids) for _, bids in thin)
+    inconsistent_rows = sum(len(bids) for _, bids in inconsistent)
+    contradictory_rows = sum(len(bids) for _, bids in contradictory)
 
     if views:
         durations = [v.auction_duration_sec for v in views]
@@ -689,11 +664,6 @@ def run_pipeline(
     # one object, not one each.
     ids: dict[str, str] = {}
 
-    def new_auction(head: tuple[str, ...]) -> ParsedAuction:
-        auction = _parse_auction_level(head, config, money)
-        auction.seller_id = ids.setdefault(auction.seller_id, auction.seller_id)
-        return auction
-
     def new_bid(bid: tuple[str, ...]) -> tuple[int, Decimal, str]:
         date, clock, amount, bidder = bid
         try:
@@ -711,7 +681,7 @@ def run_pipeline(
         config,
         lambda head: money(head[_WINNING_PRICE]),
         _dedup_key,
-        new_auction,
+        lambda head: _parse_auction_level(head, config, money, ids),
         new_bid,
     )
     raw_width = len(source.columns) if source.accepted_count else 0
@@ -724,13 +694,8 @@ def run_pipeline(
 
 
 # A typed row enters the row pass as (head, bid): the head in
-# AuctionView's field order, the bid as ParsedAuction keeps it.
+# AuctionView's field order, the bid as the cleanse keeps it.
 _record_bid = attrgetter("bid_submit_time_sec", "bid_amount", "bidder_id")
-
-
-def _record_auction(head: tuple) -> ParsedAuction:
-    key, seller, bidders, bids, starting, winning, duration, start, end = head
-    return ParsedAuction(key, seller, start, end, duration, starting, winning, bids, bidders)
 
 
 def _run_typed(
@@ -738,10 +703,10 @@ def _run_typed(
 ) -> tuple[list[AuctionView], CleansingReport]:
     config = config or PipelineConfig()
     config.validate()
-    # tuple() of a tuple is that tuple: a bid is its own key cells and
-    # is kept as it is.
+    # tuple() of a tuple is that tuple: a bid is its own key cells, and
+    # a head and a bid are kept as they are.
     auctions, counters, before = _group_rows(
-        rows, config, itemgetter(5), tuple, _record_auction, tuple
+        rows, config, itemgetter(5), tuple, tuple, tuple
     )
     return _finish(auctions, before, counters, config)
 

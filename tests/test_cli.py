@@ -269,8 +269,14 @@ def test_a_failed_run_leaves_no_new_output(chain, capsys, monkeypatch, command):
     [
         ["preprocess", "--in", "corpus.csv", "--out", "x.csv", "--report", "x.csv"],
         ["features", "--in", "clean.csv", "--out", "f.csv", "--scores", "./f.csv"],
+        # The clash is found before the input is read.
+        ["preprocess", "--in", "missing.csv", "--out", "x.csv", "--report", "x.csv"],
+        ["features", "--in", "missing.csv", "--out", "f.csv", "--scores", "f.csv"],
     ],
-    ids=["preprocess-out-report", "features-out-scores"],
+    ids=[
+        "preprocess-out-report", "features-out-scores",
+        "preprocess-missing-input", "features-missing-input",
+    ],
 )
 def test_an_output_named_twice_exits_2_and_writes_nothing(chain, capsys, monkeypatch, command):
     before = sorted(chain.iterdir())

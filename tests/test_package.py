@@ -175,6 +175,28 @@ def test_each_bid_table_line_is_read_once():
     assert offenders == []
 
 
+def test_an_auction_has_one_shape():
+    # AuctionView is the one in-memory shape of an auction, and BidRecord
+    # one row of the bid table. No other class may declare an auction's
+    # fields: inside the cleanse an auction is a (head, bids) pair.
+    package = Path(shillbid.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or node.name in ("AuctionView", "BidRecord"):
+                continue
+            declared = {
+                target.id
+                for stmt in node.body
+                for target in getattr(stmt, "targets", [getattr(stmt, "target", None)])
+                if isinstance(target, ast.Name)
+            }
+            if {"seller_id", "winning_bid"} <= declared:
+                offenders.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert offenders == []
+
+
 def test_only_ingest_frames_csv():
     # How a table is opened, framed and quoted is one decision, made in
     # ingest. synth writes the raw corpus its own way: its bytes feed

@@ -5,7 +5,7 @@ import logging
 import random
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime
 from decimal import Decimal
 from pathlib import Path
@@ -30,11 +30,10 @@ from shillbid.ingest import (
     read_preprocessed,
     write_preprocessed,
 )
-from shillbid.model import PREPROCESSED_COLUMNS, check_dataset, validate_dataset
+from shillbid.model import PREPROCESSED_COLUMNS, AuctionView, check_dataset, validate_dataset
 from shillbid.preprocess import (
     REFERENCE_EPOCH,
     SECONDS_PER_DAY,
-    ParsedAuction,
     PipelineConfig,
     assign_identifiers,
     countdown_parser,
@@ -42,7 +41,6 @@ from shillbid.preprocess import (
     merge_datetime,
     money_parser,
     parse_money,
-    reconcile_counts,
     run_pipeline,
     run_pipeline_records,
     to_countdown_seconds,
@@ -347,12 +345,13 @@ def test_read_preprocessed_money_cells_match_parse_cents(texts):
 # --- record-list stages -----------------------------------------------------
 
 def parsed_auction(key="u1", n_bids=5, seller="s1", **overrides):
+    """An auction as the cleanse holds it: (head, bids), head holding
+    AuctionView's fields before bids with key where the id goes."""
     bids = [
         (500_000 - i * 1000, Decimal(f"{10 + i}.00"), f"b{i % 2}")
         for i in range(n_bids)
     ]
-    fields = dict(
-        key=key,
+    values = dict(
         seller_id=seller,
         start_time_sec=600_000,
         end_time_sec=600_000 - 5 * 86400 + 0,
@@ -362,29 +361,42 @@ def parsed_auction(key="u1", n_bids=5, seller="s1", **overrides):
         num_bids=n_bids,
         num_bidders=2,
     )
-    fields.update(overrides)
-    auction = ParsedAuction(**fields, bids=bids)
-    return auction
+    assert set(overrides) <= set(values)
+    values.update(overrides)
+    names = [f.name for f in fields(AuctionView)][1:-1]
+    return (key, *(values[name] for name in names)), bids
 
 
 def test_parsed_auction_helper_is_consistent():
-    auction = parsed_auction()
-    assert auction.start_time_sec - auction.end_time_sec == auction.auction_duration_sec
+    (key, *level), bids = parsed_auction()
+    view = AuctionView(1, *level, ())
+    assert view.start_time_sec - view.end_time_sec == view.auction_duration_sec
+    assert (view.num_bids, view.num_bidders) == (len(bids), len({b[2] for b in bids}))
 
 
-def test_reconcile_counts_fixes_stored_counts():
-    a = parsed_auction(num_bids=99, num_bidders=1)
-    b = parsed_auction(key="u2")
-    fixed_bids, fixed_bidders = reconcile_counts([a, b])
-    assert (fixed_bids, fixed_bidders) == (1, 1)
-    assert a.num_bids == 5 and a.num_bidders == 2
-    assert b.num_bids == 5 and b.num_bidders == 2
+def test_assign_identifiers_reconciles_stored_counts():
+    # The rows are the ground truth: a stored count that contradicts
+    # them, on a thin auction too, is set to theirs and counted, and the
+    # auction is judged with the fixed counts, so it is kept.
+    both = parsed_auction(key="u1", num_bids=99, num_bidders=1)
+    right = parsed_auction(key="u2")
+    num_bids = parsed_auction(key="u3", num_bids=4)
+    num_bidders = parsed_auction(key="u4", num_bidders=3)
+    thin_one = parsed_auction(key="u5", n_bids=4, num_bids=5)
+    views, thin, inconsistent, contradictory, bids_fixed, bidders_fixed = assign_identifiers(
+        [both, right, num_bids, num_bidders, thin_one], 5
+    )
+    assert (bids_fixed, bidders_fixed) == (3, 2)
+    assert [(v.num_bids, v.num_bidders) for v in views] == [(5, 2)] * 4
+    assert thin == [thin_one]
+    assert inconsistent == contradictory == []
+    check_dataset(views)
 
 
 def test_filter_low_activity_boundary():
     four = parsed_auction(key="u1", n_bids=4)
     five = parsed_auction(key="u2", n_bids=5)
-    views, thin, inconsistent, contradictory = assign_identifiers([four, five], 5)
+    views, thin, inconsistent, contradictory, _, _ = assign_identifiers([four, five], 5)
     assert [v.num_bids for v in views] == [5]
     assert thin == [four]
     assert inconsistent == contradictory == []
@@ -397,11 +409,11 @@ def test_filter_inconsistent_is_strict():
     boundary = parsed_auction(
         key="u4", starting_price=Decimal("14.00")
     )  # equal start and winning price stays
-    views, thin, inconsistent, contradictory = assign_identifiers(
+    views, thin, inconsistent, contradictory, _, _ = assign_identifiers(
         [ok, start_high, last_high, boundary], 5
     )
     assert [v.starting_price for v in views] == [Decimal("5.00"), Decimal("14.00")]
-    assert [a.key for a in inconsistent] == ["u2", "u3"]
+    assert [head[0] for head, _ in inconsistent] == ["u2", "u3"]
     assert thin == contradictory == []
 
 
@@ -409,7 +421,7 @@ def test_an_inconsistent_price_is_filed_before_a_blank_seller():
     # model.auction_fault names the inconsistent-price rule before any
     # other rule of the view, so the paper's rule files the auction.
     both = parsed_auction(seller=" ", winning_bid=Decimal("13.99"))
-    views, thin, inconsistent, contradictory = assign_identifiers([both], 5)
+    views, thin, inconsistent, contradictory, _, _ = assign_identifiers([both], 5)
     assert inconsistent == [both]
     assert views == thin == contradictory == []
 
@@ -421,13 +433,13 @@ def test_filter_contradictory_drops_each_broken_rule_at_its_boundary():
         # Each kept auction's seller is its key, so its view names it.
         fields.setdefault("seller", key)
         made = parsed_auction(key=key, **fields)
-        made.bids[2] = (time, Decimal(amount), "b0")
+        made[1][2] = (time, Decimal(amount), "b0")
         return made
 
     # Prices of zero break only the positive-winning rule.
     zero = auction("zero", amount="0.00", winning_bid=Decimal("0.00"),
                    starting_price=Decimal("0.00"))
-    zero.bids = [(time, Decimal("0.00"), bidder) for time, _, bidder in zero.bids]
+    zero[1][:] = [(time, Decimal("0.00"), bidder) for time, _, bidder in zero[1]]
     kept_ones = [
         auction("ok"),
         auction("at-winning", amount="14.00"),
@@ -446,15 +458,15 @@ def test_filter_contradictory_drops_each_broken_rule_at_its_boundary():
         # Rules a parsed scrape cannot break, but a bid table can.
         auction("negative-start", starting_price=Decimal("-1.00")),
         auction("start-scale", starting_price=Decimal("5.0")),
-        auction("num-bids", num_bids=4),
-        auction("num-bidders", num_bidders=3),
     ]
-    views, thin, inconsistent, contradictory = assign_identifiers(
+    views, thin, inconsistent, contradictory, _, _ = assign_identifiers(
         kept_ones + removed_ones, 5
     )
     # Every auction starts in the same second, so the walk goes by key.
-    assert [v.seller_id for v in views] == sorted(a.key for a in kept_ones)
-    assert [a.key for a in contradictory] == sorted(a.key for a in removed_ones)
+    assert [v.seller_id for v in views] == sorted(head[0] for head, _ in kept_ones)
+    assert [head[0] for head, _ in contradictory] == sorted(
+        head[0] for head, _ in removed_ones
+    )
     assert thin == inconsistent == []
 
 
@@ -463,7 +475,7 @@ def test_assign_identifiers_orders_and_numbers_densely():
                            end_time_sec=700_000 - 5 * 86400)
     newer = parsed_auction(key="aaa")
     views, *dropped = assign_identifiers([newer, older], 5)
-    assert dropped == [[], [], []]
+    assert dropped == [[], [], [], 0, 0]
     records = records_of(views)
     # Larger start countdown = older start, so "zzz" comes first.
     assert [r.auction_id for r in records] == [1] * 5 + [2] * 5
@@ -494,7 +506,9 @@ def test_a_dropped_auction_takes_no_identifier():
     first = starting("u1", 700_000)
     broken = starting("u2", 650_000, seller=" ")
     last = starting("u3", 600_000)
-    views, thin, inconsistent, contradictory = assign_identifiers([last, broken, first], 5)
+    views, thin, inconsistent, contradictory, _, _ = assign_identifiers(
+        [last, broken, first], 5
+    )
     assert contradictory == [broken]
     assert [v.auction_id for v in views] == [1, 2]
     assert [v.start_time_sec for v in views] == [700_000, 600_000]
@@ -507,12 +521,14 @@ def test_the_higher_of_two_last_second_bids_decides_inconsistency():
     # Both bids fall in the last second; listed first, the one above the
     # winning price 14.00 is still the chronologically last once sorted.
     same_second = parsed_auction()
-    same_second.bids[3:] = [(496_000, Decimal("14.50"), "b0"), (496_000, Decimal("13.00"), "b1")]
+    same_second[1][3:] = [(496_000, Decimal("14.50"), "b0"), (496_000, Decimal("13.00"), "b1")]
     # One second earlier, it is not the last bid and breaks only the
     # bid-at-most-winning rule.
     earlier = parsed_auction(key="u2")
-    earlier.bids[3:] = [(496_001, Decimal("14.50"), "b0"), (496_000, Decimal("13.00"), "b1")]
-    views, thin, inconsistent, contradictory = assign_identifiers([same_second, earlier], 5)
+    earlier[1][3:] = [(496_001, Decimal("14.50"), "b0"), (496_000, Decimal("13.00"), "b1")]
+    views, thin, inconsistent, contradictory, _, _ = assign_identifiers(
+        [same_second, earlier], 5
+    )
     assert inconsistent == [same_second]
     assert contradictory == [earlier]
     assert views == thin == []
@@ -520,7 +536,7 @@ def test_the_higher_of_two_last_second_bids_decides_inconsistency():
 
 def test_equal_bids_are_numbered_in_bidder_order():
     auction = parsed_auction()
-    auction.bids[3:] = [(496_000, Decimal("13.00"), "b1"), (496_000, Decimal("13.00"), "b0")]
+    auction[1][3:] = [(496_000, Decimal("13.00"), "b1"), (496_000, Decimal("13.00"), "b0")]
     views, *_ = assign_identifiers([auction], 5)
     assert [(b.bidder_id, b.record_id) for b in views[0].bids[3:]] == [("b0", 4), ("b1", 5)]
 
