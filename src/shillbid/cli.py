@@ -217,6 +217,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    # Reject the threshold before anything is read.
+    check_threshold(args.threshold)
     # The bid table first: its views are dropped once the winners are
     # known, before the feature table is read.
     winners = None
@@ -238,7 +240,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     header = read_header(args.input)
     if header == PREPROCESSED_COLUMNS:
         auctions = read_auctions(args.input)
-        rows = sum(len(a.bids) for a in auctions)
+        rows = sum(len(a.record_ids) for a in auctions)
         print(f"ok: {rows} rows, {len(auctions)} auctions pass all checks")
     elif header == SB_COLUMNS:
         instances = read_sb_dataset(args.input)

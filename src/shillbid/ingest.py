@@ -22,12 +22,13 @@ reads every row with csv.reader into a RawRecord: read_raw, the
 reference the prefix path is tested against.
 
 A bid table is read line by line in one pass, bid_rows, which splits
-each line on commas and parses an auction's cells once; read_auctions
-and the preprocess re-cleanse consume it. A line that split may not
-read as csv does goes to _csv_records too, so each line of either
-table is read once. read_preprocessed, which reads every row with
-csv.reader and parses it in full and on its own, is the reference that
-bid_rows is tested against; nothing in the package calls it.
+each line on commas, parses an auction's cells once and yields each bid
+as a plain tuple; read_auctions and the preprocess re-cleanse consume
+it. A line that split may not read as csv does goes to _csv_records
+too, so each line of either table is read once. read_preprocessed,
+which reads every row with csv.reader and parses it in full and on its
+own, is the reference that bid_rows is tested against; nothing in the
+package calls it.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from decimal import Decimal, InvalidOperation
 from itertools import count
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvariantError, OutlierError, ParseError, SchemaError
 from .model import (
@@ -48,7 +49,6 @@ from .model import (
     PREPROCESSED_COLUMNS,
     SB_COLUMNS,
     AuctionView,
-    Bid,
     BidRecord,
     SBInstance,
     auction_views,
@@ -111,7 +111,6 @@ def load_raw_schema(path: str | Path) -> dict[str, str]:
 
 
 _LAYOUT_NAMES = {PREPROCESSED_COLUMNS: "preprocessed", SB_COLUMNS: "SB dataset"}
-T = TypeVar("T")
 
 
 @contextmanager
@@ -449,11 +448,10 @@ def write_preprocessed(
             f"{view.start_time_sec},{view.end_time_sec}\n"
         )
         return "".join([
-            f"{bid.record_id}{auction}{cell[bid.bidder_id]},"
-            f"{bid.bid_amount!s},{bid.bid_submit_time_sec}{tail}"
-            for bid in sorted(
-                view.bids, key=lambda b: (-b.bid_submit_time_sec, b.record_id)
-            )
+            f"{record_id}{auction}{cell[bidder]},{amount!s},{time}{tail}"
+            for time, record_id, bidder, amount in sorted(zip(
+                view.bid_times, view.record_ids, view.bidder_ids, view.bid_amounts
+            ), key=lambda b: (-b[0], b[1]))
         ])
 
     _write_table(path, PREPROCESSED_COLUMNS, map(rows, sorted(auctions, key=_auction_id)))
@@ -516,13 +514,11 @@ def read_preprocessed(path: str | Path) -> list[BidRecord]:
         return [_parse_preprocessed_row(cells, f"{path}:row {n}") for n, cells in rows]
 
 
-def bid_rows(
-    path: str | Path, make_bid: Callable[[str, Decimal, int, int], T] = Bid
-) -> Iterator[tuple[tuple, T]]:
+def bid_rows(path: str | Path) -> Iterator[tuple[tuple, tuple[int, Decimal, str, int]]]:
     """Stream a bid table as one (head, bid) per csv record, in one pass.
 
-    head holds an AuctionView's fields before its bids; bid is
-    make_bid(bidder_id, bid_amount, bid_submit_time_sec, record_id). A
+    head holds an AuctionView's fields before its bid columns; bid is
+    (bid_submit_time_sec, bid_amount, bidder_id, record_id). A
     line is split on commas unless split may not read it as csv does:
     a line with a quote or a CR, the wrong comma count, no final LF or
     more characters than csv.field_size_limit() goes to one csv.reader,
@@ -574,9 +570,7 @@ def bid_rows(
                 value = amounts.get(amount)
                 if value is None:
                     value = amounts[amount] = _parse_cents(amount, "bid_amount", "")
-                bid = make_bid(
-                    ids.setdefault(bidder, bidder), value, int(submitted), int(record_id)
-                )
+                bid = (int(submitted), value, ids.setdefault(bidder, bidder), int(record_id))
             except (ValueError, ParseError):
                 # Only a row that shares its head gets here, as a row
                 # parsed in full has passed: reparse it for the exact error.

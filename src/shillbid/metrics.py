@@ -55,12 +55,11 @@ def participation_map(auction: AuctionView) -> dict[str, BidderParticipation]:
     runs: dict[str, int] = {}
     streak_bidder: str | None = None
     streak = 0
-    for bid in auction.bids:
-        b = bid.bidder_id
+    for b, time in zip(auction.bidder_ids, auction.bid_times):
         counts[b] = counts.get(b, 0) + 1
         if b not in first:
-            first[b] = bid.bid_submit_time_sec
-        last[b] = bid.bid_submit_time_sec
+            first[b] = time
+        last[b] = time
         if b == streak_bidder:
             streak += 1
         else:

@@ -2,9 +2,11 @@
 
 An AuctionView is the one in-memory shape of an auction: the pipeline
 numbers and checks views, write_preprocessed writes them, read_auctions
-reads them back. A BidRecord, one row of the bid table, is built only
-where a table is read row by row. auction_views is the one grouping of
-a bid table's (head, bid) rows into views, whether they come from
+reads them back. A view holds its bids as four column tuples, so no
+layer keeps an object per bid; a Bid is built only as winner_of's
+result. A BidRecord, one row of the bid table, is built only where a
+table is read row by row. auction_views is the one grouping of a bid
+table's (head, bid) rows into views, whether they come from
 ingest.bid_rows or, through validate_dataset, from records. The bid
 table's rules are written once: auction_fault names the first rule a
 view breaks, check_ids holds the id rules, and check_dataset applies
@@ -113,10 +115,9 @@ class BidRecord:
     end_time_sec: int
 
 
-@fast_frozen_init
 @dataclass(frozen=True, slots=True)
 class Bid:
-    """A single bid inside an auction view."""
+    """One bid of an auction view, as winner_of returns it."""
 
     bidder_id: str
     bid_amount: Decimal
@@ -126,12 +127,12 @@ class Bid:
 
 @dataclass(frozen=True, slots=True)
 class AuctionView:
-    """One auction with its bids in canonical chronological order.
+    """One auction with its bids as columns in canonical chronological order.
 
-    Bids are sorted by descending bid_submit_time_sec (earliest first,
-    since time counts down), ties by ascending bid_amount, then by
-    record_id. The last element is therefore the chronologically last,
-    highest bid.
+    Bid i is position i of bid_times, bid_amounts, bidder_ids and
+    record_ids. Bids go by descending bid_submit_time_sec (earliest
+    first, since time counts down), ties by ascending bid_amount, then
+    record_id, so the last is the chronologically last, highest bid.
     """
 
     auction_id: int
@@ -143,11 +144,10 @@ class AuctionView:
     auction_duration_sec: int
     start_time_sec: int
     end_time_sec: int
-    bids: tuple[Bid, ...]
-
-
-def bid_sort_key(bid: Bid) -> tuple[int, Decimal, int]:
-    return (-bid.bid_submit_time_sec, bid.bid_amount, bid.record_id)
+    bid_times: tuple[int, ...]
+    bid_amounts: tuple[Decimal, ...]
+    bidder_ids: tuple[str, ...]
+    record_ids: tuple[int, ...]
 
 
 def winner_of(auction: AuctionView) -> Bid:
@@ -156,9 +156,10 @@ def winner_of(auction: AuctionView) -> Bid:
     Two bids in the same second are settled by amount, so the higher
     amount wins the tie.
     """
-    if not auction.bids:
+    if not auction.bid_times:
         raise EmptyDatasetError(f"auction {auction.auction_id} has no bids")
-    return auction.bids[-1]
+    return Bid(auction.bidder_ids[-1], auction.bid_amounts[-1],
+               auction.bid_times[-1], auction.record_ids[-1])
 
 
 _AUCTION_LEVEL = (
@@ -172,46 +173,54 @@ _AUCTION_LEVEL = (
     "end_time_sec",
 )
 
-# A BidRecord's head: its auction fields in AuctionView's field order.
+# A BidRecord's head, its auction fields in AuctionView's field order,
+# and its bid, as ingest.bid_rows yields them.
 record_head = attrgetter("auction_id", *_AUCTION_LEVEL)
+record_bid = attrgetter("bid_submit_time_sec", "bid_amount", "bidder_id", "record_id")
 
 
-def auction_views(rows: Iterable[tuple[tuple, Bid]]) -> list[AuctionView]:
+def auction_views(rows: Iterable[tuple[tuple, tuple]]) -> list[AuctionView]:
     """Check the (head, bid) rows of a bid table; return their views by auction id.
 
-    head holds an AuctionView's fields before bids, head[0] its auction
-    id. A head that is not its auction's first head object must agree
-    with it on every auction-level field as text, so "-0.00" and "0.00"
-    disagree, as do Decimal("20.5") and Decimal("20.50"). Once every row
-    is read, InvariantError names the first field that the first such
-    row of the lowest such auction id disagrees on; else the views must
-    pass check_dataset.
+    head holds an AuctionView's fields before its bid columns, head[0]
+    its auction id; bid is (bid_submit_time_sec, bid_amount, bidder_id,
+    record_id). A head that is not its auction's first head object must
+    agree with it on every auction-level field as text, so "-0.00" and
+    "0.00" disagree, as do Decimal("20.5") and Decimal("20.50"). Once
+    every row is read, InvariantError names the first field that the
+    first such row of the lowest such auction id disagrees on; else the
+    views must pass check_dataset.
     """
-    # auction_id -> (first head, bids)
-    auctions: dict[int, tuple[tuple, list[Bid]]] = {}
+    # auction_id -> (first head, times, amounts, bidders, record ids)
+    auctions: dict[int, tuple[tuple, list, list, list, list]] = {}
     # auction_id -> the field its first disagreeing row disagrees on
     disagree: dict[int, str] = {}
     current = None
-    for head, bid in rows:
+    for head, (time, amount, bidder, record_id) in rows:
         if head is not current:
             current = head
-            first, bids = auctions.setdefault(head[0], (head, []))
+            first, times, amounts, bidders, record_ids = auctions.setdefault(
+                head[0], (head, [], [], [], [])
+            )
             if first is not head and head[0] not in disagree:
                 texts = zip(_AUCTION_LEVEL, map(str, first[1:]), map(str, head[1:]))
                 name = next((name for name, a, b in texts if a != b), None)
                 if name is not None:
                     disagree[head[0]] = name
-        bids.append(bid)
+        times.append(time)
+        amounts.append(amount)
+        bidders.append(bidder)
+        record_ids.append(record_id)
     if disagree:
         auction_id = min(disagree)
         raise InvariantError(f"auction {auction_id}: records disagree on {disagree[auction_id]}")
     views = []
-    for head, bids in map(auctions.pop, sorted(auctions)):
-        times = [bid.bid_submit_time_sec for bid in bids]
-        # Bids whose times strictly fall are in bid_sort_key order already.
-        if times != sorted(set(times), reverse=True):
-            bids.sort(key=bid_sort_key)
-        views.append(AuctionView(*head, tuple(bids)))
+    for head, *columns in map(auctions.pop, sorted(auctions)):
+        # Bids whose times strictly fall are in canonical order already;
+        # else sort by (descending time, amount, record id).
+        if columns[0] != sorted(set(columns[0]), reverse=True):
+            columns = zip(*sorted(zip(*columns), key=lambda b: (-b[0], b[1], b[3])))
+        views.append(AuctionView(*head, *map(tuple, columns)))
     check_dataset(views)
     return views
 
@@ -219,13 +228,10 @@ def auction_views(rows: Iterable[tuple[tuple, Bid]]) -> list[AuctionView]:
 def validate_dataset(records: Iterable[BidRecord]) -> list[AuctionView]:
     """Check the records of a bid table; return their views by auction id.
 
-    auction_views of each record's head and Bid, so the records of one
+    auction_views of each record's head and bid, so the records of one
     auction must agree on every auction-level field, amounts as text.
     """
-    return auction_views(
-        (record_head(r), Bid(r.bidder_id, r.bid_amount, r.bid_submit_time_sec, r.record_id))
-        for r in records
-    )
+    return auction_views((record_head(r), record_bid(r)) for r in records)
 
 
 # The paper's inconsistent-price rule: the chronologically last bid, or
@@ -233,8 +239,6 @@ def validate_dataset(records: Iterable[BidRecord]) -> list[AuctionView]:
 # that breaks it as inconsistent, and one that breaks any other rule as
 # contradictory.
 INCONSISTENT_PRICE = "inconsistent_price"
-
-_bid_amount = attrgetter("bid_amount")
 
 
 def auction_fault(view: AuctionView) -> str | None:
@@ -252,20 +256,20 @@ def auction_fault(view: AuctionView) -> str | None:
     duration = view.auction_duration_sec
     start = view.start_time_sec
     end = view.end_time_sec
-    bids = view.bids
+    times, amounts, bidders = view.bid_times, view.bid_amounts, view.bidder_ids
     # Compare exponents, not values: Decimal("650.5") == Decimal("650.50")
     # numerically, but only the latter serializes with two digits.
     # same_quantum is False for every non-finite value.
     if not (
         starting.same_quantum(CENT) and winning.same_quantum(CENT)
-        and all(map(CENT.same_quantum, map(_bid_amount, bids)))
+        and all(map(CENT.same_quantum, amounts))
     ):
-        amounts = [("starting_price", starting), ("winning_bid", winning)]
-        amounts += [("bid_amount", amount) for amount in map(_bid_amount, bids)]
-        name, amount = next(pair for pair in amounts if not pair[1].same_quantum(CENT))
+        named = [("starting_price", starting), ("winning_bid", winning)]
+        named += [("bid_amount", amount) for amount in amounts]
+        name, amount = next(pair for pair in named if not pair[1].same_quantum(CENT))
         return f"scale: {name} {amount} is not a 2-digit fixed-point amount"
-    if bids and bids[-1].bid_amount > winning:
-        return f"inconsistent_price: bid_amount {bids[-1].bid_amount} above winning_bid {winning}"
+    if amounts and amounts[-1] > winning:
+        return f"inconsistent_price: bid_amount {amounts[-1]} above winning_bid {winning}"
     if starting > winning:
         return f"inconsistent_price: starting_price {starting} outside [0, winning_bid={winning}]"
     if not seller or seller.isspace():
@@ -281,28 +285,23 @@ def auction_fault(view: AuctionView) -> str | None:
     if end < 0:
         return f"end_negative: end_time_sec {end} is negative"
     num_bids, num_bidders = view.num_bids, view.num_bidders
-    if num_bids != len(bids):
-        return f"bid_count: num_bids={num_bids} but {len(bids)} rows"
+    if num_bids != len(times):
+        return f"bid_count: num_bids={num_bids} but {len(times)} rows"
     if not 1 <= num_bidders <= num_bids:
         return f"count_order: counts out of order: num_bidders={num_bidders} num_bids={num_bids}"
-    for bid in bids:
-        bidder = bid.bidder_id
+    for time, amount, bidder in zip(times, amounts, bidders):
         if not bidder or bidder.isspace():
             return "bidder_blank: bidder_id is blank"
-        if bid.bid_amount > winning:
-            return f"bid_above_winning: bid_amount {bid.bid_amount} above winning_bid {winning}"
-        if not end <= bid.bid_submit_time_sec <= start:
-            return (
-                f"bid_outside_window: bid time {bid.bid_submit_time_sec} "
-                f"outside auction window [{end}, {start}]"
-            )
-    distinct = len({bid.bidder_id for bid in bids})
+        if amount > winning:
+            return f"bid_above_winning: bid_amount {amount} above winning_bid {winning}"
+        if not end <= time <= start:
+            return f"bid_outside_window: bid time {time} outside auction window [{end}, {start}]"
+    distinct = len(set(bidders))
     if distinct != num_bidders:
         return f"bidder_count: num_bidders={num_bidders} but {distinct} distinct bidders"
     return None
 
 
-_record_id = attrgetter("record_id")
 _auction_id = attrgetter("auction_id")
 
 
@@ -316,15 +315,15 @@ def check_ids(auctions: Sequence[AuctionView]) -> None:
     """
     next_id = 1
     for auction_id, view in enumerate(auctions, 1):
-        count = len(view.bids)
+        count = len(view.record_ids)
         if view.auction_id != auction_id or (
-            list(map(_record_id, view.bids)) != list(range(next_id, next_id + count))
+            view.record_ids != tuple(range(next_id, next_id + count))
         ):
             break
         next_id += count
     else:
         return
-    record_ids = sorted(bid.record_id for view in auctions for bid in view.bids)
+    record_ids = sorted(rid for view in auctions for rid in view.record_ids)
     copied = next((b for a, b in pairwise(record_ids) if a == b), None)
     if copied is not None:
         raise InvariantError(f"record_id {copied} appears more than once")

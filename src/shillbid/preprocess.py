@@ -3,16 +3,16 @@
 Stage order is fixed. One streaming row pass applies the optional
 winning-price floor, collapses exact duplicates, drops rows with a
 blank bidder id and groups the rest into auctions, checking that each
-auction's rows agree. Inside the cleanse an auction is a (head, bids)
-pair: head holds AuctionView's fields before bids, with the auction's
-key where the id goes, and each bid is a (bid_submit_time_sec,
-bid_amount, bidder_id) tuple. Then one walk in start order,
-assign_identifiers, reconciles each auction's scraped counts with its
-rows, drops it when it has too few bids, else when its built view
-breaks a rule of the bid table, filed by the rule model.auction_fault
-names, and numbers the rest densely. The result is one AuctionView per
-kept auction, numbered and checked, which ingest.write_preprocessed
-writes as it is.
+auction's rows agree. Inside the cleanse an auction is (head, times,
+amounts, bidders): head holds AuctionView's fields before its bid
+columns, with the auction's key where the id goes, and the lists hold
+each bid's time, amount and bidder id at one position. Then one walk
+in start order, assign_identifiers, reconciles each auction's scraped
+counts with its rows, drops it when it has too few bids, else when its
+built view breaks a rule of the bid table, filed by the rule
+model.auction_fault names, and numbers the rest densely. The result is
+one AuctionView per kept auction, numbered and checked, which
+ingest.write_preprocessed writes as it is.
 
 The row pass is written once and shared by both input layouts, as
 (head, bid) pairs of an auction's cells and a bid's; the readers give
@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 import re
 from typing import Callable, Iterable, Iterator, Mapping
@@ -52,8 +52,8 @@ from .ingest import (
     bid_rows,
 )
 from .model import (
-    CENT, INCONSISTENT_PRICE, PREPROCESSED_COLUMNS, AuctionView, Bid, BidRecord,
-    auction_fault, check_ids, record_head,
+    CENT, INCONSISTENT_PRICE, PREPROCESSED_COLUMNS, AuctionView, BidRecord,
+    auction_fault, check_ids, record_bid, record_head,
 )
 
 logger = logging.getLogger(__name__)
@@ -220,9 +220,9 @@ def to_countdown_seconds(event: datetime, reference: datetime) -> int:
     return seconds
 
 
-# One auction inside the cleanse, (head, bids), as the module docstring
-# describes it; the key is the URL text or the bid-table id.
-_Auction = tuple[tuple, list[tuple[int, Decimal, str]]]
+# One auction inside the cleanse, as the module docstring describes it;
+# the key is the URL text or the bid-table id.
+_Auction = tuple[tuple, list[int], list[Decimal], list[str]]
 
 
 def _bid_order(bid: tuple[int, Decimal, str]) -> tuple[int, Decimal, str]:
@@ -251,11 +251,11 @@ def assign_identifiers(
     price), contradictory when it is any other.
 
     A kept auction takes the next auction id, 1..N, and its bids,
-    sorted in place by (descending time, amount, bidder), the next
-    record ids, 1..M; a dropped one takes none. Both numberings depend
-    only on row content, never on input order, and along each view the
-    record ids ascend, so its bids are in canonical bid_sort_key order.
-    A kept auction's bid list is emptied once its view holds the bids.
+    sorted by (descending time, amount, bidder), the next record ids,
+    1..M; a dropped one takes none. Both numberings depend only on row
+    content, never on input order, and along each view the record ids
+    ascend, so its bids are in AuctionView's canonical order. A kept
+    auction's lists are emptied once its view holds the bids.
     """
     views: list[AuctionView] = []
     thin: list[_Auction] = []
@@ -265,26 +265,24 @@ def assign_identifiers(
     record_id = 1
     # head[7] is the start countdown, head[0] the key.
     for auction in sorted(auctions, key=lambda a: (-a[0][7], a[0][0])):
-        head, bids = auction
-        num_bids, num_bidders = len(bids), len({bid[2] for bid in bids})
+        head, *columns = auction
+        num_bids, num_bidders = len(columns[0]), len(set(columns[2]))
         bids_fixed += head[3] != num_bids
         bidders_fixed += head[2] != num_bidders
         if num_bids < min_bids:
             thin.append(auction)
             continue
-        bids.sort(key=_bid_order)
         view = AuctionView(
             len(views) + 1, head[1], num_bidders, num_bids, *head[4:],
-            tuple(
-                Bid(bidder, amount, time, rid)
-                for rid, (time, amount, bidder) in enumerate(bids, record_id)
-            ),
+            *zip(*sorted(zip(*columns), key=_bid_order)),
+            tuple(range(record_id, record_id + num_bids)),
         )
         fault = auction_fault(view)
         if fault is None:
             views.append(view)
             record_id += num_bids
-            bids.clear()
+            for column in columns:
+                column.clear()
         elif fault.startswith(INCONSISTENT_PRICE):
             inconsistent.append(auction)
         else:
@@ -448,8 +446,9 @@ def _group_rows(
     bidder last. A row is dropped by the winning-price floor, else
     counted into the before totals, then dropped if its dedup_key was
     seen, then if its bidder is blank. What is left joins its auction's
-    group, the (new_head(head), [new_bid(bid), ...]) pair made from the
-    first such row's head, which every later row must repeat.
+    group, (new_head(head), times, amounts, bidders) made from the
+    first such row's head, which every later row must repeat, and adds
+    new_bid(bid), a (time, amount, bidder), to the three lists.
     before.attributes is the bid table's width; the raw adapter sets the
     scrape's.
 
@@ -493,7 +492,7 @@ def _group_rows(
                 entry = entries[key] = (head, str(len(entries)))
             same = head is entry[0] or head == entry[0]
             mark = (entry[1],) if same else head
-            bids = None
+            times = None
         bidder = bid[-1]
         blank = not bidder or bidder.isspace()
         if not blank:
@@ -509,18 +508,21 @@ def _group_rows(
             counters.missing_bidder += 1
             continue
 
-        if bids is None:
+        if times is None:
             group = groups.get(key)
             if group is None:
-                groups[key] = group = (new_head(head), [])
+                groups[key] = group = (new_head(head), [], [], [])
                 if not same:
                     apart[key] = head
             elif (not same or key in apart) and apart.get(key) != head:
                 raise DataConsistencyError(
                     f"auction {key!r}: rows disagree on auction-level fields"
                 )
-            bids = group[1]
-        bids.append(new_bid(bid))
+            _, times, amounts, bidders = group
+        time, amount, bidder = new_bid(bid)
+        times.append(time)
+        amounts.append(amount)
+        bidders.append(bidder)
 
     before = Totals(
         auctions=len(entries),
@@ -544,9 +546,9 @@ def _finish(
     )
     check_ids(views)
 
-    thin_rows = sum(len(bids) for _, bids in thin)
-    inconsistent_rows = sum(len(bids) for _, bids in inconsistent)
-    contradictory_rows = sum(len(bids) for _, bids in contradictory)
+    thin_rows = sum(len(auction[1]) for auction in thin)
+    inconsistent_rows = sum(len(auction[1]) for auction in inconsistent)
+    contradictory_rows = sum(len(auction[1]) for auction in contradictory)
 
     if views:
         durations = [v.auction_duration_sec for v in views]
@@ -567,8 +569,8 @@ def _finish(
 
     after = Totals(
         auctions=len(views),
-        records=sum(len(v.bids) for v in views),
-        bidder_ids=len({b.bidder_id for v in views for b in v.bids}),
+        records=sum(len(v.bidder_ids) for v in views),
+        bidder_ids=len({bidder for v in views for bidder in v.bidder_ids}),
         seller_ids=len({v.seller_id for v in views}),
         attributes=len(PREPROCESSED_COLUMNS),
         duration_days_mean=mean_days,
@@ -693,11 +695,6 @@ def run_pipeline(
     return _finish(auctions, before, counters, config)
 
 
-# A typed row enters the row pass as (head, bid): the head in
-# AuctionView's field order, the bid as the cleanse keeps it.
-_record_bid = attrgetter("bid_submit_time_sec", "bid_amount", "bidder_id")
-
-
 def _run_typed(
     rows: Iterable[tuple[tuple, tuple]], config: PipelineConfig | None
 ) -> tuple[list[AuctionView], CleansingReport]:
@@ -723,7 +720,7 @@ def run_pipeline_records(
     Cleansing is idempotent: feeding the pipeline the records of its
     own output reproduces that output exactly and reports zero removals.
     """
-    return _run_typed(((record_head(r), _record_bid(r)) for r in records), config)
+    return _run_typed(((record_head(r), record_bid(r)[:3]) for r in records), config)
 
 
 def run_pipeline_table(
@@ -739,7 +736,4 @@ def run_pipeline_table(
     first, so an auction-level disagreement raises before a cell that
     does not parse in a later row.
     """
-    return _run_typed(
-        bid_rows(path, lambda bidder, amount, time, record_id: (time, amount, bidder)),
-        config,
-    )
+    return _run_typed(((head, bid[:3]) for head, bid in bid_rows(path)), config)

@@ -152,8 +152,8 @@ def from_view(view) -> dict:
         "start": view.start_time_sec,
         "end": view.end_time_sec,
         "bids": [
-            (b.bidder_id, float(b.bid_amount), b.bid_submit_time_sec)
-            for b in view.bids
+            (bidder, float(amount), time)
+            for bidder, amount, time in zip(view.bidder_ids, view.bid_amounts, view.bid_times)
         ],
     }
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from shillbid.metrics import auction_instances, compute_global_aggregates
-from shillbid.model import AuctionView, Bid, BidRecord, SBInstance
+from shillbid.model import AuctionView, BidRecord, SBInstance
 
 settings.register_profile(
     "suite",
@@ -42,28 +42,24 @@ def make_view(
     are assigned along that order, the same way the pipeline does it.
     """
     ordered = sorted(bid_specs, key=lambda s: (-s[2], D(s[1]), s[0]))
-    bids = tuple(
-        Bid(
-            bidder_id=bidder,
-            bid_amount=D(amount),
-            bid_submit_time_sec=t,
-            record_id=first_record_id + i,
-        )
-        for i, (bidder, amount, t) in enumerate(ordered)
-    )
+    bidders = tuple(bidder for bidder, _, _ in ordered)
+    amounts = tuple(D(amount) for _, amount, _ in ordered)
     if winning_bid is None:
-        winning_bid = max(b.bid_amount for b in bids)
+        winning_bid = max(amounts)
     return AuctionView(
         auction_id=auction_id,
         seller_id=seller_id,
-        num_bidders=len({b.bidder_id for b in bids}),
-        num_bids=len(bids),
+        num_bidders=len(set(bidders)),
+        num_bids=len(ordered),
         starting_price=D(starting_price),
         winning_bid=D(winning_bid),
         auction_duration_sec=duration_sec,
         start_time_sec=end_sec + duration_sec,
         end_time_sec=end_sec,
-        bids=bids,
+        bid_times=tuple(t for _, _, t in ordered),
+        bid_amounts=amounts,
+        bidder_ids=bidders,
+        record_ids=tuple(range(first_record_id, first_record_id + len(ordered))),
     )
 
 
@@ -81,13 +77,14 @@ def records_of(views) -> list[BidRecord]:
     """The bid-table rows of a set of views: view order, then bid order."""
     return [
         BidRecord(
-            bid.record_id, view.auction_id, view.seller_id, bid.bidder_id,
-            bid.bid_amount, bid.bid_submit_time_sec, view.num_bidders,
-            view.num_bids, view.starting_price, view.winning_bid,
+            record_id, view.auction_id, view.seller_id, bidder, amount, time,
+            view.num_bidders, view.num_bids, view.starting_price, view.winning_bid,
             view.auction_duration_sec, view.start_time_sec, view.end_time_sec,
         )
         for view in views
-        for bid in view.bids
+        for time, amount, bidder, record_id in zip(
+            view.bid_times, view.bid_amounts, view.bidder_ids, view.record_ids
+        )
     ]
 
 

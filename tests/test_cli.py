@@ -245,6 +245,15 @@ def test_features_rejects_bad_threshold_before_writing(chain, capsys):
         assert not path.exists(), path
 
 
+def test_stats_rejects_bad_threshold_before_reading(tmp_path, capsys):
+    # A missing input would exit 1; the threshold is refused first, as
+    # features refuses it.
+    missing = tmp_path / "missing.csv"
+    code = run("stats", "--in", str(missing), "--threshold", "1.5")
+    assert code == 2
+    assert "threshold must lie in (0, 1), got 1.5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command",
     [

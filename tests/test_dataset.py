@@ -28,7 +28,7 @@ def test_build_covers_every_pair_in_sorted_order():
     agg = compute_global_aggregates(views)
     instances = build_sb_dataset(views, agg)
     expected_pairs = {
-        (v.auction_id, b.bidder_id) for v in views for b in v.bids
+        (v.auction_id, bidder) for v in views for bidder in v.bidder_ids
     }
     assert {(i.auction_id, i.bidder_id) for i in instances} == expected_pairs
     per_auction: dict[int, list[str]] = {}

@@ -286,7 +286,12 @@ def test_write_preprocessed_is_order_insensitive(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     write_preprocessed(views, a)
     rng = random.Random(3)
-    shuffled = [replace(v, bids=tuple(rng.sample(v.bids, len(v.bids)))) for v in views]
+    columns = ("bid_times", "bid_amounts", "bidder_ids", "record_ids")
+    shuffled = []
+    for v in views:
+        # One permutation of the bids, applied to every column.
+        order = rng.sample(range(len(v.record_ids)), len(v.record_ids))
+        shuffled.append(replace(v, **{c: tuple(getattr(v, c)[i] for i in order) for c in columns}))
     rng.shuffle(shuffled)
     assert shuffled != views
     write_preprocessed(shuffled, b)
@@ -436,7 +441,7 @@ def test_read_auctions_takes_one_pass_on_a_valid_table(tmp_path, monkeypatch):
     expected = reference_outcome(path)
     assert expected[0] == "ok"
     assert views_outcome(lambda: views) == expected
-    assert [len(v.bids) for v in views] == [5, 3, 4]
+    assert [len(v.record_ids) for v in views] == [5, 3, 4]
 
 
 def test_views_hold_one_str_per_distinct_id(tmp_path):
@@ -450,7 +455,7 @@ def test_views_hold_one_str_per_distinct_id(tmp_path):
     path = tmp_path / "clean.csv"
     write_preprocessed(views, path)
     for made in (views, read_auctions(path)):
-        bidders = [bid.bidder_id for view in made for bid in view.bids]
+        bidders = [bidder for view in made for bidder in view.bidder_ids]
         sellers = [view.seller_id for view in made]
         assert len(set(map(id, bidders))) == len(set(bidders)) == 3
         assert len(set(map(id, sellers))) == len(set(sellers)) == 2

@@ -66,6 +66,18 @@ def record(
     )
 
 
+# A view's bid columns, all empty.
+NO_BIDS = dict(bid_times=(), bid_amounts=(), bidder_ids=(), record_ids=())
+
+
+def edit_bid(view, j, **columns):
+    """view with position j of each named bid column changed."""
+    return dataclasses.replace(view, **{
+        name: getattr(view, name)[:j] + (value,) + getattr(view, name)[j + 1:]
+        for name, value in columns.items()
+    })
+
+
 def test_column_layouts():
     assert len(PREPROCESSED_COLUMNS) == 13
     assert SB_COLUMNS == ("auction_id", "bidder_id") + METRIC_COLUMNS
@@ -90,7 +102,7 @@ def test_winner_of_empty_auction_raises():
     import dataclasses
 
     view = make_view([("a", "10.00", 200_000)])
-    empty = dataclasses.replace(view, bids=())
+    empty = dataclasses.replace(view, **NO_BIDS)
     with pytest.raises(EmptyDatasetError):
         winner_of(empty)
 
@@ -105,7 +117,7 @@ def test_validate_dataset_sorts_bids_canonically():
                bid_submit_time_sec=130_000, winning_bid="8.00"),
     ]
     (view,) = validate_dataset(records)
-    assert [b.record_id for b in view.bids] == [3, 1, 2]
+    assert view.record_ids == (3, 1, 2)
     assert winner_of(view).bidder_id == "bob"
 
 
@@ -172,7 +184,7 @@ def test_validate_dataset_accepts_two_row_auction():
     rows = two_row_auction()
     assert rows[1].winning_bid is rows[0].winning_bid
     (view,) = validate_dataset(rows)
-    assert sorted(b.bidder_id for b in view.bids) == ["alice", "bob"]
+    assert sorted(view.bidder_ids) == ["alice", "bob"]
 
 
 # A second row whose auction-level field differs from the first row's
@@ -311,12 +323,9 @@ def renumbered(views):
     """views with auction ids 1..N and record ids 1..M in order."""
     out, next_id = [], 1
     for auction_id, view in enumerate(views, 1):
-        bids = tuple(
-            dataclasses.replace(bid, record_id=rid)
-            for rid, bid in enumerate(view.bids, next_id)
-        )
-        out.append(dataclasses.replace(view, auction_id=auction_id, bids=bids))
-        next_id += len(bids)
+        record_ids = tuple(range(next_id, next_id + len(view.record_ids)))
+        out.append(dataclasses.replace(view, auction_id=auction_id, record_ids=record_ids))
+        next_id += len(record_ids)
     return out
 
 
@@ -327,11 +336,11 @@ def second(**changes):
     return views
 
 
-def second_bid(index, **changes):
+def second_bid(index, **columns):
     """valid_views() with one bid of auction 2 changed."""
-    bids = list(valid_views()[1].bids)
-    bids[index] = dataclasses.replace(bids[index], **changes)
-    return second(bids=tuple(bids))
+    views = valid_views()
+    views[1] = edit_bid(views[1], index, **columns)
+    return views
 
 
 def second_as(specs, **kwargs):
@@ -362,19 +371,19 @@ PREDICATE_CASES = [
         [("b2", "30.00", 300), ("b3", "31.00", 200)], end_sec=-10), True),
     ("num-bids", second(num_bids=4), True),
     ("empty-auction", renumbered(
-        [valid_views()[0], second(bids=(), num_bids=0, num_bidders=0)[1], valid_views()[2]]
+        [valid_views()[0], second(**NO_BIDS, num_bids=0, num_bidders=0)[1], valid_views()[2]]
     ), True),
-    ("bidder-empty", second_bid(1, bidder_id=""), True),
-    ("bidder-space", second_bid(1, bidder_id=" "), True),
-    ("amount-scale", second_bid(1, bid_amount=Decimal("31.0")), False),
-    ("amount-above-winning", second_bid(2, bid_amount=D("32.01")), True),
-    ("bid-before-window", second_bid(2, bid_submit_time_sec=99_999), True),
-    ("bid-after-window", second_bid(0, bid_submit_time_sec=100_000 + 5 * 86400 + 1), True),
+    ("bidder-empty", second_bid(1, bidder_ids=""), True),
+    ("bidder-space", second_bid(1, bidder_ids=" "), True),
+    ("amount-scale", second_bid(1, bid_amounts=Decimal("31.0")), False),
+    ("amount-above-winning", second_bid(2, bid_amounts=D("32.01")), True),
+    ("bid-before-window", second_bid(2, bid_times=99_999), True),
+    ("bid-after-window", second_bid(0, bid_times=100_000 + 5 * 86400 + 1), True),
     ("num-bidders", second(num_bidders=1), True),
     ("auction-id-gap", [*valid_views()[:2], dataclasses.replace(valid_views()[2], auction_id=4)],
      True),
-    ("record-id-gap", second_bid(2, record_id=9), True),
-    ("record-id-copy", second_bid(2, record_id=5), True),
+    ("record-id-gap", second_bid(2, record_ids=9), True),
+    ("record-id-copy", second_bid(2, record_ids=5), True),
 ]
 
 
@@ -387,7 +396,7 @@ def test_check_dataset_breaks_like_the_reference(tmp_path, views, from_text):
     expected = check_outcome(lambda: validate_dataset(records_of(views)))
     assert expected is not None and expected[0] == "InvariantError"
     outcome = check_outcome(lambda: check_dataset(views))
-    if all(view.bids for view in views):
+    if all(view.record_ids for view in views):
         assert outcome == expected
     else:
         # Records cannot hold an auction without bids: its id goes missing.
@@ -404,11 +413,7 @@ def test_check_dataset_accepts_valid_views_off_the_pipeline_shape():
     check_dataset(views)
     # Off the pipeline's shape, the reference decides, and accepts.
     check_dataset(views[::-1])
-    bids = views[0].bids
-    renumbered_bids = tuple(
-        dataclasses.replace(bid, record_id=rid) for bid, rid in zip(bids, (3, 1, 2))
-    )
-    check_dataset([dataclasses.replace(views[0], bids=renumbered_bids), *views[1:]])
+    check_dataset([dataclasses.replace(views[0], record_ids=(3, 1, 2)), *views[1:]])
     check_dataset([])
 
 
@@ -420,7 +425,7 @@ ORDERED_BREAKS = [
     ("seller_blank", {"seller_id": " "}),
     ("duration_identity", {"start_time_sec": 100_000 + 5 * 86400 + 1}),
     ("bid_count", {"num_bids": 4}),
-    ("bid_outside_window", {"bids": second_bid(2, bid_submit_time_sec=99_999)[1].bids}),
+    ("bid_outside_window", {"bid_times": second_bid(2, bid_times=99_999)[1].bid_times}),
     ("bidder_count", {"num_bidders": 1}),
 ]
 
@@ -450,10 +455,10 @@ _VIEW_EDITS = {
     "end_time_sec": [-1, 0, 500_000],
 }
 _BID_EDITS = {
-    "bidder_id": ["", " ", "p1", "p9"],
-    "bid_amount": [D("-1.00"), Decimal("20.5"), D("99.99"), Decimal("sNaN")],
-    "bid_submit_time_sec": [-1, 0, 2_000_000],
-    "record_id": [0, 1, 2, 99],
+    "bidder_ids": ["", " ", "p1", "p9"],
+    "bid_amounts": [D("-1.00"), Decimal("20.5"), D("99.99"), Decimal("sNaN")],
+    "bid_times": [-1, 0, 2_000_000],
+    "record_ids": [0, 1, 2, 99],
 }
 
 
@@ -473,11 +478,10 @@ def edited_corpora(draw):
         views[i] = dataclasses.replace(view, **{name: value})
     elif kind == "bid":
         name = draw(st.sampled_from(sorted(_BID_EDITS)))
-        bids = [b for v in views for b in v.bids]
-        value = draw(st.sampled_from(_BID_EDITS[name] + [getattr(b, name) for b in bids]))
-        j = draw(st.integers(0, len(view.bids) - 1))
-        changed = dataclasses.replace(view.bids[j], **{name: value})
-        views[i] = dataclasses.replace(view, bids=view.bids[:j] + (changed,) + view.bids[j + 1:])
+        values = [value for v in views for value in getattr(v, name)]
+        value = draw(st.sampled_from(_BID_EDITS[name] + values))
+        j = draw(st.integers(0, len(view.record_ids) - 1))
+        views[i] = edit_bid(view, j, **{name: value})
     return views
 
 

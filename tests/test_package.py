@@ -91,6 +91,34 @@ def test_bid_records_are_built_only_at_the_edges():
     assert offenders == []
 
 
+def _builds_bid(node) -> bool:
+    return isinstance(node, ast.Call) and "Bid" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
+def test_a_bid_object_is_built_only_as_the_winner():
+    # A view holds its bids as column tuples, so no layer keeps an object
+    # per bid: AuctionView declares no bids field, and only winner_of
+    # builds a Bid, as its one result.
+    package = Path(shillbid.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        if path.name == "model.py":
+            tree.body = [node for node in tree.body if getattr(node, "name", None) != "winner_of"]
+        for node in ast.walk(tree):
+            if _builds_bid(node):
+                offenders.append(f"{path.name}:{node.lineno}: Bid(")
+            if isinstance(node, ast.ClassDef) and node.name == "AuctionView":
+                offenders += [
+                    f"{path.name}:{stmt.lineno}: AuctionView.bids"
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and getattr(stmt.target, "id", None) == "bids"
+                ]
+    assert offenders == []
+
+
 def _names_participation_map(node) -> bool:
     return "participation_map" in (getattr(node, "id", None), getattr(node, "attr", None))
 
@@ -178,7 +206,8 @@ def test_each_bid_table_line_is_read_once():
 def test_an_auction_has_one_shape():
     # AuctionView is the one in-memory shape of an auction, and BidRecord
     # one row of the bid table. No other class may declare an auction's
-    # fields: inside the cleanse an auction is a (head, bids) pair.
+    # fields: inside the cleanse an auction is (head, times, amounts,
+    # bidders).
     package = Path(shillbid.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):

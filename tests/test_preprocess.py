@@ -333,24 +333,24 @@ def test_read_preprocessed_money_cells_match_parse_cents(texts):
         actual = _outcome(lambda: [str(r.bid_amount) for r in read_preprocessed(path)])
         assert actual == expected
         assert _outcome(
-            lambda: [str(bid.bid_amount) for _, bid in bid_rows(path)]
+            lambda: [str(bid[1]) for _, bid in bid_rows(path)]
         ) == expected
         if expected[0] == "ok":
             streamed = list(bid_rows(path))
             for (head, a), (_, b) in zip(streamed[1:], streamed[1 + len(texts):]):
-                assert a.bid_amount is b.bid_amount  # one Decimal per amount text
+                assert a[1] is b[1]  # one Decimal per amount text
                 assert head is streamed[0][0]  # one head per auction
 
 
 # --- record-list stages -----------------------------------------------------
 
 def parsed_auction(key="u1", n_bids=5, seller="s1", **overrides):
-    """An auction as the cleanse holds it: (head, bids), head holding
-    AuctionView's fields before bids with key where the id goes."""
-    bids = [
-        (500_000 - i * 1000, Decimal(f"{10 + i}.00"), f"b{i % 2}")
-        for i in range(n_bids)
-    ]
+    """An auction as the cleanse holds it: (head, times, amounts, bidders),
+    head holding AuctionView's fields before its bid columns with key
+    where the id goes."""
+    times = [500_000 - i * 1000 for i in range(n_bids)]
+    amounts = [Decimal(f"{10 + i}.00") for i in range(n_bids)]
+    bidders = [f"b{i % 2}" for i in range(n_bids)]
     values = dict(
         seller_id=seller,
         start_time_sec=600_000,
@@ -363,15 +363,22 @@ def parsed_auction(key="u1", n_bids=5, seller="s1", **overrides):
     )
     assert set(overrides) <= set(values)
     values.update(overrides)
-    names = [f.name for f in fields(AuctionView)][1:-1]
-    return (key, *(values[name] for name in names)), bids
+    names = [f.name for f in fields(AuctionView)][1:-4]
+    return (key, *(values[name] for name in names)), times, amounts, bidders
+
+
+def set_bids(auction, start, bids):
+    """Overwrite a parsed_auction's bids from position start with
+    (time, amount, bidder) triples."""
+    for column, values in zip(auction[1:], zip(*bids)):
+        column[start:start + len(bids)] = values
 
 
 def test_parsed_auction_helper_is_consistent():
-    (key, *level), bids = parsed_auction()
-    view = AuctionView(1, *level, ())
+    (key, *level), times, amounts, bidders = parsed_auction()
+    view = AuctionView(1, *level, (), (), (), ())
     assert view.start_time_sec - view.end_time_sec == view.auction_duration_sec
-    assert (view.num_bids, view.num_bidders) == (len(bids), len({b[2] for b in bids}))
+    assert (view.num_bids, view.num_bidders) == (len(times), len(set(bidders)))
 
 
 def test_assign_identifiers_reconciles_stored_counts():
@@ -413,7 +420,7 @@ def test_filter_inconsistent_is_strict():
         [ok, start_high, last_high, boundary], 5
     )
     assert [v.starting_price for v in views] == [Decimal("5.00"), Decimal("14.00")]
-    assert [head[0] for head, _ in inconsistent] == ["u2", "u3"]
+    assert [head[0] for head, *_ in inconsistent] == ["u2", "u3"]
     assert thin == contradictory == []
 
 
@@ -433,13 +440,13 @@ def test_filter_contradictory_drops_each_broken_rule_at_its_boundary():
         # Each kept auction's seller is its key, so its view names it.
         fields.setdefault("seller", key)
         made = parsed_auction(key=key, **fields)
-        made[1][2] = (time, Decimal(amount), "b0")
+        set_bids(made, 2, [(time, Decimal(amount), "b0")])
         return made
 
     # Prices of zero break only the positive-winning rule.
     zero = auction("zero", amount="0.00", winning_bid=Decimal("0.00"),
                    starting_price=Decimal("0.00"))
-    zero[1][:] = [(time, Decimal("0.00"), bidder) for time, _, bidder in zero[1]]
+    zero[2][:] = [Decimal("0.00")] * len(zero[2])
     kept_ones = [
         auction("ok"),
         auction("at-winning", amount="14.00"),
@@ -463,9 +470,9 @@ def test_filter_contradictory_drops_each_broken_rule_at_its_boundary():
         kept_ones + removed_ones, 5
     )
     # Every auction starts in the same second, so the walk goes by key.
-    assert [v.seller_id for v in views] == sorted(head[0] for head, _ in kept_ones)
-    assert [head[0] for head, _ in contradictory] == sorted(
-        head[0] for head, _ in removed_ones
+    assert [v.seller_id for v in views] == sorted(head[0] for head, *_ in kept_ones)
+    assert [head[0] for head, *_ in contradictory] == sorted(
+        head[0] for head, *_ in removed_ones
     )
     assert thin == inconsistent == []
 
@@ -521,11 +528,11 @@ def test_the_higher_of_two_last_second_bids_decides_inconsistency():
     # Both bids fall in the last second; listed first, the one above the
     # winning price 14.00 is still the chronologically last once sorted.
     same_second = parsed_auction()
-    same_second[1][3:] = [(496_000, Decimal("14.50"), "b0"), (496_000, Decimal("13.00"), "b1")]
+    set_bids(same_second, 3, [(496_000, Decimal("14.50"), "b0"), (496_000, Decimal("13.00"), "b1")])
     # One second earlier, it is not the last bid and breaks only the
     # bid-at-most-winning rule.
     earlier = parsed_auction(key="u2")
-    earlier[1][3:] = [(496_001, Decimal("14.50"), "b0"), (496_000, Decimal("13.00"), "b1")]
+    set_bids(earlier, 3, [(496_001, Decimal("14.50"), "b0"), (496_000, Decimal("13.00"), "b1")])
     views, thin, inconsistent, contradictory, _, _ = assign_identifiers(
         [same_second, earlier], 5
     )
@@ -536,9 +543,9 @@ def test_the_higher_of_two_last_second_bids_decides_inconsistency():
 
 def test_equal_bids_are_numbered_in_bidder_order():
     auction = parsed_auction()
-    auction[1][3:] = [(496_000, Decimal("13.00"), "b1"), (496_000, Decimal("13.00"), "b0")]
+    set_bids(auction, 3, [(496_000, Decimal("13.00"), "b1"), (496_000, Decimal("13.00"), "b0")])
     views, *_ = assign_identifiers([auction], 5)
-    assert [(b.bidder_id, b.record_id) for b in views[0].bids[3:]] == [("b0", 4), ("b1", 5)]
+    assert list(zip(views[0].bidder_ids[3:], views[0].record_ids[3:])) == [("b0", 4), ("b1", 5)]
 
 
 # --- full pipeline over dict rows ------------------------------------------
@@ -639,7 +646,7 @@ def test_run_pipeline_dedups_a_bid_cell_holding_the_key_separator():
     auctions, report = run_pipeline(rows)
     assert report.duplicate_records_removed == 1
     assert report.after.records == 6
-    assert {bid.bidder_id for bid in auctions[0].bids} >= {"x", "x\x1fy"}
+    assert set(auctions[0].bidder_ids) >= {"x", "x\x1fy"}
 
 
 @pytest.mark.parametrize("copy_at", [1, 3, 6])
