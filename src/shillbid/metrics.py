@@ -22,7 +22,6 @@ from .model import (
     METRIC_COLUMNS,
     AuctionView,
     SBInstance,
-    fast_frozen_init,
     validate_weights,
     winner_of,
 )
@@ -32,8 +31,7 @@ from .model import (
 HIGH_PARTICIPATION_RATIO = 0.1
 
 
-@fast_frozen_init
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BidderParticipation:
     """One bidder's footprint inside one auction."""
 
@@ -252,8 +250,8 @@ def auction_instances(
     instances: list[SBInstance] = []
     for bidder in sorted(parts):
         part = parts[bidder]
-        # Positional, in METRIC_COLUMNS order: keyword calls to a
-        # frozen dataclass cost twice as much per instance.
+        # Positional, in METRIC_COLUMNS order: keyword calls cost over
+        # twice as much per instance.
         instances.append(
             SBInstance(
                 auction_id,

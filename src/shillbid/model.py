@@ -5,12 +5,14 @@ numbers and checks views, write_preprocessed writes them, read_auctions
 reads them back. A view holds its bids as four column tuples, so no
 layer keeps an object per bid; a Bid is built only as winner_of's
 result. A BidRecord, one row of the bid table, is built only where a
-table is read row by row. auction_views is the one grouping of a bid
-table's (head, bid) rows into views, whether they come from
-ingest.bid_rows or, through validate_dataset, from records. The bid
-table's rules are written once: auction_fault names the first rule a
-view breaks, check_ids holds the id rules, and check_dataset applies
-both.
+table is read row by row. BidRecord and SBInstance, built in bulk, are
+plain slotted dataclasses, mutable and unhashable, whose generated
+__init__ stores each slot directly; a view and a Bid are frozen,
+checked values. auction_views is the one grouping of a bid table's
+(head, bid) rows into views, whether they come from ingest.bid_rows
+or, through validate_dataset, from records. The bid table's rules are
+written once: auction_fault names the first rule a view breaks,
+check_ids holds the id rules, and check_dataset applies both.
 
 Time is stored as countdown seconds: whole seconds remaining until a
 fixed reference moment, so later events carry smaller values. All money
@@ -18,7 +20,7 @@ is fixed-point decimal with exactly two fractional digits.
 """
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from decimal import Decimal
 from itertools import pairwise
 from operator import attrgetter
@@ -58,31 +60,6 @@ METRIC_COLUMNS = (
 SB_COLUMNS = ("auction_id", "bidder_id") + METRIC_COLUMNS
 
 
-def fast_frozen_init(cls: type) -> type:
-    """Give a frozen, slotted dataclass a faster __init__.
-
-    The generated __init__ of a frozen dataclass sets every field
-    through object.__setattr__, and at a million records that call is
-    the larger part of building them. This __init__ takes the same
-    parameters and sets each slot through its member descriptor, which
-    costs half as much. It applies only where that is all the generated
-    one does: no defaults, no factories, no __post_init__.
-    """
-    names = [f.name for f in fields(cls)]
-    if any(
-        f.default is not MISSING or f.default_factory is not MISSING
-        for f in fields(cls)
-    ) or hasattr(cls, "__post_init__"):
-        raise TypeError(f"{cls.__name__} needs the dataclass-generated __init__")
-    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
-    body = "".join(f"    _set_{name}(self, {name})\n" for name in names)
-    exec(f"def __init__(self, {', '.join(names)}):\n{body}", namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-    return cls
-
-
 DEFAULT_WEIGHTS: dict[str, float] = {
     "bidder_tendency": 0.5,
     "early_bidding": 0.3,
@@ -95,8 +72,7 @@ DEFAULT_WEIGHTS: dict[str, float] = {
 }
 
 
-@fast_frozen_init
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BidRecord:
     """One retained bid, flattened with its auction-level context."""
 
@@ -347,8 +323,7 @@ def check_dataset(auctions: Sequence[AuctionView]) -> None:
             raise InvariantError(f"auction {view.auction_id}: {fault}")
 
 
-@fast_frozen_init
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SBInstance:
     """Eight behavior metrics for one (auction, bidder) pair.
 

@@ -5,6 +5,7 @@ import functools
 import gc
 import io
 import json
+import re
 import sys
 import tempfile
 from collections import Counter
@@ -22,6 +23,7 @@ from shillbid.ingest import (
     read_auctions,
     read_sb_dataset,
     write_preprocessed,
+    write_sb_dataset,
 )
 from shillbid.metrics import (
     compute_global_aggregates,
@@ -101,6 +103,17 @@ def test_stats_command_renders_table(chain, capsys):
     payload = json.loads(report.read_text())
     assert payload["total_instances"] > 0
     assert payload["behavior_buckets"]["non_winners_aggressive"] is not None
+
+
+def test_stats_on_a_header_only_feature_table(tmp_path, capsys):
+    # No instance: every percentage is of zero, and no bucket has a value.
+    sb = tmp_path / "sb.csv"
+    write_sb_dataset([], sb)
+    assert run("stats", "--in", str(sb)) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^Instances +0$", out, re.M)
+    assert re.search(r"^Winners, aggressive +n/a$", out, re.M)
+    assert re.search(r"^bidding_ratio > 0\.7 +0  0\.00%$", out, re.M)
 
 
 def test_scores_output_matches_library(chain):
@@ -216,7 +229,14 @@ def test_bad_config_exits_2(chain, capsys):
     assert code == 2
     code = run("synth", "--out", str(chain / "y.csv"), "--run-length", "1")
     assert code == 2
-    assert capsys.readouterr().err.count("error:") == 3
+    code = run(
+        "preprocess", "--in", str(chain / "corpus.csv"),
+        "--out", str(chain / "x.csv"), "--min-winning-price", "abc",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 4
+    assert "price floor is not a number: 'abc'" in err
 
 
 def test_features_rejects_bad_weights_before_writing(chain, capsys):
@@ -332,8 +352,12 @@ def test_huge_price_in_raw_corpus_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "column, value",
-    [("Bid Submission Date", "Jun-02-99999999999"), ("Bid Amount", "-20.00 $")],
-    ids=["year-past-a-c-int", "negative-amount"],
+    [
+        ("Bid Submission Date", "Jun-02-99999999999"),
+        ("Bid Amount", "-20.00 $"),
+        ("Bid Submission Date", "Apr-x-17"),
+    ],
+    ids=["year-past-a-c-int", "negative-amount", "day-not-an-integer"],
 )
 def test_an_unreadable_raw_bid_cell_exits_2_and_writes_nothing(tmp_path, capsys, column, value):
     corpus = tmp_path / "corpus.csv"
@@ -347,6 +371,30 @@ def test_an_unreadable_raw_bid_cell_exits_2_and_writes_nothing(tmp_path, capsys,
     assert run("preprocess", "--in", str(corpus), "--out", str(tmp_path / "clean.csv")) == 2
     assert repr(value) in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == made
+
+
+def test_a_raw_bid_names_its_amount_before_the_epoch(tmp_path, capsys):
+    # A bid after the reference epoch exits 2; a bad amount on the same
+    # row is named first, in the single-stage order: date or clock,
+    # then amount, then epoch.
+    corpus = tmp_path / "corpus.csv"
+    assert run("synth", "--out", str(corpus), "--auctions", "5") == 0
+    with open(corpus, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][rows[0].index("Bid Submission Date")] = "Aug-01-17"
+    with open(corpus, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    clean = tmp_path / "clean.csv"
+    assert run("preprocess", "--in", str(corpus), "--out", str(clean)) == 2
+    err = capsys.readouterr().err
+    assert "event 2017-08-01T" in err and "is after the reference epoch" in err
+    rows[1][rows[0].index("Bid Amount")] = "lots"
+    with open(corpus, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    assert run("preprocess", "--in", str(corpus), "--out", str(clean)) == 2
+    err = capsys.readouterr().err
+    assert "money 'lots': no number found" in err and "epoch" not in err
+    assert not clean.exists()
 
 
 def test_money_with_no_digit_before_the_point_reads_as_cents(tmp_path):

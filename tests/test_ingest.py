@@ -4,6 +4,7 @@ import functools
 import io
 import math
 import random
+import re
 import tempfile
 from dataclasses import replace
 from decimal import Decimal
@@ -117,6 +118,13 @@ def test_load_raw_schema_rejects_bad_files(tmp_path, mutate, fragment):
         "\n".join(f"{k}={v}" for k, v in table.items()), encoding="utf-8"
     )
     with pytest.raises(SchemaError, match=fragment):
+        load_raw_schema(path)
+
+
+def test_load_raw_schema_rejects_a_line_without_equals(tmp_path):
+    path = tmp_path / "schema.conf"
+    path.write_text("# comment\nbidder_id Bidder\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=r"schema.conf:2: expected key=value"):
         load_raw_schema(path)
 
 
@@ -1285,4 +1293,21 @@ def test_read_sb_dataset_rejects_non_numeric_cells(tmp_path):
     text = path.read_text(encoding="utf-8").replace("0.500000", "half", 1)
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ParseError):
+        read_sb_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "cells, fragment",
+    [
+        (lambda cells: cells[:9], "expected 10 cells, got 9"),
+        (lambda cells: ["x", *cells[1:]], "auction_id is not an integer: 'x'"),
+    ],
+    ids=["short-row", "auction-id"],
+)
+def test_read_sb_dataset_rejects_short_rows_and_bad_ids(tmp_path, cells, fragment):
+    path = tmp_path / "sb.csv"
+    write_sb_dataset([instance()], path)
+    header, row = path.read_text(encoding="utf-8").splitlines()
+    path.write_text(f"{header}\n{','.join(cells(row.split(',')))}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(fragment)):
         read_sb_dataset(path)

@@ -23,7 +23,6 @@ from shillbid.model import (
     SBInstance,
     auction_fault,
     check_dataset,
-    fast_frozen_init,
     validate_dataset,
     validate_weights,
     winner_of,
@@ -530,24 +529,3 @@ def test_sb_instance_value_order_matches_columns():
     names = [f.name for f in dataclasses.fields(SBInstance)]
     assert names[names.index("bidder_id") + 1:] == list(METRIC_COLUMNS)
 
-
-def test_fast_frozen_init_keeps_dataclass_behaviour():
-    by_position = record()
-    by_keyword = BidRecord(**{f.name: getattr(by_position, f.name)
-                              for f in dataclasses.fields(BidRecord)})
-    assert by_keyword == by_position and hash(by_keyword) == hash(by_position)
-    assert dataclasses.replace(by_position, record_id=9).record_id == 9
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        by_position.record_id = 2
-    with pytest.raises(TypeError):
-        BidRecord(1, 2)
-
-
-def test_fast_frozen_init_refuses_classes_it_cannot_build():
-    @dataclasses.dataclass(frozen=True, slots=True)
-    class WithDefault:
-        a: int
-        b: int = 0
-
-    with pytest.raises(TypeError, match="dataclass-generated"):
-        fast_frozen_init(WithDefault)

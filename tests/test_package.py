@@ -8,10 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import shillbid
 from shillbid.metrics import BidderAggregate
 from shillbid.preprocess import PipelineConfig
 from shillbid.synth import SynthConfig, write_corpus
+
+from .conftest import make_view
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -27,22 +31,32 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     assert len(namespace["instances"]) >= len(namespace["auctions"]) > 0
 
 
+def _python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this package's source."""
+    src = str(Path(shillbid.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+
+
 def test_cli_import_starts_no_worker_machinery():
     # The feature build runs in-process; importing the CLI should not
     # pay for the process-pool modules.
-    src = str(Path(shillbid.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     probe = (
         "import sys, shillbid.cli; "
         "print(sorted(m for m in sys.modules "
         "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
-    ).stdout
-    assert out.strip() == "[]"
+    done = _python("-c", probe)
+    assert done.returncode == 0 and done.stdout.strip() == "[]"
+
+
+def test_python_m_shillbid_runs_the_cli():
+    done = _python("-m", "shillbid", "--help")
+    assert done.returncode == 0
+    assert "preprocess" in done.stdout and "features" in done.stdout
 
 
 def test_no_cross_module_private_imports():
@@ -275,3 +289,23 @@ def test_every_config_field_has_a_reader():
         if f.name not in read
     ]
     assert unread == []
+
+
+def test_src_generates_no_code():
+    # Every class is what its source says: no module builds code from
+    # text, so the dataclass decorator writes each __init__. Records
+    # built in bulk are plain slotted dataclasses; a view stays frozen,
+    # since the aggregates trust a view object by identity.
+    package = Path(shillbid.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            call = isinstance(node, ast.Call)
+            name = _identifier(node.func if call else node)
+            if name == "fast_frozen_init" or call and name in ("exec", "eval"):
+                offenders.append(f"{path.name}:{node.lineno}: {name}")
+    assert offenders == []
+    view = make_view([("alice", "12.00", 150_000)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        view.num_bids = 2
