@@ -5,8 +5,8 @@ builds every (auction, bidder) row of the feature table. Per-pair
 metrics read one auction; the cross-auction ones (tendency, winning
 ratio, starting price, bid volume) read GlobalAggregates built once
 over the whole retained auction set. Each auction's bids are walked
-once: compute_global_aggregates keeps every auction's
-participation_map in the aggregates, and auction_instances takes it
+once, into one record per bidder: compute_global_aggregates keeps
+every auction's participation_map, and auction_instances takes it
 from there. All arithmetic is plain double precision; weight_scorer
 checks a weight table once and returns the one scoring function.
 """
@@ -44,44 +44,35 @@ class BidderParticipation:
 def participation_map(auction: AuctionView) -> dict[str, BidderParticipation]:
     """Per-bidder counts, first/last bid times and longest streak.
 
-    Walks the canonical bid order once. first_bid_time_sec is the
+    Walks the canonical bid order once, building a bidder's record at
+    their first bid and updating it in place. first_bid_time_sec is the
     largest countdown (earliest bid); last_bid_time_sec the smallest.
     """
-    counts: dict[str, int] = {}
-    first: dict[str, int] = {}
-    last: dict[str, int] = {}
-    runs: dict[str, int] = {}
+    parts: dict[str, BidderParticipation] = {}
     streak_bidder: str | None = None
     streak = 0
     for b, time in zip(auction.bidder_ids, auction.bid_times):
-        counts[b] = counts.get(b, 0) + 1
-        if b not in first:
-            first[b] = time
-        last[b] = time
+        part = parts.get(b)
+        if part is None:
+            part = parts[b] = BidderParticipation(0, time, time, 0)
+        part.bid_count += 1
+        part.last_bid_time_sec = time
         if b == streak_bidder:
             streak += 1
         else:
             streak_bidder = b
             streak = 1
-        if streak > runs.get(b, 0):
-            runs[b] = streak
-    return {
-        b: BidderParticipation(
-            bid_count=counts[b],
-            first_bid_time_sec=first[b],
-            last_bid_time_sec=last[b],
-            longest_run=runs[b],
-        )
-        for b in counts
-    }
+        if streak > part.longest_run:
+            part.longest_run = streak
+    return parts
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BidderAggregate:
     """One bidder's counts across every retained auction."""
 
     auctions_entered: int
-    auctions_by_seller: Mapping[str, int]
+    auctions_by_seller: dict[str, int]
     high_participation_auctions: int
     wins_in_high_participation: int
 
@@ -105,16 +96,15 @@ class GlobalAggregates:
 
 
 def compute_global_aggregates(auctions: Iterable[AuctionView]) -> GlobalAggregates:
-    """One pass over all auctions to build the shared aggregate table."""
+    """One pass over all auctions to build the shared aggregate table.
+
+    Each bidder's record is built on first sight and updated in place.
+    """
     auctions = list(auctions)
     if not auctions:
         raise EmptyDatasetError("cannot aggregate zero auctions")
 
-    entered: dict[str, int] = {}
-    by_seller: dict[str, dict[str, int]] = {}
-    high: dict[str, int] = {}
-    wins_high: dict[str, int] = {}
-
+    bidders: dict[str, BidderAggregate] = {}
     participation: dict[int, tuple[AuctionView, dict[str, BidderParticipation]]] = {}
 
     start_price_total = 0.0
@@ -127,24 +117,17 @@ def compute_global_aggregates(auctions: Iterable[AuctionView]) -> GlobalAggregat
         parts = participation_map(auction)
         participation[auction.auction_id] = (auction, parts)
         for bidder, part in parts.items():
-            entered[bidder] = entered.get(bidder, 0) + 1
-            sellers = by_seller.setdefault(bidder, {})
+            agg = bidders.get(bidder)
+            if agg is None:
+                agg = bidders[bidder] = BidderAggregate(0, {}, 0, 0)
+            agg.auctions_entered += 1
+            sellers = agg.auctions_by_seller
             sellers[auction.seller_id] = sellers.get(auction.seller_id, 0) + 1
-            heavy = part.bid_count / auction.num_bids > HIGH_PARTICIPATION_RATIO
-            if heavy:
-                high[bidder] = high.get(bidder, 0) + 1
+            if part.bid_count / auction.num_bids > HIGH_PARTICIPATION_RATIO:
+                agg.high_participation_auctions += 1
                 if bidder == winner:
-                    wins_high[bidder] = wins_high.get(bidder, 0) + 1
+                    agg.wins_in_high_participation += 1
 
-    bidders = {
-        b: BidderAggregate(
-            auctions_entered=entered[b],
-            auctions_by_seller=by_seller[b],
-            high_participation_auctions=high.get(b, 0),
-            wins_in_high_participation=wins_high.get(b, 0),
-        )
-        for b in entered
-    }
     return GlobalAggregates(
         avg_auctions_start_price=start_price_total / len(auctions),
         avg_bid_all_auctions=bid_count_total / len(auctions),

@@ -150,16 +150,12 @@ class SynthConfig:
             raise ConfigError(
                 f"shill_run_length must be >= 2, got {self.shill_run_length}"
             )
+        # With shill_run_length >= 2 this keeps min_auction_bids >= 5, the --min-bids floor.
         if self.min_auction_bids < self.shill_run_length + 3:
             raise ConfigError(
                 "infeasible: a shill auction needs the run plus at least one "
                 f"bid before and two after; min_auction_bids {self.min_auction_bids} "
                 f"< {self.shill_run_length + 3}"
-            )
-        if self.min_auction_bids < 5:
-            raise ConfigError(
-                "min_auction_bids must be >= 5 so healthy auctions survive "
-                "the activity floor"
             )
         if self.max_auction_bids < self.min_auction_bids:
             raise ConfigError("max_auction_bids must be >= min_auction_bids")

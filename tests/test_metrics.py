@@ -1,6 +1,8 @@
 """The eight metrics against frozen examples and the brute-force oracle."""
 import math
 import random
+from collections import Counter
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given
@@ -399,3 +401,37 @@ def test_metrics_match_oracle_on_random_corpora(rng):
                     assert getattr(row, name) == pytest.approx(
                         expected[name], abs=1e-12
                     ), (view.auction_id, bidder, name)
+
+
+def test_bidder_records_match_oracle_counts_on_random_corpora():
+    # The records themselves, field by field, on the corpora above: the
+    # metrics see them only through ratios, bands and clamps, and a
+    # streak of 1 bands to 0 just as a streak of 2 does.
+    for corpus_seed in range(10):
+        views = random_micro_corpus(random.Random(corpus_seed), 8)
+        agg = compute_global_aggregates(views)
+        plain = [_oracle.from_view(v) for v in views]
+        for view, auction in zip(views, plain):
+            order = [b[0] for b in _oracle.chronological(auction)]
+            for bidder, part in participation_map(view).items():
+                times = [t for (b, _, t) in auction["bids"] if b == bidder]
+                expected = (
+                    len(times),
+                    max(times),
+                    min(times),
+                    _oracle.longest_run(order, bidder),
+                )
+                assert astuple(part) == expected, (view.auction_id, bidder)
+        assert sorted(agg.bidders) == sorted(
+            {b for auction in plain for b in _oracle.bidders_of(auction)}
+        )
+        for bidder, record in agg.bidders.items():
+            mine = _oracle.entered(plain, bidder)
+            heavy = [a for a in mine if _oracle.bidding_ratio(a, bidder) > 0.1]
+            expected = (
+                len(mine),
+                Counter(a["seller"] for a in mine),
+                len(heavy),
+                sum(1 for a in heavy if _oracle.winner(a) == bidder),
+            )
+            assert astuple(record) == expected, bidder

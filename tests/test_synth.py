@@ -123,26 +123,34 @@ def test_final_bid_is_never_blank_or_accomplice():
         assert not row[BIDDER_COL].startswith("x")
 
 
+REJECTED_CONFIGS = [
+    (dict(num_auctions=0), "num_auctions must be >= 1"),
+    (dict(shill_fraction=1.5), r"shill_fraction must lie in \[0, 1\]"),
+    (dict(duplicate_row_rate=-0.1), r"duplicate_row_rate must lie in \[0, 1\]"),
+    (dict(shill_run_length=1), "shill_run_length must be >= 2"),
+    (dict(shill_run_length=6), "infeasible: .* min_auction_bids 8 < 9"),
+    (dict(min_auction_bids=4, shill_run_length=2, max_auction_bids=10),
+     "infeasible: .* min_auction_bids 4 < 5"),
+    (dict(max_auction_bids=7), "max_auction_bids must be >= min_auction_bids"),
+    (dict(bidder_pool=3), "bidder_pool must be >= 7"),
+    (dict(thin_auction_rate=0.5, inconsistent_auction_rate=0.5, shill_fraction=0.5),
+     r"infeasible: thin \+ inconsistent \+ shill auctions .* exceed num_auctions"),
+    (dict(duration_weights={}), "duration_weights must not be empty"),
+    (dict(duration_weights={0: 1}), "bad duration weight 0: 1"),
+    (dict(duration_weights={200: 1}), "duration 200d does not fit the scrape window"),
+    (dict(duration_weights={1: 0}), "duration weights must not all be zero"),
+    (dict(seller_pool=0), "seller_pool must be >= 1"),
+]
+
+
+# Ids by position: a case keeps its id whatever its message says.
 @pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(num_auctions=0),
-        dict(shill_fraction=1.5),
-        dict(duplicate_row_rate=-0.1),
-        dict(shill_run_length=1),
-        dict(shill_run_length=6),  # needs min_auction_bids >= 9
-        dict(min_auction_bids=4, shill_run_length=2, max_auction_bids=10),
-        dict(max_auction_bids=7),
-        dict(bidder_pool=3),
-        dict(thin_auction_rate=0.5, inconsistent_auction_rate=0.5,
-             shill_fraction=0.5),
-        dict(duration_weights={}),
-        dict(duration_weights={0: 1}),
-        dict(duration_weights={200: 1}),
-    ],
+    "kwargs, message",
+    REJECTED_CONFIGS,
+    ids=[f"kwargs{i}" for i in range(len(REJECTED_CONFIGS))],
 )
-def test_config_validation_rejects(kwargs):
-    with pytest.raises(ConfigError):
+def test_config_validation_rejects(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
         SynthConfig(**kwargs).validate()
 
 
