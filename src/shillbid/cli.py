@@ -19,9 +19,11 @@ import json
 import logging
 import os
 import sys
+from collections import deque
 from contextlib import contextmanager, suppress
 from datetime import datetime
 from decimal import Decimal, InvalidOperation
+from itertools import count
 from pathlib import Path
 
 from .dataset import (
@@ -45,6 +47,7 @@ from .ingest import (
     read_auctions,
     read_header,
     read_sb_dataset,
+    sb_instances,
     write_preprocessed,
     write_rejects,
     write_sb_dataset,
@@ -64,17 +67,20 @@ log = logging.getLogger(__name__)
 
 
 @contextmanager
-def _outputs():
+def _outputs(*inputs: str | None):
     """Yield staged: staged(path) is the .tmp file to write path's output to.
 
     When the block ends, every output is moved into place with
     os.replace; if it raises, or a path is a directory, none is and no
-    .tmp file is left. A path staged twice is a ConfigError, as one
-    output would silently overwrite the other.
+    .tmp file is left. A path staged twice or named in inputs is a
+    ConfigError, as it would silently overwrite an output or an input.
     """
     moves: dict[str, str] = {}
+    read = {os.path.realpath(path) for path in inputs if path}
 
     def staged(path: str | Path) -> str:
+        if os.path.realpath(path) in read:
+            raise ConfigError(f"{path} is named as both an input and an output")
         if os.path.realpath(path) in map(os.path.realpath, moves.values()):
             raise ConfigError(f"{path} is named as more than one output")
         moves[f"{path}.tmp"] = str(path)
@@ -130,7 +136,7 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     )
     config.validate()
 
-    with _outputs() as staged:
+    with _outputs(args.input, args.schema) as staged:
         # Name the outputs before the input is read, so a clash costs no
         # scan; only the scan knows whether a rejects file is needed.
         out = staged(args.out)
@@ -166,7 +172,7 @@ def cmd_features(args: argparse.Namespace) -> int:
     # Reject the configuration before anything is read or written.
     score = weight_scorer(load_weights(args.weights) if args.weights else None)
     check_threshold(args.threshold)
-    with _outputs() as staged:
+    with _outputs(args.input, args.weights) as staged:
         # Name the outputs before the input is read, so a clash costs no read.
         out = staged(args.out)
         scores_path = args.scores and staged(args.scores)
@@ -219,20 +225,22 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     # Reject the threshold before anything is read.
     check_threshold(args.threshold)
-    # The bid table first: its views are dropped once the winners are
-    # known, before the feature table is read.
-    winners = None
-    if args.preprocessed:
-        winners = {
-            a.auction_id: winner_of(a).bidder_id
-            for a in read_auctions(args.preprocessed)
-        }
-    instances = read_sb_dataset(args.input)
-    stats = pattern_stats(instances, threshold=args.threshold, winners=winners)
-    print(format_stats_table(stats))
-    if args.report:
-        with _outputs() as staged:
-            _write_json(stats.to_dict(), staged(args.report))
+    with _outputs(args.input, args.preprocessed) as staged:
+        # Name the output before the inputs are read, so a clash costs no read.
+        report_path = args.report and staged(args.report)
+        # The bid table first: its views are dropped once the winners are
+        # known, before the feature table is read.
+        winners = None
+        if args.preprocessed:
+            winners = {
+                a.auction_id: winner_of(a).bidder_id
+                for a in read_auctions(args.preprocessed)
+            }
+        instances = read_sb_dataset(args.input)
+        stats = pattern_stats(instances, threshold=args.threshold, winners=winners)
+        print(format_stats_table(stats))
+        if report_path:
+            _write_json(stats.to_dict(), report_path)
     return 0
 
 
@@ -243,9 +251,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
         rows = sum(len(a.record_ids) for a in auctions)
         print(f"ok: {rows} rows, {len(auctions)} auctions pass all checks")
     elif header == SB_COLUMNS:
-        instances = read_sb_dataset(args.input)
-        check_sb_dataset(instances)
-        print(f"ok: {len(instances)} instances pass all checks")
+        instances, numbers = sb_instances(args.input), count()
+        try:
+            check_sb_dataset(inst for inst, _ in zip(instances, numbers))
+        except InvariantError:
+            # A row that does not parse, anywhere in the file, is named first.
+            deque(instances, maxlen=0)
+            raise
+        print(f"ok: {next(numbers)} instances pass all checks")
     else:
         raise SchemaError(
             f"{args.input}: header matches neither the preprocessed nor the "

@@ -589,7 +589,7 @@ def read_auctions(path: str | Path) -> list[AuctionView]:
     return auction_views(bid_rows(path))
 
 
-def check_sb_dataset(instances: Sequence[SBInstance]) -> bool:
+def check_sb_dataset(instances: Iterable[SBInstance]) -> bool:
     """Raise if a feature dataset breaks its contract; else True if its pairs ascend.
 
     The instances are checked in turn, and the first one that breaks a
@@ -666,14 +666,18 @@ def write_scores(
 
 def read_sb_dataset(path: str | Path) -> list[SBInstance]:
     """Read a feature dataset; values are parsed but not range-checked."""
+    return list(sb_instances(path))
+
+
+def sb_instances(path: str | Path) -> Iterator[SBInstance]:
+    """Stream a feature dataset's rows as read_sb_dataset reads them."""
     width = len(SB_COLUMNS)
-    instances: list[SBInstance] = []
     with _table(path, SB_COLUMNS) as (_, rows):
         for n, cells in rows:
             if len(cells) != width:
                 raise ParseError(f"{path}:row {n}: expected {width} cells, got {len(cells)}")
             try:
-                instances.append(SBInstance(int(cells[0]), cells[1], *map(float, cells[2:])))
+                instance = SBInstance(int(cells[0]), cells[1], *map(float, cells[2:]))
             except ValueError:
                 # Name the first cell that does not parse: a metric, else the id.
                 for text in cells[2:]:
@@ -683,4 +687,4 @@ def read_sb_dataset(path: str | Path) -> list[SBInstance]:
                         raise ParseError(f"{path}:row {n}: metric cell is not a number") from None
                 _parse_int(cells[0], "auction_id", f"{path}:row {n}")
                 raise
-    return instances
+            yield instance

@@ -1,25 +1,26 @@
 """Cleansing pipeline: raw scrape rows to a validated bid table.
 
 Stage order is fixed. One streaming row pass applies the optional
-winning-price floor, collapses exact duplicates, drops rows with a
-blank bidder id and groups the rest into auctions, checking that each
-auction's rows agree. Inside the cleanse an auction is (head, times,
-amounts, bidders): head holds AuctionView's fields before its bid
-columns, with the auction's key where the id goes, and the lists hold
-each bid's time, amount and bidder id at one position. Then one walk
-in start order, assign_identifiers, reconciles each auction's scraped
-counts with its rows, drops it when it has too few bids, else when its
-built view breaks a rule of the bid table, filed by the rule
-model.auction_fault names, and numbers the rest densely. The result is
-one AuctionView per kept auction, numbered and checked, which
-ingest.write_preprocessed writes as it is.
+winning-price floor, collapses exact duplicates (a row whose bid text
+is in the scrape's own form by its parsed bid, any other by its text),
+drops rows with a blank bidder id and groups the rest into auctions,
+checking that each auction's rows agree. Inside the cleanse an auction
+is (head, times, amounts, bidders): head holds AuctionView's fields
+before its bid columns, with the auction's key where the id goes, and
+the lists hold each bid's time, amount and bidder id at one position.
+Then one walk in start order, assign_identifiers, reconciles each
+auction's scraped counts with its rows, drops it when it has too few
+bids, else when its built view breaks a rule of the bid table, filed
+by the rule model.auction_fault names, and numbers the rest densely.
+The result is one AuctionView per kept auction, numbered and checked,
+which ingest.write_preprocessed writes as it is.
 
 The row pass is written once and shared by both input layouts, as
 (head, bid) pairs of an auction's cells and a bid's; the readers give
 all rows of an auction one head object, so the pass compares heads by
 identity first. run_pipeline feeds it the pairs of
 ingest.RawScanner.pairs, or of any other raw records, parsing date,
-clock and money text only for rows that survive to be grouped.
+clock and money text only for rows with a bidder, once per text.
 run_pipeline_table feeds it the typed rows of a bid table as
 ingest.bid_rows streams them, each line read once, and
 run_pipeline_records the fields of typed records. assign_identifiers
@@ -29,13 +30,13 @@ defect manifest of a synthetic corpus.
 """
 from __future__ import annotations
 
-import functools
 import logging
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
-from operator import itemgetter
+from itertools import compress
+from operator import eq, itemgetter, ne
 from pathlib import Path
 import re
 from typing import Callable, Iterable, Iterator, Mapping
@@ -66,10 +67,8 @@ STANDARD_DURATIONS_DAYS = (1, 3, 5, 7, 10)
 
 SECONDS_PER_DAY = 86400
 
-_MONTHS = {
-    "jan": 1, "feb": 2, "mar": 3, "apr": 4, "may": 5, "jun": 6,
-    "jul": 7, "aug": 8, "sep": 9, "oct": 10, "nov": 11, "dec": 12,
-}
+_MONTH_NAMES = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
+_MONTHS = {name.lower(): number for number, name in enumerate(_MONTH_NAMES, 1)}
 
 _NUMBER = re.compile(r"\d+(?:\.\d+)?|\.\d+")
 
@@ -134,28 +133,41 @@ def parse_money(text: str) -> Decimal:
         raise ParseError(f"money {text!r}: amount out of range") from None
 
 
-# An amount as a scrape writes it: parse_money's result is the Decimal
-# of its text before " $", whose 22 digits fit the decimal context.
-_PLAIN_MONEY = re.compile(r"[0-9]{1,20}\.[0-9]{2} \$")
+# The scrape's own forms of an amount and a clock, "123.45 $" and
+# "23:21:07 PDT", which their values render back to. ASCII digits only,
+# as int and Decimal read others too; 22 digits fit the decimal context.
+_SCRAPE_MONEY = re.compile(r"(?:0|[1-9][0-9]{0,19})\.[0-9]{2} \$")
+_scrape_clock = re.compile(r"(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9] PDT").fullmatch
 
 
-def money_parser() -> Callable[[str], Decimal]:
+def money_parser(in_form: dict[str, Decimal] | None = None) -> Callable[[str], Decimal]:
     """Return parse_money behind a text -> Decimal cache.
 
     Each distinct text is parsed once and every row with the same text
-    shares one Decimal. A text in the scrape's own form, "123.45 $",
-    skips parse_money's search for the number.
+    shares one Decimal. A text in the scrape's own form skips the search
+    for the number and goes to in_form, when given (two texts there are
+    equal exactly when their amounts are), any other to a dict of its own.
     """
-    @functools.cache
+    plain = {} if in_form is None else in_form
+    other: dict[str, Decimal] = {}
+
     def parse(text: str) -> Decimal:
-        if _PLAIN_MONEY.fullmatch(text):
-            return Decimal(text[:-2])
-        return parse_money(text)
+        value = plain.get(text)
+        if value is None:
+            value = other.get(text)
+            if value is None:
+                if _SCRAPE_MONEY.fullmatch(text):
+                    value = plain[text] = Decimal(text[:-2])
+                else:
+                    value = other[text] = parse_money(text)
+        return value
 
     return parse
 
 
-def countdown_parser(reference: datetime) -> Callable[[str, str], int]:
+def countdown_parser(
+    reference: datetime, in_form: set[str] | None = None
+) -> Callable[[str, str], int]:
     """Return parse(date_text, time_text) for countdown seconds.
 
     parse gives what to_countdown_seconds(merge_datetime(date_text,
@@ -163,7 +175,9 @@ def countdown_parser(reference: datetime) -> Callable[[str, str], int]:
     once per date text and the clock is read arithmetically; any text
     the fast path does not take as-is (a malformed or out-of-range
     value, an event after the reference) goes through those two
-    functions, so the result or the ParseError is theirs.
+    functions, so the result or the ParseError is theirs. A date text
+    that is its date's Mon-DD-YY text joins in_form, when given: two
+    texts there are equal exactly when their dates are.
     """
     midnights: dict[str, int] = {}
 
@@ -171,13 +185,15 @@ def countdown_parser(reference: datetime) -> Callable[[str, str], int]:
         base = midnights.get(date_text)
         if base is None:
             try:
-                base = to_countdown_seconds(
-                    merge_datetime(date_text, "00:00:00"), reference
-                )
+                midnight = merge_datetime(date_text, "00:00:00")
+                base = to_countdown_seconds(midnight, reference)
             except ParseError:
                 base = -1
             else:
                 midnights[date_text] = base
+                text = f"{_MONTH_NAMES[midnight.month - 1]}-{midnight:%d-%y}"
+                if in_form is not None and text == date_text and midnight.year // 100 == 20:
+                    in_form.add(date_text)
         if base >= 0:
             try:
                 hour, minute, second = map(int, time_text.split(None, 1)[0].split(":"))
@@ -438,14 +454,15 @@ def _group_rows(
     dedup_key: Callable[[tuple], object],
     new_head: Callable[[tuple], tuple],
     new_bid: Callable[[tuple], tuple[int, Decimal, str]],
+    in_form: Callable[[tuple], bool] | None,
 ) -> tuple[list[_Auction], _Counters, Totals]:
     """The row-wise stages, one streaming pass shared by both layouts.
 
     Each row is a (head, bid) pair: head holds the auction-level cells,
     its auction key and seller first, and bid the bid-level cells, its
     bidder last. A row is dropped by the winning-price floor, else
-    counted into the before totals, then dropped if its dedup_key was
-    seen, then if its bidder is blank. What is left joins its auction's
+    counted into the before totals, then dropped if it copies an earlier
+    row, then if its bidder is blank. What is left joins its auction's
     group, (new_head(head), times, amounts, bidders) made from the
     first such row's head, which every later row must repeat, and adds
     new_bid(bid), a (time, amount, bidder), to the three lists.
@@ -454,22 +471,28 @@ def _group_rows(
 
     Readers share one head object among the rows of an auction, so
     "same head" is tested by identity first, then by ==. Each auction
-    key keeps one entry, the head of its first row that passes the floor
-    and a short token. A row with its entry's head is keyed by
-    dedup_key of the token and its bid cells; any other by dedup_key of
-    its head and bid cells, which has more cells. Two rows are
-    duplicates exactly when they are equal. The entry's head also serves
+    key keeps one entry, the head of its first row past the floor, for
     the grouping check, unless the group's first row has another (every
-    earlier row of the auction was dropped, for a blank bidder or as a
-    copy): then that group's head is held apart.
+    earlier row was dropped, for a blank bidder or as a copy): then that
+    group's head is held apart. A row with a blank bidder or a bid
+    in_form refuses is keyed by dedup_key of its bid cells and a short
+    token of its auction, or its head if not its entry's (more cells).
+    Any other row holds no key: its text is the one its parsed bid
+    renders back to (in_form None passes every bid) and a group's rows
+    share one head, so it copies an earlier such row exactly when their
+    (time, amount, bidder) are equal; those go once the pass ends. Rows
+    are grouped and parsed before keyed, a copy as its first copy was.
     """
     min_price = config.min_winning_price
     counters = _Counters()
     seen: set = set()
-    # auction key -> (head of its first row, token)
+    # auction key -> head of its first row
     entries: dict = {}
     # auction key -> head of a group that differs from its auction's entry
     apart: dict = {}
+    # auction key -> its token in keys; positions of its group's keyed bids
+    tokens: dict = {}
+    keyed: dict = {}
     bidders_seen: set[str] = set()
     sellers_seen: set[str] = set()
     rows_before = 0
@@ -487,43 +510,57 @@ def _group_rows(
             last = head
             key = head[0]
             sellers_seen.add(head[1])
-            entry = entries.get(key)
-            if entry is None:
-                entry = entries[key] = (head, str(len(entries)))
-            same = head is entry[0] or head == entry[0]
-            mark = (entry[1],) if same else head
+            entry = entries.setdefault(key, head)
+            same = head is entry or head == entry
             times = None
         bidder = bid[-1]
         blank = not bidder or bidder.isspace()
         if not blank:
             bidders_seen.add(bidder)
-
-        dup = dedup_key(mark + bid)
-        if dup in seen:
-            counters.duplicates += 1
-            continue
-        seen.add(dup)
-
-        if blank:
-            counters.missing_bidder += 1
-            continue
-
-        if times is None:
-            group = groups.get(key)
-            if group is None:
-                groups[key] = group = (new_head(head), [], [], [])
-                if not same:
-                    apart[key] = head
-            elif (not same or key in apart) and apart.get(key) != head:
-                raise DataConsistencyError(
-                    f"auction {key!r}: rows disagree on auction-level fields"
-                )
-            _, times, amounts, bidders = group
-        time, amount, bidder = new_bid(bid)
+            if times is None:
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = group = (new_head(head), [], [], [])
+                    if not same:
+                        apart[key] = head
+                elif (not same or key in apart) and apart.get(key) != head:
+                    raise DataConsistencyError(
+                        f"auction {key!r}: rows disagree on auction-level fields"
+                    )
+                _, times, amounts, bidders = group
+            time, amount, bidder = new_bid(bid)
+        if blank or in_form is not None and not in_form(bid):
+            mark = (tokens.setdefault(key, str(len(tokens))),) if same else head
+            dup = dedup_key(mark + bid)
+            if dup in seen:
+                counters.duplicates += 1
+                continue
+            seen.add(dup)
+            if blank:
+                counters.missing_bidder += 1
+                continue
+            keyed.setdefault(key, []).append(len(times))
         times.append(time)
         amounts.append(amount)
         bidders.append(bidder)
 
+    # A list: the dict's table is freed before _finish builds the views.
+    auctions = list(groups.values())
+    # A copy repeats its first copy's time: only bids of a repeated time are compared.
+    times_of = list(map(itemgetter(1), auctions))
+    repeats = map(ne, map(len, times_of), map(len, map(set, times_of)))
+    for head, times, amounts, bidders in compress(auctions, repeats):
+        ordered = sorted(times)
+        tied = set(compress(ordered, map(eq, ordered, ordered[1:])))
+        keep, first = set(keyed.get(head[0], ())), {}
+        copies = [
+            at for at, time in enumerate(times)
+            if time in tied and at not in keep
+            and first.setdefault((time, amounts[at], bidders[at]), at) != at
+        ]
+        counters.duplicates += len(copies)
+        for at in reversed(copies):
+            del times[at], amounts[at], bidders[at]
     before = Totals(
         auctions=len(entries),
         records=rows_before,
@@ -531,8 +568,7 @@ def _group_rows(
         seller_ids=len(sellers_seen),
         attributes=len(PREPROCESSED_COLUMNS),
     )
-    # A list: the dict's table is freed before _finish builds the views.
-    return list(groups.values()), counters, before
+    return auctions, counters, before
 
 
 def _finish(
@@ -648,14 +684,16 @@ def run_pipeline(
     it, so a generator keeps peak memory at the projected row width. A
     RawScanner over config's schema enters the shared row pass through
     its pairs(), which parse an auction's cells once; any other records
-    are projected to the same (head, bid) pairs. A row's text is parsed
-    only once it survives to be grouped. Returns the kept auctions as
-    checked views, in id order, and the report.
+    are projected to the same (head, bid) pairs. A row's bid text is
+    parsed only when its bidder is not blank. Returns the kept auctions
+    as checked views, in id order, and the report.
     """
     config = config or PipelineConfig()
     config.validate()
-    money = money_parser()
-    countdown = countdown_parser(config.reference_epoch)
+    plain_amounts: dict[str, Decimal] = {}
+    plain_dates: set[str] = set()
+    money = money_parser(plain_amounts)
+    countdown = countdown_parser(config.reference_epoch, plain_dates)
     if isinstance(records, RawScanner) and records.schema == dict(config.schema):
         rows, source = records.pairs(), records.report
     else:
@@ -678,6 +716,10 @@ def run_pipeline(
             raise
         return (when, money(amount), ids.setdefault(bidder, bidder))
 
+    def in_form(bid: tuple[str, ...]) -> bool:
+        date, clock, amount, _ = bid
+        return amount in plain_amounts and date in plain_dates and _scrape_clock(clock) is not None
+
     auctions, counters, before = _group_rows(
         rows,
         config,
@@ -685,13 +727,14 @@ def run_pipeline(
         _dedup_key,
         lambda head: _parse_auction_level(head, config, money, ids),
         new_bid,
+        in_form,
     )
     raw_width = len(source.columns) if source.accepted_count else 0
     counters.columns_dropped = max(0, raw_width - len(LOGICAL_FIELDS))
     before = replace(before, attributes=raw_width)
     # Free the parse caches and the id map before _finish builds the
     # views, so they add nothing to the peak.
-    del money, countdown, ids
+    del money, countdown, ids, plain_amounts, plain_dates
     return _finish(auctions, before, counters, config)
 
 
@@ -701,10 +744,8 @@ def _run_typed(
     config = config or PipelineConfig()
     config.validate()
     # tuple() of a tuple is that tuple: a bid is its own key cells, and
-    # a head and a bid are kept as they are.
-    auctions, counters, before = _group_rows(
-        rows, config, itemgetter(5), tuple, tuple, tuple
-    )
+    # a head and a bid are kept as they are. No typed bid needs a key.
+    auctions, counters, before = _group_rows(rows, config, itemgetter(5), tuple, tuple, tuple, None)
     return _finish(auctions, before, counters, config)
 
 

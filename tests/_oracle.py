@@ -251,3 +251,15 @@ def dataset_violations(records: list) -> list[str]:
     for auction_id, rows in sorted(by_auction.items()):
         bad += [f"auction {auction_id}: {msg}" for msg in check_group(rows)]
     return bad
+
+
+# --- exact copies among raw rows ----------------------------------------------
+
+def drop_text_copies(rows: list, columns) -> tuple[list, int]:
+    """rows without each row whose cells in columns equal, as text, an
+    earlier row's; and how many rows that dropped."""
+    kept: list = []
+    for row in rows:
+        if not any(all(row[name] == other[name] for name in columns) for other in kept):
+            kept.append(row)
+    return kept, len(rows) - len(kept)

@@ -31,7 +31,7 @@ from shillbid.metrics import (
     participation_map,
     weighted_score,
 )
-from shillbid.model import DEFAULT_WEIGHTS, PREPROCESSED_COLUMNS
+from shillbid.model import DEFAULT_WEIGHTS, METRIC_COLUMNS, PREPROCESSED_COLUMNS, SB_COLUMNS
 from shillbid.preprocess import run_pipeline
 from shillbid.synth import SynthConfig, write_corpus
 
@@ -313,6 +313,67 @@ def test_an_output_named_twice_exits_2_and_writes_nothing(chain, capsys, monkeyp
     assert run(*command) == 2
     assert "is named as more than one output" in capsys.readouterr().err
     assert sorted(chain.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["preprocess", "--in", "corpus.csv", "--out", "corpus.csv"],
+        ["preprocess", "--in", "corpus.csv", "--out", "x.csv", "--report", "./corpus.csv"],
+        ["preprocess", "--in", "corpus.csv", "--out", "x.csv", "--schema", "s.txt",
+         "--report", "s.txt"],
+        ["features", "--in", "clean.csv", "--out", "clean.csv"],
+        ["features", "--in", "clean.csv", "--out", "f.csv", "--weights", "w.txt",
+         "--scores", "w.txt"],
+        ["stats", "--in", "sb.csv", "--report", "sb.csv"],
+        ["stats", "--in", "sb.csv", "--preprocessed", "clean.csv", "--report", "clean.csv"],
+    ],
+    ids=[
+        "preprocess-out", "preprocess-report", "preprocess-schema", "features-out",
+        "features-weights", "stats-in", "stats-preprocessed",
+    ],
+)
+def test_an_output_named_as_an_input_exits_2_and_writes_nothing(
+    chain, capsys, monkeypatch, command
+):
+    (chain / "s.txt").write_text(
+        "".join(f"{name}={header}\n" for name, header in DEFAULT_RAW_SCHEMA.items()),
+        encoding="utf-8",
+    )
+    (chain / "w.txt").write_text("early_bidding=0.5\n", encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in chain.iterdir()}
+    monkeypatch.chdir(chain)
+    assert run(*command) == 2
+    assert "is named as both an input and an output" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in chain.iterdir()} == before
+
+
+def test_validate_names_a_bad_cell_before_an_earlier_range_error(tmp_path, capsys):
+    # Rows are checked as they are read, yet a row that does not parse,
+    # even the last, wins over a range error in an earlier row.
+    path = tmp_path / "sb.csv"
+    good = ["0.5"] * len(METRIC_COLUMNS)
+    rows = [
+        ["1", "amy", "1.5", *good[1:]],
+        ["1", "bob", *good],
+        ["2", "amy", *good[:-1], "x"],
+    ]
+    path.write_text(
+        "".join(",".join(cells) + "\n" for cells in [SB_COLUMNS, *rows]), encoding="utf-8"
+    )
+    assert run("validate", "--in", str(path)) == 2
+    assert "row 3: metric cell is not a number" in capsys.readouterr().err
+    path.write_text(
+        "".join(",".join(cells) + "\n" for cells in [SB_COLUMNS, *rows[:2]]), encoding="utf-8"
+    )
+    assert run("validate", "--in", str(path)) == 3
+    assert f"{METRIC_COLUMNS[0]}=1.5 outside [0, 1]" in capsys.readouterr().err
+    rows[0][2] = "0.5"
+    path.write_text(
+        "".join(",".join(cells) + "\n" for cells in [SB_COLUMNS, *rows[:2]]), encoding="utf-8"
+    )
+    assert run("validate", "--in", str(path)) == 0
+    assert "ok: 2 instances pass all checks" in capsys.readouterr().out
 
 
 def test_unknown_header_exits_2(tmp_path, capsys):

@@ -636,17 +636,21 @@ def test_run_pipeline_counts_duplicates_and_blanks():
 
 
 def test_run_pipeline_dedups_a_bid_cell_holding_the_key_separator():
-    rows = five_bid_auction()
-    rows[0][DEFAULT_RAW_SCHEMA["bidder_id"]] = "x\x1fy"
-    # Joined with the separator, this row's cells read as rows[0]'s.
-    shifted = dict(rows[0])
-    shifted[DEFAULT_RAW_SCHEMA["bidder_id"]] = "x"
-    shifted[DEFAULT_RAW_SCHEMA["bid_amount"]] = "y\x1f" + rows[0][DEFAULT_RAW_SCHEMA["bid_amount"]]
-    rows += [shifted, dict(rows[0])]
-    auctions, report = run_pipeline(rows)
-    assert report.duplicate_records_removed == 1
-    assert report.after.records == 6
-    assert set(auctions[0].bidder_ids) >= {"x", "x\x1fy"}
+    # With its amount in the scrape's own form, rows[0] holds no key; as
+    # "$20.00" it is keyed, by its cells' tuple.
+    for amount in ("20.00 $", "$20.00"):
+        rows = five_bid_auction()
+        rows[0][DEFAULT_RAW_SCHEMA["bidder_id"]] = "x\x1fy"
+        rows[0][DEFAULT_RAW_SCHEMA["bid_amount"]] = amount
+        # Joined with the separator, this row's cells read as rows[0]'s.
+        shifted = dict(rows[0])
+        shifted[DEFAULT_RAW_SCHEMA["bid_amount"]] = amount + "\x1fx"
+        shifted[DEFAULT_RAW_SCHEMA["bidder_id"]] = "y"
+        rows += [shifted, dict(rows[0])]
+        auctions, report = run_pipeline(rows)
+        assert report.duplicate_records_removed == 1
+        assert report.after.records == 6
+        assert set(auctions[0].bidder_ids) >= {"y", "x\x1fy"}
 
 
 @pytest.mark.parametrize("copy_at", [1, 3, 6])
@@ -939,6 +943,75 @@ def test_run_pipeline_ignores_order_and_copies(rng, picks):
     )
 
 
+# Edits of a bid cell that keep its parsed value but leave the
+# scrape's own form, so the edited row is keyed by its text.
+_FORM_EDITS = (
+    ("bid_amount", lambda text: "$" + text[:-2]),
+    ("bid_amount", lambda text: "0" + text),
+    ("bid_date", str.lower),
+    ("bid_date", lambda text: text[:-2] + "2017"),
+    ("bid_time", lambda text: text[:-4]),
+    ("bid_time", lambda text: text[:-3] + "PST"),
+)
+
+
+@given(
+    st.randoms(use_true_random=False),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=14),
+            st.integers(min_value=0, max_value=len(_FORM_EDITS) - 1),
+        ),
+        max_size=6,
+    ),
+    st.lists(st.integers(min_value=0, max_value=40), max_size=12),
+    st.booleans(),
+)
+@example(random.Random(0), [(0, n) for n in range(len(_FORM_EDITS))], [0, 1, 2, 19, 20], False)
+@example(random.Random(1), [(6, 0), (6, 0), (7, 2)], [0, 0, 1, 7, 18, 24, 25], True)
+def test_run_pipeline_drops_exactly_the_rows_equal_as_text(rng, edits, picks, shuffle):
+    schema = DEFAULT_RAW_SCHEMA
+    bidding = (
+        five_bid_auction()
+        + five_bid_auction(
+            url="https://x.example/itm/2", seller="s2", base_amount=40, winning="50.00 $"
+        )
+        + five_bid_auction(url="https://x.example/itm/3", seller="s1", base_amount=9)
+    )
+    # Auction 2's first row has a blank bidder and another winning
+    # price, so its group is held apart from its entry.
+    rows = [
+        raw_row(url="https://x.example/itm/2", seller="s2", bidder="", winning="51.00 $"),
+        *bidding,
+        raw_row(bidder="", amount="26.00 $", bid_time="09:00:00 PDT"),
+    ]
+    for at, edit in edits:
+        name, change = _FORM_EDITS[edit]
+        row = dict(bidding[at])
+        row[schema[name]] = change(row[schema[name]])
+        rows.append(row)
+    for n in picks:
+        at = n % len(rows)
+        if shuffle or n % 2:
+            rows.append(dict(rows[at]))
+        else:
+            rows.insert(at + 1, dict(rows[at]))
+    if shuffle:
+        rng.shuffle(rows)
+
+    kept, copies = _oracle.drop_text_copies(rows, list(schema.values()))
+    auctions, report = run_pipeline(rows)
+    expected_auctions, expected = run_pipeline(kept)
+    # No two kept rows are equal as text, whatever their parsed values.
+    assert expected.duplicate_records_removed == 0
+    assert auctions == expected_auctions
+    assert report == replace(
+        expected,
+        duplicate_records_removed=copies,
+        before=replace(expected.before, records=expected.before.records + copies),
+    )
+
+
 def test_pipeline_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(min_bids=0).validate()
@@ -1002,3 +1075,29 @@ def test_run_pipeline_peak_memory_per_raw_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / rows < 600, f"{peak / rows:.0f} bytes per raw row"
+
+
+def test_run_pipeline_holds_no_key_for_a_scrape_form_row(tmp_path):
+    # The corpus of the test above. A row in the scrape's own form holds
+    # no duplicate key: the row pass keeps about 390 bytes a raw row,
+    # where keying every row takes about 510.
+    raw = tmp_path / "raw.csv"
+    rows, _ = write_corpus(
+        SynthConfig(
+            seed=5,
+            num_auctions=300,
+            duplicate_row_rate=0.02,
+            missing_bidder_rate=0.02,
+            thin_auction_rate=0.02,
+            inconsistent_auction_rate=0.02,
+        ),
+        raw,
+    )
+    config = PipelineConfig()
+    tracemalloc.start()
+    try:
+        run_pipeline(RawScanner(raw, config.schema), config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / rows < 450, f"{peak / rows:.0f} bytes per raw row"

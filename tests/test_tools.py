@@ -1,0 +1,67 @@
+"""tools/time_pipeline.py: its runs agree, and each run's peak is its own."""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from shillbid.synth import SynthConfig, write_corpus
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "time_pipeline.py"
+SRC = ROOT / "src"
+
+
+def time_pipeline(*args) -> list[dict]:
+    out = subprocess.run(
+        [sys.executable, str(TOOL), *map(str, args)],
+        check=True, capture_output=True, text=True, cwd=ROOT,
+    ).stdout
+    return [json.loads(line) for line in out.splitlines()]
+
+
+def test_runs_agree_across_trees_and_orders(tmp_path):
+    corpus = tmp_path / "raw.csv"
+    write_corpus(
+        SynthConfig(
+            seed=3,
+            num_auctions=40,
+            duplicate_row_rate=0.05,
+            missing_bidder_rate=0.05,
+            thin_auction_rate=0.05,
+            inconsistent_auction_rate=0.05,
+        ),
+        corpus,
+    )
+    runs = time_pipeline(
+        corpus, "--runs", 1, "--src", SRC, "--src", SRC, "--work", tmp_path / "work"
+    )
+    assert sorted(run["order"] for run in runs) == ["as-is", "as-is", "shuffled", "shuffled"]
+    assert len({(run["report_sha256"], run["kept_rows"]) for run in runs}) == 1
+    assert runs[0]["kept_rows"] > 0
+
+
+def test_a_run_peak_is_not_raised_by_the_shuffled_copy(tmp_path):
+    # A wide junk cell on every line makes the corpus's lines weigh more
+    # than the pipeline's own peak, so a run that started from a process
+    # holding them would read a higher peak than one that did not.
+    narrow = tmp_path / "narrow.csv"
+    write_corpus(SynthConfig(seed=3, num_auctions=200), narrow)
+    header, *lines = narrow.read_text(encoding="utf-8").splitlines()
+    junk = "x" * 10_000
+    corpus = tmp_path / "wide.csv"
+    corpus.write_text(
+        "".join(f"{line},{cell}\n" for line, cell in [(header, "Junk")] + [
+            (line, junk) for line in lines
+        ]),
+        encoding="utf-8",
+    )
+    assert corpus.stat().st_size > 20_000_000
+    (shuffled_as_is,) = [
+        run["peak_rss_mb"]
+        for run in time_pipeline(corpus, "--runs", 1, "--work", tmp_path / "work")
+        if run["order"] == "as-is"
+    ]
+    (as_is,) = [
+        run["peak_rss_mb"] for run in time_pipeline(corpus, "--runs", 1, "--no-shuffle")
+    ]
+    assert abs(shuffled_as_is - as_is) <= 2, (shuffled_as_is, as_is)

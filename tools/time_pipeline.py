@@ -9,7 +9,9 @@ order, seconds, peak RSS in MB, the rows kept and the sha256 of the
 report JSON (equal digests mean equal reports).
 
 The shuffled copy holds the corpus's lines after the header in an order
-drawn from --shuffle-seed; it is written once, under --work. A corpus
+drawn from --shuffle-seed; it is written once, under --work, by a child
+process of its own: a child's peak RSS starts at its parent's, so lines
+held here would set every run's peak. A corpus
 with a record that spans lines (a quoted line feed) cannot be shuffled
 this way. With more than one --src, the runs alternate between them,
 so each round is one run of each tree on each order, the first tree
@@ -26,6 +28,7 @@ import argparse
 import gc
 import hashlib
 import json
+import os
 import random
 import resource
 import subprocess
@@ -60,18 +63,29 @@ def child(src: str, corpus: str) -> dict:
     }
 
 
+def write_shuffled(corpus: Path, seed: int, out: Path) -> None:
+    """Write corpus's header, then its other lines in an order drawn from seed."""
+    with open(corpus, "r", encoding="utf-8", newline="") as handle:
+        header, *lines = handle
+    if lines and not lines[-1].endswith("\n"):
+        lines[-1] += "\n"
+    random.Random(seed).shuffle(lines)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.with_name(out.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8", newline="") as handle:
+        handle.write(header)
+        handle.writelines(lines)
+    os.replace(tmp, out)
+
+
 def shuffled_copy(corpus: Path, seed: int, work: Path) -> Path:
     out = work / f"{corpus.stem}.shuffled-{seed}{corpus.suffix}"
     if not out.exists():
-        with open(corpus, "r", encoding="utf-8", newline="") as handle:
-            header, *lines = handle
-        if lines and not lines[-1].endswith("\n"):
-            lines[-1] += "\n"
-        random.Random(seed).shuffle(lines)
-        work.mkdir(parents=True, exist_ok=True)
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(header)
-            handle.writelines(lines)
+        subprocess.run(
+            [sys.executable, __file__, str(corpus), "--shuffle-seed", str(seed),
+             "--write-shuffled", str(out)],
+            check=True,
+        )
     return out
 
 
@@ -86,8 +100,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-shuffle", action="store_true", help="time the corpus as it is only")
     parser.add_argument("--work", type=Path, default=Path(".time_pipeline"))
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--write-shuffled", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     srcs = [str(Path(s).resolve()) for s in args.src or [ROOT / "src"]]
+    if args.write_shuffled:
+        write_shuffled(args.corpus, args.shuffle_seed, args.write_shuffled)
+        return 0
     if args.child:
         print(json.dumps(child(srcs[0], str(args.corpus))))
         return 0
