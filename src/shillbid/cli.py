@@ -20,17 +20,20 @@ import logging
 import os
 import sys
 from collections import deque
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from datetime import datetime
 from decimal import Decimal, InvalidOperation
+from functools import partial
 from itertools import count
 from pathlib import Path
+from typing import Callable, Iterator
 
 from .dataset import (
-    build_sb_dataset,
+    PatternStats,
     check_threshold,
     format_stats_table,
     pattern_stats,
+    sb_batches,
 )
 from .errors import (
     ConfigError,
@@ -46,15 +49,14 @@ from .ingest import (
     load_raw_schema,
     read_auctions,
     read_header,
-    read_sb_dataset,
     sb_instances,
+    sb_writer,
+    scores_writer,
     write_preprocessed,
     write_rejects,
-    write_sb_dataset,
-    write_scores,
 )
-from .metrics import compute_global_aggregates, load_weights, weight_scorer
-from .model import PREPROCESSED_COLUMNS, SB_COLUMNS, winner_of
+from .metrics import GlobalAggregates, compute_global_aggregates, load_weights, weight_scorer
+from .model import PREPROCESSED_COLUMNS, SB_COLUMNS, AuctionView, SBInstance, winner_of
 from .preprocess import (
     REFERENCE_EPOCH,
     PipelineConfig,
@@ -168,6 +170,41 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     return 0
 
 
+def write_features(
+    auctions: list[AuctionView],
+    aggregates: GlobalAggregates,
+    out: str | Path,
+    scores: tuple[str | Path, Callable[[SBInstance], float]] | None = None,
+    threshold: float = 0.7,
+) -> PatternStats:
+    """Write the feature table of views in auction-id order; return its statistics.
+
+    aggregates are compute_global_aggregates(auctions).
+
+    One walk builds each auction's instances, checks them, writes their
+    rows to out and, given scores as (path, score), to that scores
+    table, and counts them into the statistics; it holds one auction's
+    instances and a chunk of pattern_stats', never the table. The views
+    have distinct ids, so a pair can only repeat within one auction and
+    checking each auction's instances checks the table.
+    """
+    # The buckets are counted as the walk goes, so the winners come first.
+    winners = {a.auction_id: winner_of(a).bidder_id for a in auctions}
+    with ExitStack() as stack:
+        writers = [stack.enter_context(sb_writer(out))]
+        if scores:
+            writers.append(stack.enter_context(scores_writer(*scores)))
+
+        def walk() -> Iterator[SBInstance]:
+            for batch in sb_batches(auctions, aggregates):
+                check_sb_dataset(batch)
+                for write in writers:
+                    write(batch)
+                yield from batch
+
+        return pattern_stats(walk(), threshold=threshold, winners=winners)
+
+
 def cmd_features(args: argparse.Namespace) -> int:
     # Reject the configuration before anything is read or written.
     score = weight_scorer(load_weights(args.weights) if args.weights else None)
@@ -178,18 +215,16 @@ def cmd_features(args: argparse.Namespace) -> int:
         scores_path = args.scores and staged(args.scores)
         report_path = staged(args.report or args.out + ".report.json")
         auctions = read_auctions(args.input)
-        aggregates = compute_global_aggregates(auctions)
-        # Views in auction-id order: the instances come in (auction_id,
-        # bidder_id) order, the order of both output files.
-        instances = build_sb_dataset(auctions, aggregates, jobs=args.jobs)
-        write_sb_dataset(instances, out)
-        if scores_path:
-            write_scores(instances, score, scores_path)
-        winners = {a.auction_id: winner_of(a).bidder_id for a in auctions}
-        stats = pattern_stats(instances, threshold=args.threshold, winners=winners)
+        stats = write_features(
+            auctions,
+            compute_global_aggregates(auctions),
+            out,
+            (scores_path, score) if scores_path else None,
+            args.threshold,
+        )
         _write_json(stats.to_dict(), report_path)
     print(
-        f"wrote {len(instances)} instances across {stats.total_auctions} "
+        f"wrote {stats.total_instances} instances across {stats.total_auctions} "
         f"auctions -> {args.out}"
     )
     return 0
@@ -236,8 +271,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
                 a.auction_id: winner_of(a).bidder_id
                 for a in read_auctions(args.preprocessed)
             }
-        instances = read_sb_dataset(args.input)
-        stats = pattern_stats(instances, threshold=args.threshold, winners=winners)
+        stats = pattern_stats(
+            sb_instances(args.input), threshold=args.threshold, winners=winners
+        )
         print(format_stats_table(stats))
         if report_path:
             _write_json(stats.to_dict(), report_path)
@@ -253,7 +289,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     elif header == SB_COLUMNS:
         instances, numbers = sb_instances(args.input), count()
         try:
-            check_sb_dataset(inst for inst, _ in zip(instances, numbers))
+            # A descent re-reads the rows before it, not the whole file.
+            check_sb_dataset(
+                (inst for inst, _ in zip(instances, numbers)),
+                again=partial(sb_instances, args.input),
+            )
         except InvariantError:
             # A row that does not parse, anywhere in the file, is named first.
             deque(instances, maxlen=0)

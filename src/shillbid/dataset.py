@@ -1,17 +1,19 @@
 """Feature-dataset assembly and descriptive statistics.
 
-build_sb_dataset turns auction views plus global aggregates into one
-SBInstance per (auction, bidder) pair, reusing the participation the
-aggregate pass walked; pattern_stats summarizes a finished dataset the
-way a fraud analyst would eyeball it, counting column by column.
+sb_batches turns auction views plus global aggregates into one list of
+SBInstances per auction, one per (auction, bidder) pair, reusing the
+participation the aggregate pass walked; pattern_stats summarizes a
+dataset in one pass the way a fraud analyst would eyeball it, counting
+column by column.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, islice
 from operator import attrgetter, lt
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ConfigError
 from .metrics import GlobalAggregates, auction_instances
@@ -24,28 +26,35 @@ AGGRESSIVE_BR_FLOOR = 0.1
 EARLY_FLOOR = 0.7
 
 
-def build_sb_dataset(
-    auctions: Iterable[AuctionView],
-    aggregates: GlobalAggregates,
-    jobs: int = 1,
-) -> list[SBInstance]:
-    """One SBInstance per (auction, bidder) pair, in auction order.
+def sb_batches(
+    auctions: Iterable[AuctionView], aggregates: GlobalAggregates
+) -> Iterator[list[SBInstance]]:
+    """Each auction's SBInstances, one list per auction, in auction order.
 
     Within an auction the bidders come in id order, so views in
     auction-id order (as read_auctions returns them) give instances in
     (auction_id, bidder_id) order. Each auction's participation_map is
     the one compute_global_aggregates kept for that view.
 
-    Values are not range-checked here: write_sb_dataset runs
-    check_sb_dataset, so no metric outside [0, 1] reaches disk. The
-    build is one in-process pass. jobs is accepted for interface
+    Values are not range-checked here: the feature table's writers run
+    check_sb_dataset on each auction's instances before its rows.
+    """
+    for auction in auctions:
+        yield auction_instances(auction, aggregates)
+
+
+def build_sb_dataset(
+    auctions: Iterable[AuctionView],
+    aggregates: GlobalAggregates,
+    jobs: int = 1,
+) -> list[SBInstance]:
+    """Every instance sb_batches gives, in one list.
+
+    The build is one in-process pass. jobs is accepted for interface
     symmetry and ignored: a worker pool would pickle the aggregates and
     every view, which costs more than the build itself.
     """
-    instances: list[SBInstance] = []
-    for auction in auctions:
-        instances.extend(auction_instances(auction, aggregates))
-    return instances
+    return list(chain.from_iterable(sb_batches(auctions, aggregates)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,6 +145,11 @@ _bucket_fields = attrgetter(
 )
 
 
+# Instances pattern_stats counts at a time: enough that its C-level
+# counts run long, few enough to hold while a dataset streams past.
+_STATS_CHUNK = 256
+
+
 def pattern_stats(
     instances: Iterable[SBInstance],
     threshold: float = 0.7,
@@ -145,39 +159,36 @@ def pattern_stats(
 
     winners maps auction_id to the winning bidder_id; without it the
     winner-dependent buckets cannot be computed and come back None.
-    Each count is one pass of C-level map calls over the instances;
-    only the buckets loop in Python, once per instance.
+    The instances are read once, in chunks, and not kept: each count
+    is C-level map calls over a chunk; only the buckets loop in Python,
+    once per instance.
     """
     check_threshold(threshold)
-    instances = list(instances)
-
     above = partial(lt, threshold)
-    high = {
-        name: sum(map(above, map(attrgetter(name), instances)))
-        for name in METRIC_COLUMNS
-    }
-
-    bidders_per_auction = Counter(map(_auction_id, instances))
+    getters = [attrgetter(name) for name in METRIC_COLUMNS]
+    high = dict.fromkeys(METRIC_COLUMNS, 0)
+    bidders_per_auction: Counter[int] = Counter()
     # The last instance of an auction decides its side, as a loop would.
-    low_start_auction = dict(
-        zip(
-            map(_auction_id, instances),
-            map(partial(lt, 0.0), map(_starting_price, instances)),
+    low_start_auction: dict[int, bool] = {}
+    bidders: set[str] = set()
+    total = w_aggr = w_calm = l_aggr = l_calm = early_aggr_lost = 0
+
+    instances = iter(instances)
+    for chunk in iter(lambda: list(islice(instances, _STATS_CHUNK)), []):
+        total += len(chunk)
+        for name, value in zip(METRIC_COLUMNS, getters):
+            high[name] += sum(map(above, map(value, chunk)))
+        bidders_per_auction.update(map(_auction_id, chunk))
+        low_start_auction.update(
+            zip(
+                map(_auction_id, chunk),
+                map(partial(lt, 0.0), map(_starting_price, chunk)),
+            )
         )
-    )
-
-    low = [a for a, is_low in low_start_auction.items() if is_low]
-    regular = [a for a, is_low in low_start_auction.items() if not is_low]
-
-    def avg_bidders(ids: list[int]) -> float | None:
-        if not ids:
-            return None
-        return sum(bidders_per_auction[a] for a in ids) / len(ids)
-
-    buckets: BucketCounts | None = None
-    if winners is not None:
-        w_aggr = w_calm = l_aggr = l_calm = early_aggr_lost = 0
-        for auction_id, bidder_id, early, ratio, sob in map(_bucket_fields, instances):
+        bidders.update(map(_bidder_id, chunk))
+        if winners is None:
+            continue
+        for auction_id, bidder_id, early, ratio, sob in map(_bucket_fields, chunk):
             aggressive = sob >= AGGRESSIVE_SOB_FLOOR and ratio > AGGRESSIVE_BR_FLOOR
             if winners.get(auction_id) == bidder_id:
                 if aggressive:
@@ -190,6 +201,17 @@ def pattern_stats(
                     early_aggr_lost += 1
             else:
                 l_calm += 1
+
+    low = [a for a, is_low in low_start_auction.items() if is_low]
+    regular = [a for a, is_low in low_start_auction.items() if not is_low]
+
+    def avg_bidders(ids: list[int]) -> float | None:
+        if not ids:
+            return None
+        return sum(bidders_per_auction[a] for a in ids) / len(ids)
+
+    buckets: BucketCounts | None = None
+    if winners is not None:
         buckets = BucketCounts(
             winners_not_aggressive=w_calm,
             winners_aggressive=w_aggr,
@@ -199,9 +221,9 @@ def pattern_stats(
         )
 
     return PatternStats(
-        total_instances=len(instances),
+        total_instances=total,
         total_auctions=len(bidders_per_auction),
-        total_bidders=len(set(map(_bidder_id, instances))),
+        total_bidders=len(bidders),
         high_value_threshold=threshold,
         high_values=high,
         buckets=buckets,

@@ -1,7 +1,7 @@
 """File ingress and egress: raw scrape CSVs in, typed CSVs out.
 
 This module frames every table the CLI reads or writes (_table reads,
-_write_table writes): UTF-8, comma separated, a header row, LF line
+_table_writer writes): UTF-8, comma separated, a header row, LF line
 endings, and a cell holding a comma, a quote, a line feed or a
 carriage return quoted. Rows a reader cannot accept are never silently
 dropped: they land in a SchemaReport and can be written to a
@@ -37,7 +37,8 @@ import io
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from itertools import count
+from functools import partial
+from itertools import count, islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -156,11 +157,20 @@ def read_header(path: str | Path) -> tuple[str, ...]:
         return header
 
 
-def _write_table(path: str | Path, columns: Sequence[str], lines: Iterable[str]) -> None:
-    """Write a header row of columns, then lines, rendered rows ending in LF."""
+@contextmanager
+def _table_writer(
+    path: str | Path, columns: Sequence[str]
+) -> Iterator[Callable[[Iterable[str]], None]]:
+    """Write a header row of columns; yield write(lines) for rendered rows ending in LF."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(columns) + "\n")
-        handle.writelines(lines)
+        yield handle.writelines
+
+
+def _write_table(path: str | Path, columns: Sequence[str], lines: Iterable[str]) -> None:
+    """Write a header row of columns, then lines, rendered rows ending in LF."""
+    with _table_writer(path, columns) as write:
+        write(lines)
 
 
 def _csv_row(cells: Iterable[object]) -> str:
@@ -589,7 +599,10 @@ def read_auctions(path: str | Path) -> list[AuctionView]:
     return auction_views(bid_rows(path))
 
 
-def check_sb_dataset(instances: Iterable[SBInstance]) -> bool:
+def check_sb_dataset(
+    instances: Iterable[SBInstance],
+    again: Callable[[], Iterable[SBInstance]] | None = None,
+) -> bool:
     """Raise if a feature dataset breaks its contract; else True if its pairs ascend.
 
     The instances are checked in turn, and the first one that breaks a
@@ -598,19 +611,31 @@ def check_sb_dataset(instances: Iterable[SBInstance]) -> bool:
     and the first such in METRIC_COLUMNS order is named (OutlierError);
     else successive_outbidding is not one of {0, 0.5, 1}
     (InvariantError).
+
+    While the pairs ascend, a repeat can only equal the previous pair,
+    so no other pair is kept. At the first descent, the pairs before it
+    are read back into a set, kept from then on: from again(), which
+    must give the same instances in the same order, or else from
+    instances itself when it can be iterated twice. An iterator given
+    without again has every pair kept from the start.
     """
-    seen: set[tuple[int, str]] = set()
+    if again is None and iter(instances) is not instances:
+        again = partial(iter, instances)
+    seen: set[tuple[int, str]] | None = None if again else set()
     ascending = True
     last: tuple = ()
-    for inst in instances:
+    for n, inst in enumerate(instances):
         pair = (inst.auction_id, inst.bidder_id)
-        if pair in seen:
+        if ascending and pair < last:
+            ascending = False
+            if seen is None:
+                seen = set(map(_sb_pair, islice(again(), n)))
+        if pair == last or seen is not None and pair in seen:
             raise InvariantError(
                 f"duplicate instance for auction {inst.auction_id}, bidder {inst.bidder_id!r}"
             )
-        seen.add(pair)
-        if pair < last:
-            ascending = False
+        if seen is not None:
+            seen.add(pair)
         last = pair
         values = inst.metric_values()
         for value in values:
@@ -635,33 +660,60 @@ _sb_pair = attrgetter("auction_id", "bidder_id")
 _six_decimal_metrics = ",".join(["%.6f"] * len(METRIC_COLUMNS))
 
 
+@contextmanager
+def sb_writer(path: str | Path) -> Iterator[Callable[[Iterable[SBInstance]], None]]:
+    """Write the feature table's header; yield write(instances) for its rows.
+
+    write renders each instance as one row, in the order given, with six
+    fixed decimals per metric; it neither checks nor sorts them. Each
+    row holds the bytes csv.writer writes for it, except that a bidder
+    id holding a bare carriage return is quoted, so it reads back.
+    """
+    cell = _CsvCells()
+    with _table_writer(path, SB_COLUMNS) as write:
+        yield lambda instances: write(
+            f"{inst.auction_id},{cell[inst.bidder_id]},"
+            f"{_six_decimal_metrics % inst.metric_values()}\n"
+            for inst in instances
+        )
+
+
+@contextmanager
+def scores_writer(
+    path: str | Path, score: Callable[[SBInstance], float]
+) -> Iterator[Callable[[Iterable[SBInstance]], None]]:
+    """Write the scores table's header; yield write(instances) for its rows.
+
+    write renders score(instance) to six decimals per instance, in the
+    order given.
+    """
+    cell = _CsvCells()
+    with _table_writer(path, ("auction_id", "bidder_id", "weighted_score")) as write:
+        yield lambda instances: write(
+            f"{inst.auction_id},{cell[inst.bidder_id]},{score(inst):.6f}\n"
+            for inst in instances
+        )
+
+
 def write_sb_dataset(instances: Sequence[SBInstance], path: str | Path) -> None:
-    """Write the feature dataset with six fixed decimals per metric.
+    """Write the feature dataset, as sb_writer renders it, once it passes its checks.
 
     Runs check_sb_dataset first, so a broken dataset never reaches
     disk. Rows are ordered by (auction_id, bidder_id); instances already
     in that order, as build_sb_dataset returns them, are not re-sorted.
-    Each row holds the bytes csv.writer writes for it, except that a
-    bidder id holding a bare carriage return is quoted, so it reads back.
     """
     if not check_sb_dataset(instances):
         instances = sorted(instances, key=_sb_pair)
-    cell = _CsvCells()
-    _write_table(path, SB_COLUMNS, (
-        f"{inst.auction_id},{cell[inst.bidder_id]},"
-        f"{_six_decimal_metrics % inst.metric_values()}\n"
-        for inst in instances
-    ))
+    with sb_writer(path) as write:
+        write(instances)
 
 
 def write_scores(
     instances: Iterable[SBInstance], score: Callable[[SBInstance], float], path: str | Path
 ) -> None:
     """Write score(instance) to six decimals per instance, in the given order."""
-    cell = _CsvCells()
-    _write_table(path, ("auction_id", "bidder_id", "weighted_score"), (
-        f"{inst.auction_id},{cell[inst.bidder_id]},{score(inst):.6f}\n" for inst in instances
-    ))
+    with scores_writer(path, score) as write:
+        write(instances)
 
 
 def read_sb_dataset(path: str | Path) -> list[SBInstance]:

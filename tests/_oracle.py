@@ -263,3 +263,34 @@ def drop_text_copies(rows: list, columns) -> tuple[list, int]:
         if not any(all(row[name] == other[name] for name in columns) for other in kept):
             kept.append(row)
     return kept, len(rows) - len(kept)
+
+
+def sb_check_outcome(instances: list, metric_columns) -> tuple:
+    """What checking a feature dataset must give, with every pair in a set.
+
+    The first instance that breaks a rule decides: ("InvariantError",
+    message) for a pair seen before, else ("OutlierError", message) for
+    its first metric outside [0, 1], else ("InvariantError", message)
+    for a streak value off its three bands. With no broken rule it is
+    (None, whether every pair is at least the one before it).
+    """
+    seen = set()
+    pairs = []
+    for inst in instances:
+        pair = (inst.auction_id, inst.bidder_id)
+        who = f"auction {inst.auction_id}, bidder {inst.bidder_id!r}"
+        if pair in seen:
+            return ("InvariantError", f"duplicate instance for {who}")
+        seen.add(pair)
+        pairs.append(pair)
+        for name in metric_columns:
+            value = getattr(inst, name)
+            if not (value >= 0.0 and value <= 1.0):
+                return ("OutlierError", f"{who}: {name}={value!r} outside [0, 1]")
+        streak = inst.successive_outbidding
+        if streak not in (0.0, 0.5, 1.0):
+            return (
+                "InvariantError",
+                f"{who}: successive_outbidding={streak!r} not in {{0, 0.5, 1}}",
+            )
+    return (None, pairs == sorted(pairs))

@@ -8,7 +8,9 @@ import json
 import re
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -16,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shillbid import metrics
-from shillbid.cli import main
+from shillbid.cli import main, write_features
 from shillbid.dataset import build_sb_dataset
 from shillbid.ingest import (
     DEFAULT_RAW_SCHEMA,
+    RawScanner,
     read_auctions,
     read_sb_dataset,
     write_preprocessed,
@@ -29,10 +32,11 @@ from shillbid.metrics import (
     compute_global_aggregates,
     load_weights,
     participation_map,
+    weight_scorer,
     weighted_score,
 )
 from shillbid.model import DEFAULT_WEIGHTS, METRIC_COLUMNS, PREPROCESSED_COLUMNS, SB_COLUMNS
-from shillbid.preprocess import run_pipeline
+from shillbid.preprocess import PipelineConfig, run_pipeline
 from shillbid.synth import SynthConfig, write_corpus
 
 from .test_preprocess import five_bid_auction
@@ -187,6 +191,39 @@ def test_features_walks_each_auction_once(chain, monkeypatch):
     assert walked == Counter(a.auction_id for a in auctions)
 
 
+def test_write_features_peak_memory_per_instance(tmp_path):
+    # The criterion-10 corpus shape at 1,000 auctions (4,371 instances).
+    # The walk holds one auction's instances and a chunk of the stats',
+    # not the table: about 83 bytes an instance measured, where building
+    # the list, then writing and counting it, takes about 330.
+    raw, clean = tmp_path / "raw.csv", tmp_path / "clean.csv"
+    write_corpus(
+        SynthConfig(
+            seed=5,
+            num_auctions=1000,
+            duplicate_row_rate=0.02,
+            missing_bidder_rate=0.02,
+            thin_auction_rate=0.02,
+            inconsistent_auction_rate=0.02,
+        ),
+        raw,
+    )
+    config = PipelineConfig()
+    write_preprocessed(run_pipeline(RawScanner(raw, config.schema), config)[0], clean)
+    auctions = read_auctions(clean)
+    aggregates = compute_global_aggregates(auctions)
+    scores = (tmp_path / "scores.csv", weight_scorer())
+    tracemalloc.start()
+    try:
+        stats = write_features(auctions, aggregates, tmp_path / "sb.csv", scores)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / stats.total_instances < 150, (
+        f"{peak / stats.total_instances:.0f} bytes per instance"
+    )
+
+
 def test_custom_weights_change_scores(chain, tmp_path):
     weights = tmp_path / "weights.conf"
     weights.write_text("successive_outbidding=1.0\n", encoding="utf-8")
@@ -293,6 +330,32 @@ def test_a_failed_run_leaves_no_new_output(chain, capsys, monkeypatch, command):
     assert sorted(chain.iterdir()) == before
 
 
+def test_a_failed_check_in_the_last_auction_leaves_no_output(chain, capsys, monkeypatch):
+    # Rows are written as each auction is checked, so every earlier
+    # auction's rows are on disk when the last one fails: staging alone
+    # must take them away.
+    instances = read_sb_dataset(chain / "sb.csv")
+    last = instances[-1]
+    calls, run_band = count(1), metrics._run_band
+
+    def off_band(run_length):
+        # The last instance built is the last auction's last bidder's.
+        return 1.5 if next(calls) == len(instances) else run_band(run_length)
+
+    monkeypatch.setattr(metrics, "_run_band", off_band)
+    before = sorted(chain.iterdir())
+    monkeypatch.chdir(chain)
+    assert run(
+        "features", "--in", "clean.csv", "--out", "sb2.csv", "--scores", "scores2.csv"
+    ) == 3
+    assert capsys.readouterr().err == (
+        f"error: auction {last.auction_id}, bidder {last.bidder_id!r}: "
+        "successive_outbidding=1.5 outside [0, 1]\n"
+    )
+    assert next(calls) == len(instances) + 1
+    assert sorted(chain.iterdir()) == before
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -374,6 +437,25 @@ def test_validate_names_a_bad_cell_before_an_earlier_range_error(tmp_path, capsy
     )
     assert run("validate", "--in", str(path)) == 0
     assert "ok: 2 instances pass all checks" in capsys.readouterr().out
+
+
+def test_validate_finds_a_repeat_after_the_pairs_descend(tmp_path, capsys):
+    # Ascending pairs keep no set: at the descent the rows before it are
+    # read again, so a repeat of a pair from before it is still named.
+    path = tmp_path / "sb.csv"
+    good = ["0.5"] * len(METRIC_COLUMNS)
+    pairs = [["1", "amy"], ["2", "bob"], ["1", "cy"], ["2", "bob"]]
+
+    def write(rows):
+        lines = [SB_COLUMNS, *(pair + good for pair in rows)]
+        path.write_text("".join(",".join(cells) + "\n" for cells in lines), encoding="utf-8")
+
+    write(pairs)
+    assert run("validate", "--in", str(path)) == 3
+    assert capsys.readouterr().err == "error: duplicate instance for auction 2, bidder 'bob'\n"
+    write(pairs[:3])
+    assert run("validate", "--in", str(path)) == 0
+    assert "ok: 3 instances pass all checks" in capsys.readouterr().out
 
 
 def test_unknown_header_exits_2(tmp_path, capsys):

@@ -54,6 +54,7 @@ from shillbid.preprocess import (
 )
 from shillbid.synth import SynthConfig, write_corpus
 
+from . import _oracle
 from .conftest import make_view, records_of
 from .test_preprocess import five_bid_auction
 
@@ -1236,6 +1237,40 @@ def test_check_sb_dataset_accepts_exact_bounds():
 def test_check_sb_dataset_tells_whether_pairs_ascend():
     assert check_sb_dataset([instance(bidder="amy"), instance(bidder="bob")]) is True
     assert check_sb_dataset([instance(auction_id=2), instance(auction_id=1)]) is False
+
+
+@st.composite
+def shuffled_instances(draw):
+    """Instances from a few pairs, some repeated, a few out of range, in any order."""
+    pairs = draw(st.lists(
+        st.tuples(st.integers(1, 3), st.sampled_from(["amy", "bob", "cy"])), max_size=12
+    ))
+    if draw(st.booleans()):
+        pairs = sorted(pairs)
+    bad = draw(st.dictionaries(
+        st.integers(0, max(len(pairs) - 1, 0)),
+        st.tuples(st.sampled_from(METRIC_COLUMNS), st.sampled_from([-0.5, 0.25, 1.5, math.nan])),
+        max_size=2,
+    ))
+    return [
+        instance(auction_id, bidder, **dict([bad[k]] if k in bad else []))
+        for k, (auction_id, bidder) in enumerate(pairs)
+    ]
+
+
+@settings(max_examples=500)
+@given(shuffled_instances())
+def test_check_sb_dataset_matches_a_check_that_keeps_every_pair(instances):
+    # Fed a list, an iterator with again, or an iterator alone, the check
+    # keeps fewer pairs than the oracle's set, but must raise the same
+    # first error, type and message, or tell the same ascent.
+    expected = _oracle.sb_check_outcome(instances, METRIC_COLUMNS)
+    for args in [(instances,), (iter(instances), lambda: iter(instances)), (iter(instances),)]:
+        try:
+            outcome = (None, check_sb_dataset(*args))
+        except (InvariantError, OutlierError) as exc:
+            outcome = (type(exc).__name__, str(exc))
+        assert outcome == expected
 
 
 def test_write_sb_dataset_matches_csv_writer(tmp_path):
