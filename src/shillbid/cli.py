@@ -47,12 +47,12 @@ from .ingest import (
     RawScanner,
     check_sb_dataset,
     load_raw_schema,
+    preprocessed_writer,
     read_auctions,
     read_header,
     sb_instances,
     sb_writer,
     scores_writer,
-    write_preprocessed,
     write_rejects,
 )
 from .metrics import GlobalAggregates, compute_global_aggregates, load_weights, weight_scorer
@@ -60,8 +60,8 @@ from .model import PREPROCESSED_COLUMNS, SB_COLUMNS, AuctionView, SBInstance, wi
 from .preprocess import (
     REFERENCE_EPOCH,
     PipelineConfig,
-    run_pipeline,
-    run_pipeline_table,
+    stream_pipeline,
+    stream_pipeline_table,
 )
 from .synth import SynthConfig, write_corpus
 
@@ -145,16 +145,18 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
         report_path = staged(args.report or args.out + ".report.json")
         header = read_header(args.input)
         scanner = None
-        if header == PREPROCESSED_COLUMNS:
-            # Already-cleaned input: re-run the stages on its typed rows.
-            log.info("input is in preprocessed layout, re-cleansing")
-            auctions, report = run_pipeline_table(args.input, config)
-        else:
-            scanner = RawScanner(args.input, config.schema)
-            auctions, report = run_pipeline(scanner, config)
+        # Each view is written as the pipeline numbers it: it was judged
+        # by model.auction_fault and its ids checked, and it is not held.
+        # The accounting is checked after the last one, inside the staging.
+        with preprocessed_writer(out) as write:
+            if header == PREPROCESSED_COLUMNS:
+                # Already-cleaned input: re-run the stages on its typed rows.
+                log.info("input is in preprocessed layout, re-cleansing")
+                report = stream_pipeline_table(args.input, write, config)
+            else:
+                scanner = RawScanner(args.input, config.schema)
+                report = stream_pipeline(scanner, write, config)
 
-        # The pipeline judged these views by model.auction_fault, and their ids.
-        write_preprocessed(auctions, out, validate=False)
         payload = {"cleansing": report.to_dict()}
         if scanner is not None:
             payload["ingest"] = scanner.report.to_dict()

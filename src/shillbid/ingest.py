@@ -431,23 +431,15 @@ def write_rejects(report: SchemaReport, path: str | Path) -> None:
 _auction_id = attrgetter("auction_id")
 
 
-def write_preprocessed(
-    auctions: Sequence[AuctionView], path: str | Path, *, validate: bool = True
-) -> None:
-    """Write the cleaned bid table, one row per bid; aborts if a check fails.
+@contextmanager
+def preprocessed_writer(path: str | Path) -> Iterator[Callable[[AuctionView], None]]:
+    """Write the bid table's header; yield write(view) for one view's rows.
 
-    Rows are ordered by (auction_id, descending bid_submit_time_sec,
-    record_id), so repeated writes of the same views are byte-identical
-    whatever the order of the views and of their bids (views sharing an
-    auction_id are written one after the other). The bytes are those
-    csv.writer gives; each view's auction-level cells are rendered once.
-    validate=True runs model.check_dataset first; a caller that has
-    just checked the views (the pipeline judges each view it builds by
-    model.auction_fault and checks their ids) may pass validate=False to
-    skip the duplicate pass.
+    write renders the view's bids as rows ordered by (descending
+    bid_submit_time_sec, record_id), in the bytes csv.writer gives, with
+    its auction-level cells rendered once. It neither checks the view
+    nor orders the views: their rows follow in the order written.
     """
-    if validate:
-        check_dataset(auctions)
     cell = _CsvCells()
 
     def rows(view: AuctionView) -> str:
@@ -464,7 +456,28 @@ def write_preprocessed(
             ), key=lambda b: (-b[0], b[1]))
         ])
 
-    _write_table(path, PREPROCESSED_COLUMNS, map(rows, sorted(auctions, key=_auction_id)))
+    with _table_writer(path, PREPROCESSED_COLUMNS) as write:
+        yield lambda view: write((rows(view),))
+
+
+def write_preprocessed(
+    auctions: Sequence[AuctionView], path: str | Path, *, validate: bool = True
+) -> None:
+    """Write the cleaned bid table, one row per bid; aborts if a check fails.
+
+    Views are written through preprocessed_writer in auction_id order,
+    so repeated writes of the same views are byte-identical whatever the
+    order of the views and of their bids (views sharing an auction_id
+    are written one after the other). validate=True runs
+    model.check_dataset first; a caller that has just checked the views
+    (the pipeline judges each view it builds by model.auction_fault and
+    checks its ids) may pass validate=False to skip the duplicate pass.
+    """
+    if validate:
+        check_dataset(auctions)
+    with preprocessed_writer(path) as write:
+        for view in sorted(auctions, key=_auction_id):
+            write(view)
 
 
 def _parse_int(text: str, what: str, where: str) -> int:

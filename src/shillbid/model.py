@@ -12,7 +12,8 @@ checked values. auction_views is the one grouping of a bid table's
 (head, bid) rows into views, whether they come from ingest.bid_rows
 or, through validate_dataset, from records. The bid table's rules are
 written once: auction_fault names the first rule a view breaks,
-check_ids holds the id rules, and check_dataset applies both.
+check_ids holds the id rules, with follows_on for one view in the
+pipeline's order, and check_dataset applies both.
 
 Time is stored as countdown seconds: whole seconds remaining until a
 fixed reference moment, so later events carry smaller values. All money
@@ -281,6 +282,15 @@ def auction_fault(view: AuctionView) -> str | None:
 _auction_id = attrgetter("auction_id")
 
 
+def follows_on(view: AuctionView, auction_id: int, record_id: int) -> bool:
+    """Whether view is auction auction_id with record ids record_id,
+    record_id + 1, ... along it: the pipeline's shape for the view after
+    one whose last record id is record_id - 1."""
+    return view.auction_id == auction_id and view.record_ids == tuple(
+        range(record_id, record_id + len(view.record_ids))
+    )
+
+
 def check_ids(auctions: Sequence[AuctionView]) -> None:
     """Raise InvariantError unless the views hold auction ids 1..N and
     record ids 1..M, each once.
@@ -291,12 +301,9 @@ def check_ids(auctions: Sequence[AuctionView]) -> None:
     """
     next_id = 1
     for auction_id, view in enumerate(auctions, 1):
-        count = len(view.record_ids)
-        if view.auction_id != auction_id or (
-            view.record_ids != tuple(range(next_id, next_id + count))
-        ):
+        if not follows_on(view, auction_id, next_id):
             break
-        next_id += count
+        next_id += len(view.record_ids)
     else:
         return
     record_ids = sorted(rid for view in auctions for rid in view.record_ids)

@@ -12,16 +12,19 @@ Then one walk in start order, assign_identifiers, reconciles each
 auction's scraped counts with its rows, drops it when it has too few
 bids, else when its built view breaks a rule of the bid table, filed
 by the rule model.auction_fault names, and numbers the rest densely.
-The result is one AuctionView per kept auction, numbered and checked,
-which ingest.write_preprocessed writes as it is.
+Each kept auction becomes one AuctionView, numbered and checked, which
+the walk hands to a sink as soon as it is built, counting it into the
+report's after totals: the CLI's sink, ingest.preprocessed_writer,
+writes each view's rows then, so no list of views is held. The
+stream_* functions take the sink; the run_* ones collect the views.
 
 The row pass is written once and shared by both input layouts, as
 (head, bid) pairs of an auction's cells and a bid's; the readers give
 all rows of an auction one head object, so the pass compares heads by
-identity first. run_pipeline feeds it the pairs of
+identity first. stream_pipeline feeds it the pairs of
 ingest.RawScanner.pairs, or of any other raw records, parsing date,
 clock and money text only for rows with a bidder, once per text.
-run_pipeline_table feeds it the typed rows of a bid table as
+stream_pipeline_table feeds it the typed rows of a bid table as
 ingest.bid_rows streams them, each line read once, and
 run_pipeline_records the fields of typed records. assign_identifiers
 has its own unit tests. The row pass is tested as a whole: the golden
@@ -54,7 +57,7 @@ from .ingest import (
 )
 from .model import (
     CENT, INCONSISTENT_PRICE, PREPROCESSED_COLUMNS, AuctionView, BidRecord,
-    auction_fault, check_ids, record_bid, record_head,
+    auction_fault, follows_on, record_bid, record_head,
 )
 
 logger = logging.getLogger(__name__)
@@ -249,11 +252,12 @@ def _bid_order(bid: tuple[int, Decimal, str]) -> tuple[int, Decimal, str]:
 
 
 def assign_identifiers(
-    auctions: Iterable[_Auction], min_bids: int
-) -> tuple[list[AuctionView], list[_Auction], list[_Auction], list[_Auction], int, int]:
-    """Reconcile and judge each auction; number and build a view of each one kept.
+    auctions: Iterable[_Auction], min_bids: int, sink: Callable[[AuctionView], None]
+) -> tuple[list[_Auction], list[_Auction], list[_Auction], int, int]:
+    """Reconcile and judge each auction; number, build and hand on a view of each one kept.
 
-    Returns (views, thin, inconsistent, contradictory, bids_fixed,
+    Each kept view goes to sink as soon as it is built and judged.
+    Returns (thin, inconsistent, contradictory, bids_fixed,
     bidders_fixed). Auctions are walked once from the earliest start
     (largest start countdown), ties broken by key. Each auction's stored
     bid and bidder counts are set to those of its rows, which are the
@@ -273,12 +277,11 @@ def assign_identifiers(
     ascend, so its bids are in AuctionView's canonical order. A kept
     auction's lists are emptied once its view holds the bids.
     """
-    views: list[AuctionView] = []
     thin: list[_Auction] = []
     inconsistent: list[_Auction] = []
     contradictory: list[_Auction] = []
     bids_fixed = bidders_fixed = 0
-    record_id = 1
+    auction_id = record_id = 1
     # head[7] is the start countdown, head[0] the key.
     for auction in sorted(auctions, key=lambda a: (-a[0][7], a[0][0])):
         head, *columns = auction
@@ -289,21 +292,22 @@ def assign_identifiers(
             thin.append(auction)
             continue
         view = AuctionView(
-            len(views) + 1, head[1], num_bidders, num_bids, *head[4:],
+            auction_id, head[1], num_bidders, num_bids, *head[4:],
             *zip(*sorted(zip(*columns), key=_bid_order)),
             tuple(range(record_id, record_id + num_bids)),
         )
         fault = auction_fault(view)
         if fault is None:
-            views.append(view)
+            auction_id += 1
             record_id += num_bids
             for column in columns:
                 column.clear()
+            sink(view)
         elif fault.startswith(INCONSISTENT_PRICE):
             inconsistent.append(auction)
         else:
             contradictory.append(auction)
-    return views, thin, inconsistent, contradictory, bids_fixed, bidders_fixed
+    return thin, inconsistent, contradictory, bids_fixed, bidders_fixed
 
 
 @dataclass(frozen=True, slots=True)
@@ -571,48 +575,83 @@ def _group_rows(
     return auctions, counters, before
 
 
+class _Kept:
+    """A sink that checks and counts each kept view, then hands it on.
+
+    Each view must follow on from the one before it (model.follows_on):
+    auction id k for the k-th, and record ids from one past the last
+    one's. The counts make the report's after totals, in id order.
+    """
+
+    def __init__(self, sink: Callable[[AuctionView], None]):
+        self.sink = sink
+        self.auctions = self.records = 0
+        self.bidders: set[str] = set()
+        self.sellers: set[str] = set()
+        self.durations: Counter[int] = Counter()
+        self.winning = Decimal(0)
+
+    def __call__(self, view: AuctionView) -> None:
+        if not follows_on(view, self.auctions + 1, self.records + 1):
+            raise InvariantError(
+                f"auction {view.auction_id}: ids do not follow on from auction "
+                f"{self.auctions} and record {self.records}"
+            )
+        self.auctions += 1
+        self.records += len(view.record_ids)
+        self.bidders.update(view.bidder_ids)
+        self.sellers.add(view.seller_id)
+        self.durations[view.auction_duration_sec] += 1
+        self.winning += view.winning_bid
+        self.sink(view)
+
+    def totals(self) -> Totals:
+        mean_days = mode_days = avg_win = None
+        if self.auctions:
+            durations = self.durations
+            total = sum(sec * cnt for sec, cnt in durations.items())
+            mean_days = total / self.auctions / SECONDS_PER_DAY
+            top = max(durations.values())
+            mode_sec = min(sec for sec, cnt in durations.items() if cnt == top)
+            mode_days = (
+                mode_sec // SECONDS_PER_DAY
+                if mode_sec % SECONDS_PER_DAY == 0
+                else mode_sec / SECONDS_PER_DAY
+            )
+            avg_win = float(self.winning) / self.auctions
+        return Totals(
+            auctions=self.auctions,
+            records=self.records,
+            bidder_ids=len(self.bidders),
+            seller_ids=len(self.sellers),
+            attributes=len(PREPROCESSED_COLUMNS),
+            duration_days_mean=mean_days,
+            duration_days_mode=mode_days,
+            avg_winning_price=avg_win,
+        )
+
+
 def _finish(
     auctions: list[_Auction],
     before: Totals,
     counters: _Counters,
     config: PipelineConfig,
-) -> tuple[list[AuctionView], CleansingReport]:
-    views, thin, inconsistent, contradictory, bids_fixed, bidders_fixed = (
-        assign_identifiers(auctions, config.min_bids)
-    )
-    check_ids(views)
+    sink: Callable[[AuctionView], None],
+) -> CleansingReport:
+    """Walk the auctions once, handing each kept view to sink; return the report.
 
+    Raises InvariantError, once the walk ends, unless the rows and the
+    auctions add up.
+    """
+    kept = _Kept(sink)
+    thin, inconsistent, contradictory, bids_fixed, bidders_fixed = (
+        assign_identifiers(auctions, config.min_bids, kept)
+    )
+    after = kept.totals()
     thin_rows = sum(len(auction[1]) for auction in thin)
     inconsistent_rows = sum(len(auction[1]) for auction in inconsistent)
     contradictory_rows = sum(len(auction[1]) for auction in contradictory)
 
-    if views:
-        durations = [v.auction_duration_sec for v in views]
-        mean_days = sum(durations) / len(durations) / SECONDS_PER_DAY
-        counts = Counter(durations)
-        top = max(counts.values())
-        mode_sec = min(sec for sec, cnt in counts.items() if cnt == top)
-        mode_days: float | int = (
-            mode_sec // SECONDS_PER_DAY
-            if mode_sec % SECONDS_PER_DAY == 0
-            else mode_sec / SECONDS_PER_DAY
-        )
-        avg_win = float(sum(v.winning_bid for v in views)) / len(views)
-    else:
-        mean_days = None
-        mode_days = None
-        avg_win = None
-
-    after = Totals(
-        auctions=len(views),
-        records=sum(len(v.bidder_ids) for v in views),
-        bidder_ids=len({bidder for v in views for bidder in v.bidder_ids}),
-        seller_ids=len({v.seller_id for v in views}),
-        attributes=len(PREPROCESSED_COLUMNS),
-        duration_days_mean=mean_days,
-        duration_days_mode=mode_days,
-        avg_winning_price=avg_win,
-    )
     # An auction whose every row was dropped before grouping never
     # formed a group; it counts as a low-bid removal.
     vanished = before.auctions - len(auctions)
@@ -654,7 +693,7 @@ def _finish(
             "auction accounting broke: "
             f"{before.auctions} - {lost_auctions} != {after.auctions}"
         )
-    return views, report
+    return report
 
 
 def _mapping_pairs(
@@ -675,9 +714,11 @@ def _mapping_pairs(
         yield pair
 
 
-def run_pipeline(
-    records: Iterable[Mapping[str, str]], config: PipelineConfig | None = None
-) -> tuple[list[AuctionView], CleansingReport]:
+def stream_pipeline(
+    records: Iterable[Mapping[str, str]],
+    sink: Callable[[AuctionView], None],
+    config: PipelineConfig | None = None,
+) -> CleansingReport:
     """Run the whole cleansing chain over raw records.
 
     Accepts any iterable of column-name -> text mappings and streams
@@ -685,8 +726,10 @@ def run_pipeline(
     RawScanner over config's schema enters the shared row pass through
     its pairs(), which parse an auction's cells once; any other records
     are projected to the same (head, bid) pairs. A row's bid text is
-    parsed only when its bidder is not blank. Returns the kept auctions
-    as checked views, in id order, and the report.
+    parsed only when its bidder is not blank. Each kept auction goes to
+    sink as a checked view, in id order, as the walk numbers it, and is
+    not held once sink returns. Returns the report, whose accounting is
+    checked once every view has gone to sink.
     """
     config = config or PipelineConfig()
     config.validate()
@@ -735,18 +778,59 @@ def run_pipeline(
     # Free the parse caches and the id map before _finish builds the
     # views, so they add nothing to the peak.
     del money, countdown, ids, plain_amounts, plain_dates
-    return _finish(auctions, before, counters, config)
+    return _finish(auctions, before, counters, config, sink)
 
 
 def _run_typed(
-    rows: Iterable[tuple[tuple, tuple]], config: PipelineConfig | None
-) -> tuple[list[AuctionView], CleansingReport]:
+    rows: Iterable[tuple[tuple, tuple]],
+    sink: Callable[[AuctionView], None],
+    config: PipelineConfig | None,
+) -> CleansingReport:
     config = config or PipelineConfig()
     config.validate()
     # tuple() of a tuple is that tuple: a bid is its own key cells, and
     # a head and a bid are kept as they are. No typed bid needs a key.
     auctions, counters, before = _group_rows(rows, config, itemgetter(5), tuple, tuple, tuple, None)
-    return _finish(auctions, before, counters, config)
+    return _finish(auctions, before, counters, config, sink)
+
+
+def stream_pipeline_table(
+    path: str | Path,
+    sink: Callable[[AuctionView], None],
+    config: PipelineConfig | None = None,
+) -> CleansingReport:
+    """Re-run the cleansing chain over a bid table file, in one stream.
+
+    Each row that ingest.bid_rows reads enters the row pass as the pair
+    run_pipeline_records makes of its record, with the head that its
+    auction's rows share and no record built. Kept views go to sink as
+    stream_pipeline sends them, and the report is returned. The views
+    and report are run_pipeline_records(read_preprocessed(path),
+    config)'s. The one difference is the order of errors: the table is
+    not read whole first, so an auction-level disagreement raises before
+    a cell that does not parse in a later row.
+    """
+    return _run_typed(((head, bid[:3]) for head, bid in bid_rows(path)), sink, config)
+
+
+def _collected(
+    stream: Callable[..., CleansingReport], source, config: PipelineConfig | None
+) -> tuple[list[AuctionView], CleansingReport]:
+    """stream(source, sink, config)'s views, collected in id order, and its report."""
+    views: list[AuctionView] = []
+    report = stream(source, views.append, config)
+    return views, report
+
+
+def run_pipeline(
+    records: Iterable[Mapping[str, str]], config: PipelineConfig | None = None
+) -> tuple[list[AuctionView], CleansingReport]:
+    """Run stream_pipeline; return its views, in id order, and its report.
+
+    The views are held in one list: a caller that writes or counts each
+    view can pass stream_pipeline a sink instead.
+    """
+    return _collected(stream_pipeline, records, config)
 
 
 def run_pipeline_records(
@@ -761,20 +845,13 @@ def run_pipeline_records(
     Cleansing is idempotent: feeding the pipeline the records of its
     own output reproduces that output exactly and reports zero removals.
     """
-    return _run_typed(((record_head(r), record_bid(r)[:3]) for r in records), config)
+    return _collected(
+        _run_typed, ((record_head(r), record_bid(r)[:3]) for r in records), config
+    )
 
 
 def run_pipeline_table(
     path: str | Path, config: PipelineConfig | None = None
 ) -> tuple[list[AuctionView], CleansingReport]:
-    """Re-run the cleansing chain over a bid table file, in one stream.
-
-    Each row that ingest.bid_rows reads enters the row pass as the pair
-    run_pipeline_records makes of its record, with the head that its
-    auction's rows share and no record built, so the result is
-    run_pipeline_records(read_preprocessed(path), config). The one
-    difference is the order of errors: the table is not read whole
-    first, so an auction-level disagreement raises before a cell that
-    does not parse in a later row.
-    """
-    return _run_typed(((head, bid[:3]) for head, bid in bid_rows(path)), config)
+    """Run stream_pipeline_table; return its views, in id order, and its report."""
+    return _collected(stream_pipeline_table, path, config)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shillbid import metrics
+from shillbid import cli, metrics, preprocess
 from shillbid.cli import main, write_features
 from shillbid.dataset import build_sb_dataset
 from shillbid.ingest import (
@@ -35,7 +35,9 @@ from shillbid.metrics import (
     weight_scorer,
     weighted_score,
 )
-from shillbid.model import DEFAULT_WEIGHTS, METRIC_COLUMNS, PREPROCESSED_COLUMNS, SB_COLUMNS
+from shillbid.model import (
+    DEFAULT_WEIGHTS, METRIC_COLUMNS, PREPROCESSED_COLUMNS, SB_COLUMNS, AuctionView,
+)
 from shillbid.preprocess import PipelineConfig, run_pipeline
 from shillbid.synth import SynthConfig, write_corpus
 
@@ -353,6 +355,68 @@ def test_a_failed_check_in_the_last_auction_leaves_no_output(chain, capsys, monk
         "successive_outbidding=1.5 outside [0, 1]\n"
     )
     assert next(calls) == len(instances) + 1
+    assert sorted(chain.iterdir()) == before
+
+
+def watch_preprocess_writes(monkeypatch, seen):
+    """Make preprocess call seen(view) just before it writes each view."""
+    real = cli.preprocessed_writer
+
+    @contextlib.contextmanager
+    def watched(path):
+        with real(path) as write:
+            def watched_write(view):
+                seen(view)
+                write(view)
+
+            yield watched_write
+
+    monkeypatch.setattr(cli, "preprocessed_writer", watched)
+
+
+def live_views():
+    return sum(isinstance(o, AuctionView) for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("source", ["corpus.csv", "clean.csv"], ids=["scrape", "bid-table"])
+def test_preprocess_holds_one_view_at_a_time(chain, monkeypatch, source):
+    # Each view is written as the walk numbers it, so at each write only
+    # the view being written, and at most the one built before it, live.
+    held = live_views()
+    alive = []
+    watch_preprocess_writes(monkeypatch, lambda view: alive.append(live_views() - held))
+    assert run("preprocess", "--in", str(chain / source), "--out", str(chain / "again.csv")) == 0
+    assert (chain / "again.csv").read_bytes() == (chain / "clean.csv").read_bytes()
+    report = json.loads((chain / "again.csv.report.json").read_text())
+    assert len(alive) == report["cleansing"]["after"]["auctions"] > 2
+    assert max(alive) <= 2, alive
+
+
+@pytest.mark.parametrize("source", ["corpus.csv", "clean.csv"], ids=["scrape", "bid-table"])
+def test_a_failed_check_after_the_rows_are_written_leaves_no_output(
+    chain, capsys, monkeypatch, source
+):
+    # The accounting is checked once every kept view is on disk: staging
+    # alone must take those rows away. One duplicate counted but never
+    # dropped breaks the row accounting.
+    written = []
+    watch_preprocess_writes(monkeypatch, lambda view: written.append(view.auction_id))
+    monkeypatch.setattr(
+        preprocess, "_Counters", functools.partial(preprocess._Counters, duplicates=1)
+    )
+    report = json.loads((chain / "clean.csv.report.json").read_text())
+    rows_in = report["cleansing"]["before"]["records"]
+    after = report["cleansing"]["after"]
+    if source == "clean.csv":
+        rows_in = after["records"]
+    before = sorted(chain.iterdir())
+    monkeypatch.chdir(chain)
+    assert run("preprocess", "--in", source, "--out", "clean2.csv") == 3
+    lost = rows_in - after["records"] + 1
+    assert capsys.readouterr().err == (
+        f"error: row accounting broke: {rows_in} - {lost} != {after['records']}\n"
+    )
+    assert written == list(range(1, after["auctions"] + 1))
     assert sorted(chain.iterdir()) == before
 
 

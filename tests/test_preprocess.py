@@ -35,6 +35,7 @@ from shillbid.preprocess import (
     REFERENCE_EPOCH,
     SECONDS_PER_DAY,
     PipelineConfig,
+    _Kept,
     assign_identifiers,
     countdown_parser,
     duration_days_to_seconds,
@@ -381,6 +382,14 @@ def test_parsed_auction_helper_is_consistent():
     assert (view.num_bids, view.num_bidders) == (len(times), len(set(bidders)))
 
 
+def identify(auctions, min_bids):
+    """assign_identifiers' result with the views it hands on collected in
+    front: (views, thin, inconsistent, contradictory, bids_fixed,
+    bidders_fixed)."""
+    views = []
+    return (views, *assign_identifiers(auctions, min_bids, views.append))
+
+
 def test_assign_identifiers_reconciles_stored_counts():
     # The rows are the ground truth: a stored count that contradicts
     # them, on a thin auction too, is set to theirs and counted, and the
@@ -390,7 +399,7 @@ def test_assign_identifiers_reconciles_stored_counts():
     num_bids = parsed_auction(key="u3", num_bids=4)
     num_bidders = parsed_auction(key="u4", num_bidders=3)
     thin_one = parsed_auction(key="u5", n_bids=4, num_bids=5)
-    views, thin, inconsistent, contradictory, bids_fixed, bidders_fixed = assign_identifiers(
+    views, thin, inconsistent, contradictory, bids_fixed, bidders_fixed = identify(
         [both, right, num_bids, num_bidders, thin_one], 5
     )
     assert (bids_fixed, bidders_fixed) == (3, 2)
@@ -403,7 +412,7 @@ def test_assign_identifiers_reconciles_stored_counts():
 def test_filter_low_activity_boundary():
     four = parsed_auction(key="u1", n_bids=4)
     five = parsed_auction(key="u2", n_bids=5)
-    views, thin, inconsistent, contradictory, _, _ = assign_identifiers([four, five], 5)
+    views, thin, inconsistent, contradictory, _, _ = identify([four, five], 5)
     assert [v.num_bids for v in views] == [5]
     assert thin == [four]
     assert inconsistent == contradictory == []
@@ -416,7 +425,7 @@ def test_filter_inconsistent_is_strict():
     boundary = parsed_auction(
         key="u4", starting_price=Decimal("14.00")
     )  # equal start and winning price stays
-    views, thin, inconsistent, contradictory, _, _ = assign_identifiers(
+    views, thin, inconsistent, contradictory, _, _ = identify(
         [ok, start_high, last_high, boundary], 5
     )
     assert [v.starting_price for v in views] == [Decimal("5.00"), Decimal("14.00")]
@@ -428,7 +437,7 @@ def test_an_inconsistent_price_is_filed_before_a_blank_seller():
     # model.auction_fault names the inconsistent-price rule before any
     # other rule of the view, so the paper's rule files the auction.
     both = parsed_auction(seller=" ", winning_bid=Decimal("13.99"))
-    views, thin, inconsistent, contradictory, _, _ = assign_identifiers([both], 5)
+    views, thin, inconsistent, contradictory, _, _ = identify([both], 5)
     assert inconsistent == [both]
     assert views == thin == contradictory == []
 
@@ -466,7 +475,7 @@ def test_filter_contradictory_drops_each_broken_rule_at_its_boundary():
         auction("negative-start", starting_price=Decimal("-1.00")),
         auction("start-scale", starting_price=Decimal("5.0")),
     ]
-    views, thin, inconsistent, contradictory, _, _ = assign_identifiers(
+    views, thin, inconsistent, contradictory, _, _ = identify(
         kept_ones + removed_ones, 5
     )
     # Every auction starts in the same second, so the walk goes by key.
@@ -481,7 +490,7 @@ def test_assign_identifiers_orders_and_numbers_densely():
     older = parsed_auction(key="zzz", start_time_sec=700_000,
                            end_time_sec=700_000 - 5 * 86400)
     newer = parsed_auction(key="aaa")
-    views, *dropped = assign_identifiers([newer, older], 5)
+    views, *dropped = identify([newer, older], 5)
     assert dropped == [[], [], [], 0, 0]
     records = records_of(views)
     # Larger start countdown = older start, so "zzz" comes first.
@@ -497,7 +506,7 @@ def test_assign_identifiers_orders_and_numbers_densely():
 def test_assign_identifiers_breaks_start_ties_by_key():
     a = parsed_auction(key="b")
     b = parsed_auction(key="a")
-    views, *_ = assign_identifiers([a, b], 5)
+    views, *_ = identify([a, b], 5)
     records = records_of(views)
     first_auction_rows = [r for r in records if r.auction_id == 1]
     assert len(first_auction_rows) == 5
@@ -513,7 +522,7 @@ def test_a_dropped_auction_takes_no_identifier():
     first = starting("u1", 700_000)
     broken = starting("u2", 650_000, seller=" ")
     last = starting("u3", 600_000)
-    views, thin, inconsistent, contradictory, _, _ = assign_identifiers(
+    views, thin, inconsistent, contradictory, _, _ = identify(
         [last, broken, first], 5
     )
     assert contradictory == [broken]
@@ -533,7 +542,7 @@ def test_the_higher_of_two_last_second_bids_decides_inconsistency():
     # bid-at-most-winning rule.
     earlier = parsed_auction(key="u2")
     set_bids(earlier, 3, [(496_001, Decimal("14.50"), "b0"), (496_000, Decimal("13.00"), "b1")])
-    views, thin, inconsistent, contradictory, _, _ = assign_identifiers(
+    views, thin, inconsistent, contradictory, _, _ = identify(
         [same_second, earlier], 5
     )
     assert inconsistent == [same_second]
@@ -544,8 +553,26 @@ def test_the_higher_of_two_last_second_bids_decides_inconsistency():
 def test_equal_bids_are_numbered_in_bidder_order():
     auction = parsed_auction()
     set_bids(auction, 3, [(496_000, Decimal("13.00"), "b1"), (496_000, Decimal("13.00"), "b0")])
-    views, *_ = assign_identifiers([auction], 5)
+    views, *_ = identify([auction], 5)
     assert list(zip(views[0].bidder_ids[3:], views[0].record_ids[3:])) == [("b0", 4), ("b1", 5)]
+
+
+def test_each_kept_view_must_follow_on_from_the_one_before():
+    # The walk's own numbering, checked view by view as check_ids checks
+    # a table: a view that does not follow on is neither counted nor
+    # handed on.
+    first, second = identify([parsed_auction(key="u1"), parsed_auction(key="u2")], 5)[0]
+    views = []
+    kept = _Kept(views.append)
+    kept(first)
+    with pytest.raises(
+        InvariantError, match=r"^auction 1: ids do not follow on from auction 1 and record 5$"
+    ):
+        kept(first)
+    kept(second)
+    assert views == [first, second]
+    totals = kept.totals()
+    assert (totals.auctions, totals.records, totals.bidder_ids, totals.seller_ids) == (2, 10, 2, 1)
 
 
 # --- full pipeline over dict rows ------------------------------------------

@@ -37,12 +37,13 @@ def test_runs_agree_across_trees_and_orders(tmp_path):
     )
     assert sorted(run["order"] for run in runs) == ["as-is", "as-is", "shuffled", "shuffled"]
     assert len({(run["report_sha256"], run["kept_rows"]) for run in runs}) == 1
+    assert len({run["table_sha256"] for run in runs}) == 1
     assert runs[0]["kept_rows"] > 0
 
 
 def test_a_run_peak_is_not_raised_by_the_shuffled_copy(tmp_path):
     # A wide junk cell on every line makes the corpus's lines weigh more
-    # than the pipeline's own peak, so a run that started from a process
+    # than the command's own peak, so a run that started from a process
     # holding them would read a higher peak than one that did not.
     narrow = tmp_path / "narrow.csv"
     write_corpus(SynthConfig(seed=3, num_auctions=200), narrow)
@@ -62,6 +63,8 @@ def test_a_run_peak_is_not_raised_by_the_shuffled_copy(tmp_path):
         if run["order"] == "as-is"
     ]
     (as_is,) = [
-        run["peak_rss_mb"] for run in time_pipeline(corpus, "--runs", 1, "--no-shuffle")
+        run["peak_rss_mb"] for run in time_pipeline(
+            corpus, "--runs", 1, "--no-shuffle", "--work", tmp_path / "alone"
+        )
     ]
     assert abs(shuffled_as_is - as_is) <= 2, (shuffled_as_is, as_is)

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Time the preprocess pipeline in-process on a corpus and on a shuffled copy.
+"""Time `shillbid preprocess` in-process on a corpus and on a shuffled copy.
 
-A raw scrape goes through run_pipeline(RawScanner(path)), a bid table
-through run_pipeline_table(path), with the cyclic garbage collector off
-as the CLI runs them. Each run is a fresh child process, so its peak
-RSS is its own, and prints one JSON line: the source tree, the corpus
-order, seconds, peak RSS in MB, the rows kept and the sha256 of the
-report JSON (equal digests mean equal reports).
+Each run is a fresh child process that calls shillbid.cli.main with
+["preprocess", "--in", corpus, "--out", table], the table and its report
+written under --work, so its peak RSS is the command's own plus the
+modules this tool imports. Each run prints one JSON line: the source
+tree, the corpus order, seconds, peak RSS in MB, the rows kept, the
+sha256 of the cleansing report (its JSON with sorted keys) and the
+sha256 of the bid table's bytes. Equal digests mean equal reports and
+equal tables.
 
 The shuffled copy holds the corpus's lines after the header in an order
 drawn from --shuffle-seed; it is written once, under --work, by a child
@@ -25,8 +27,7 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
-import gc
-import hashlib
+import contextlib
 import json
 import os
 import random
@@ -39,27 +40,48 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def child(src: str, corpus: str) -> dict:
-    """One timed run in this process, against the package under src."""
-    sys.path.insert(0, src)
-    from shillbid.ingest import RawScanner, read_header
-    from shillbid.model import PREPROCESSED_COLUMNS
-    from shillbid.preprocess import PipelineConfig, run_pipeline, run_pipeline_table
+def table_path(work: Path, corpus: Path) -> Path:
+    """Where a run of corpus writes its bid table (and its report, beside it)."""
+    return work / f"{corpus.stem}.preprocessed.csv"
 
-    config = PipelineConfig()
-    gc.disable()
+
+def child(src: str, corpus: Path, work: Path) -> dict:
+    """One timed `preprocess` in this process, against the package under src."""
+    sys.path.insert(0, src)
+    from shillbid.cli import main
+
+    work.mkdir(parents=True, exist_ok=True)
+    table = table_path(work, corpus)
     started = time.perf_counter()
-    if read_header(corpus) == PREPROCESSED_COLUMNS:
-        views, report = run_pipeline_table(corpus, config)
-    else:
-        views, report = run_pipeline(RawScanner(corpus, config.schema), config)
+    # The command's own line would break this one's JSON output.
+    with contextlib.redirect_stdout(sys.stderr):
+        code = main(["preprocess", "--in", str(corpus), "--out", str(table)])
     seconds = time.perf_counter() - started
-    text = json.dumps(report.to_dict(), sort_keys=True)
+    if code:
+        raise SystemExit(f"preprocess exited {code}")
     return {
         "seconds": round(seconds, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-        "kept_rows": report.after.records,
+    }
+
+
+def outputs(table: Path) -> dict:
+    """The rows a run kept and the digests of its cleansing report and its table."""
+    # Imported here, not by a child: hashlib loads OpenSSL, a few MB that
+    # would count in every child's peak.
+    import hashlib
+
+    with open(f"{table}.report.json", encoding="utf-8") as handle:
+        report = json.load(handle)["cleansing"]
+    text = json.dumps(report, sort_keys=True)
+    digest = hashlib.sha256()
+    with open(table, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return {
+        "kept_rows": report["after"]["records"],
         "report_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        "table_sha256": digest.hexdigest(),
     }
 
 
@@ -98,7 +120,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--shuffle-seed", type=int, default=7)
     parser.add_argument("--no-shuffle", action="store_true", help="time the corpus as it is only")
-    parser.add_argument("--work", type=Path, default=Path(".time_pipeline"))
+    parser.add_argument(
+        "--work", type=Path, default=Path(".time_pipeline"),
+        help="where the shuffled copy and each run's table go (default .time_pipeline)",
+    )
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--write-shuffled", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -107,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         write_shuffled(args.corpus, args.shuffle_seed, args.write_shuffled)
         return 0
     if args.child:
-        print(json.dumps(child(srcs[0], str(args.corpus))))
+        print(json.dumps(child(srcs[0], args.corpus, args.work)))
         return 0
     orders = [("as-is", args.corpus)]
     if not args.no_shuffle:
@@ -118,10 +143,14 @@ def main(argv: list[str] | None = None) -> int:
             # host does not always fall on the same one.
             for src in srcs if run % 2 else srcs[::-1]:
                 out = subprocess.run(
-                    [sys.executable, __file__, str(path), "--src", src, "--child"],
+                    [sys.executable, __file__, str(path), "--src", src, "--work",
+                     str(args.work), "--child"],
                     check=True, capture_output=True, text=True,
                 ).stdout
-                result = {"run": run, "src": src, "order": order, **json.loads(out)}
+                result = {
+                    "run": run, "src": src, "order": order, **json.loads(out),
+                    **outputs(table_path(args.work, path)),
+                }
                 print(json.dumps(result), flush=True)
     return 0
 
