@@ -26,7 +26,7 @@ from decimal import Decimal, InvalidOperation
 from functools import partial
 from itertools import count
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .dataset import (
     PatternStats,
@@ -46,9 +46,9 @@ from .errors import (
 from .ingest import (
     RawScanner,
     check_sb_dataset,
+    fold_auctions,
     load_raw_schema,
     preprocessed_writer,
-    read_auctions,
     read_header,
     sb_instances,
     sb_writer,
@@ -181,7 +181,8 @@ def write_features(
 ) -> PatternStats:
     """Write the feature table of views in auction-id order; return its statistics.
 
-    aggregates are compute_global_aggregates(auctions).
+    aggregates are compute_global_aggregates over these auctions, and
+    give the winners; the views may be the ones the aggregates kept.
 
     One walk builds each auction's instances, checks them, writes their
     rows to out and, given scores as (path, score), to that scores
@@ -190,8 +191,6 @@ def write_features(
     have distinct ids, so a pair can only repeat within one auction and
     checking each auction's instances checks the table.
     """
-    # The buckets are counted as the walk goes, so the winners come first.
-    winners = {a.auction_id: winner_of(a).bidder_id for a in auctions}
     with ExitStack() as stack:
         writers = [stack.enter_context(sb_writer(out))]
         if scores:
@@ -204,7 +203,7 @@ def write_features(
                     write(batch)
                 yield from batch
 
-        return pattern_stats(walk(), threshold=threshold, winners=winners)
+        return pattern_stats(walk(), threshold=threshold, winners=aggregates.winners)
 
 
 def cmd_features(args: argparse.Namespace) -> int:
@@ -216,10 +215,12 @@ def cmd_features(args: argparse.Namespace) -> int:
         out = staged(args.out)
         scores_path = args.scores and staged(args.scores)
         report_path = staged(args.report or args.out + ".report.json")
-        auctions = read_auctions(args.input)
+        # On a table in the pipeline's shape the aggregate pass reads one
+        # auction at a time and keeps no view's bid columns.
+        aggregates = fold_auctions(args.input, compute_global_aggregates)
         stats = write_features(
-            auctions,
-            compute_global_aggregates(auctions),
+            [view for view, _ in aggregates.participation.values()],
+            aggregates,
             out,
             (scores_path, score) if scores_path else None,
             args.threshold,
@@ -265,14 +266,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
     with _outputs(args.input, args.preprocessed) as staged:
         # Name the output before the inputs are read, so a clash costs no read.
         report_path = args.report and staged(args.report)
-        # The bid table first: its views are dropped once the winners are
-        # known, before the feature table is read.
+        # The bid table first, for the winners alone, one auction at a
+        # time when it is in the pipeline's shape; then the feature
+        # table, counted as it is read.
         winners = None
         if args.preprocessed:
-            winners = {
-                a.auction_id: winner_of(a).bidder_id
-                for a in read_auctions(args.preprocessed)
-            }
+            winners = fold_auctions(args.preprocessed, _winners)
         stats = pattern_stats(
             sb_instances(args.input), threshold=args.threshold, winners=winners
         )
@@ -282,12 +281,24 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _winners(auctions: Iterable[AuctionView]) -> dict[int, str]:
+    """auction_id -> the bidder_id of its winning bid."""
+    return {a.auction_id: winner_of(a).bidder_id for a in auctions}
+
+
+def _rows_and_auctions(auctions: Iterable[AuctionView]) -> tuple[int, int]:
+    """The bids and the views, counted."""
+    rows = n = 0
+    for n, auction in enumerate(auctions, 1):
+        rows += len(auction.record_ids)
+    return rows, n
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     header = read_header(args.input)
     if header == PREPROCESSED_COLUMNS:
-        auctions = read_auctions(args.input)
-        rows = sum(len(a.record_ids) for a in auctions)
-        print(f"ok: {rows} rows, {len(auctions)} auctions pass all checks")
+        rows, auctions = fold_auctions(args.input, _rows_and_auctions)
+        print(f"ok: {rows} rows, {auctions} auctions pass all checks")
     elif header == SB_COLUMNS:
         instances, numbers = sb_instances(args.input), count()
         try:

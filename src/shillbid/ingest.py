@@ -25,10 +25,14 @@ A bid table is read line by line in one pass, bid_rows, which splits
 each line on commas, parses an auction's cells once and yields each bid
 as a plain tuple; read_auctions and the preprocess re-cleanse consume
 it. A line that split may not read as csv does goes to _csv_records
-too, so each line of either table is read once. read_preprocessed,
-which reads every row with csv.reader and parses it in full and on its
-own, is the reference that bid_rows is tested against; nothing in the
-package calls it.
+too, so each line of either table is read once. The commands that read
+a bid table back (features, stats --preprocessed, validate) go through
+fold_auctions: a table in the pipeline's own shape is read one auction
+at a time, with bid_rows keeping one auction's heads and amounts, and
+any other table through read_auctions, with the same result.
+read_preprocessed, which reads every row with csv.reader and parses it
+in full and on its own, is the reference that bid_rows is tested
+against; nothing in the package calls it.
 """
 from __future__ import annotations
 
@@ -41,7 +45,7 @@ from functools import partial
 from itertools import count, islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import InvariantError, OutlierError, ParseError, SchemaError
 from .model import (
@@ -51,9 +55,11 @@ from .model import (
     SB_COLUMNS,
     AuctionView,
     BidRecord,
+    OffShape,
     SBInstance,
     auction_views,
     check_dataset,
+    pipeline_views,
 )
 
 # Logical field -> raw column header. The keys are the contract; the
@@ -537,7 +543,9 @@ def read_preprocessed(path: str | Path) -> list[BidRecord]:
         return [_parse_preprocessed_row(cells, f"{path}:row {n}") for n, cells in rows]
 
 
-def bid_rows(path: str | Path) -> Iterator[tuple[tuple, tuple[int, Decimal, str, int]]]:
+def bid_rows(
+    path: str | Path, *, per_auction: bool = False
+) -> Iterator[tuple[tuple, tuple[int, Decimal, str, int]]]:
     """Stream a bid table as one (head, bid) per csv record, in one pass.
 
     head holds an AuctionView's fields before its bid columns; bid is
@@ -551,6 +559,11 @@ def bid_rows(path: str | Path) -> Iterator[tuple[tuple, tuple[int, Decimal, str,
     and has only its bid cells parsed; any other row is parsed in full,
     its own head. Each id and amount text is read into one object. A row
     that does not parse raises what read_preprocessed raises.
+
+    With per_auction, the heads and amounts kept are dropped whenever a
+    split row brings an auction_id text they hold no head for: a table
+    whose auctions' rows are contiguous then holds one auction's at a
+    time, and a row of an auction read before gets a head of its own.
     """
     limit = csv.field_size_limit()
     commas = len(PREPROCESSED_COLUMNS) - 1
@@ -587,6 +600,9 @@ def bid_rows(path: str | Path) -> Iterator[tuple[tuple, tuple[int, Decimal, str,
                 if first is not None and seller == first[0] and level == first[1]:
                     head = first[2]
                 else:
+                    if first is None and per_auction:
+                        firsts.clear()
+                        amounts.clear()
                     head = head_of(n, line[:-1].split(","))
                     firsts.setdefault(aid, (seller, level, head))
             try:
@@ -610,6 +626,29 @@ def read_auctions(path: str | Path) -> list[AuctionView]:
     once every row is.
     """
     return auction_views(bid_rows(path))
+
+
+T = TypeVar("T")
+
+
+def fold_auctions(path: str | Path, fold: Callable[[Iterable[AuctionView]], T]) -> T:
+    """fold(views), views being the bid table's as read_auctions(path) returns them.
+
+    A table in the pipeline's own shape is read one auction at a time:
+    model.pipeline_views over bid_rows kept per auction hands fold each
+    checked view as its rows are read, and nothing holds the table. fold
+    must read the views once, in order, and let model.OffShape through.
+    At the first view off that shape, fold's partial result is dropped
+    and fold runs again on read_auctions(path). Either way fold returns
+    what it returns on read_auctions(path), or read_auctions' error is
+    raised; a broken rule is raised only after the last row is read.
+    """
+    try:
+        return fold(pipeline_views(bid_rows(path, per_auction=True)))
+    except OffShape:
+        pass
+    # Out of the except block: its traceback holds fold's partial result.
+    return fold(read_auctions(path))
 
 
 def check_sb_dataset(

@@ -7,8 +7,11 @@ ratio, starting price, bid volume) read GlobalAggregates built once
 over the whole retained auction set. Each auction's bids are walked
 once, into one record per bidder: compute_global_aggregates keeps
 every auction's participation_map, and auction_instances takes it
-from there. All arithmetic is plain double precision; weight_scorer
-checks a weight table once and returns the one scoring function.
+from there. Aggregated from a one-shot stream of views, the aggregates
+keep each auction's fields but not its bid columns, so the bid table
+is never held whole. All arithmetic is plain double precision;
+weight_scorer checks a weight table once and returns the one scoring
+function.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from .model import (
     METRIC_COLUMNS,
     AuctionView,
     SBInstance,
+    record_head,
     validate_weights,
     winner_of,
 )
@@ -81,10 +85,12 @@ class BidderAggregate:
 class GlobalAggregates:
     """Corpus-wide numbers the cross-auction metrics depend on.
 
-    participation holds, per auction_id, the view that was aggregated
-    and its participation_map. auction_instances takes an entry out for
-    that same view, so each auction's bids are walked once and each map
-    is freed as its instances are built.
+    participation holds, per auction_id in the order aggregated, the
+    view kept for that auction and its participation_map.
+    auction_instances takes an entry out for that same view, so each
+    auction's bids are walked once and each map is freed as its
+    instances are built. winners maps each auction_id to its winner's
+    bidder_id.
     """
 
     avg_auctions_start_price: float
@@ -93,29 +99,35 @@ class GlobalAggregates:
     participation: dict[int, tuple[AuctionView, dict[str, BidderParticipation]]] = field(
         repr=False, compare=False
     )
+    winners: dict[int, str] = field(repr=False, compare=False)
 
 
 def compute_global_aggregates(auctions: Iterable[AuctionView]) -> GlobalAggregates:
     """One pass over all auctions to build the shared aggregate table.
 
     Each bidder's record is built on first sight and updated in place.
+    The views are read once. Each is kept as given, unless auctions is
+    an iterator, whose views the caller does not hold: then each is kept
+    as a view of the same auction fields with empty bid columns.
     """
-    auctions = list(auctions)
-    if not auctions:
-        raise EmptyDatasetError("cannot aggregate zero auctions")
-
+    one_shot = iter(auctions) is auctions
     bidders: dict[str, BidderAggregate] = {}
     participation: dict[int, tuple[AuctionView, dict[str, BidderParticipation]]] = {}
+    winners: dict[int, str] = {}
 
     start_price_total = 0.0
     bid_count_total = 0
+    count = 0
 
-    for auction in auctions:
+    for count, auction in enumerate(auctions, 1):
         start_price_total += float(auction.starting_price)
         bid_count_total += auction.num_bids
-        winner = winner_of(auction).bidder_id
+        winner = winners[auction.auction_id] = winner_of(auction).bidder_id
         parts = participation_map(auction)
-        participation[auction.auction_id] = (auction, parts)
+        participation[auction.auction_id] = (
+            AuctionView(*record_head(auction), (), (), (), ()) if one_shot else auction,
+            parts,
+        )
         for bidder, part in parts.items():
             agg = bidders.get(bidder)
             if agg is None:
@@ -128,11 +140,14 @@ def compute_global_aggregates(auctions: Iterable[AuctionView]) -> GlobalAggregat
                 if bidder == winner:
                     agg.wins_in_high_participation += 1
 
+    if not count:
+        raise EmptyDatasetError("cannot aggregate zero auctions")
     return GlobalAggregates(
-        avg_auctions_start_price=start_price_total / len(auctions),
-        avg_bid_all_auctions=bid_count_total / len(auctions),
+        avg_auctions_start_price=start_price_total / count,
+        avg_bid_all_auctions=bid_count_total / count,
         bidders=bidders,
         participation=participation,
+        winners=winners,
     )
 
 

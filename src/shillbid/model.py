@@ -10,8 +10,10 @@ plain slotted dataclasses, mutable and unhashable, whose generated
 __init__ stores each slot directly; a view and a Bid are frozen,
 checked values. auction_views is the one grouping of a bid table's
 (head, bid) rows into views, whether they come from ingest.bid_rows
-or, through validate_dataset, from records. The bid table's rules are
-written once: auction_fault names the first rule a view breaks,
+or, through validate_dataset, from records; pipeline_views builds the
+same views one at a time from rows in the pipeline's own shape, and
+raises OffShape at the first view that is not. The bid table's rules
+are written once: auction_fault names the first rule a view breaks,
 check_ids holds the id rules, with follows_on for one view in the
 pipeline's order, and check_dataset applies both.
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from itertools import pairwise
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, EmptyDatasetError, InvariantError
 
@@ -151,7 +153,7 @@ _AUCTION_LEVEL = (
 )
 
 # A BidRecord's head, its auction fields in AuctionView's field order,
-# and its bid, as ingest.bid_rows yields them.
+# and its bid, as ingest.bid_rows yields them; a view's head too.
 record_head = attrgetter("auction_id", *_AUCTION_LEVEL)
 record_bid = attrgetter("bid_submit_time_sec", "bid_amount", "bidder_id", "record_id")
 
@@ -191,15 +193,71 @@ def auction_views(rows: Iterable[tuple[tuple, tuple]]) -> list[AuctionView]:
     if disagree:
         auction_id = min(disagree)
         raise InvariantError(f"auction {auction_id}: records disagree on {disagree[auction_id]}")
-    views = []
-    for head, *columns in map(auctions.pop, sorted(auctions)):
-        # Bids whose times strictly fall are in canonical order already;
-        # else sort by (descending time, amount, record id).
-        if columns[0] != sorted(set(columns[0]), reverse=True):
-            columns = zip(*sorted(zip(*columns), key=lambda b: (-b[0], b[1], b[3])))
-        views.append(AuctionView(*head, *map(tuple, columns)))
+    views = [_view(*auction) for auction in map(auctions.pop, sorted(auctions))]
     check_dataset(views)
     return views
+
+
+def _view(head: tuple, *columns: list) -> AuctionView:
+    """The view of head and its bids' (times, amounts, bidders, record ids)."""
+    # Bids whose times strictly fall are in canonical order already;
+    # else sort by (descending time, amount, record id).
+    if columns[0] != sorted(set(columns[0]), reverse=True):
+        columns = zip(*sorted(zip(*columns), key=lambda b: (-b[0], b[1], b[3])))
+    return AuctionView(*head, *map(tuple, columns))
+
+
+class OffShape(Exception):
+    """The rows pipeline_views reads are not in the pipeline's own shape."""
+
+
+def _runs(rows: Iterable[tuple[tuple, tuple]]) -> Iterator[tuple[tuple, list, list, list, list]]:
+    """(head, times, amounts, bidders, record ids) of each run of rows
+    that share one head object."""
+    head = None
+    for row_head, (time, amount, bidder, record_id) in rows:
+        if row_head is not head:
+            if head is not None:
+                yield head, times, amounts, bidders, record_ids
+            head, times, amounts, bidders, record_ids = row_head, [], [], [], []
+        times.append(time)
+        amounts.append(amount)
+        bidders.append(bidder)
+        record_ids.append(record_id)
+    if head is not None:
+        yield head, times, amounts, bidders, record_ids
+
+
+def pipeline_views(rows: Iterable[tuple[tuple, tuple]]) -> Iterator[AuctionView]:
+    """The views of a bid table in the pipeline's own shape, one at a time.
+
+    rows are (head, bid) as auction_views takes them. In the pipeline's
+    shape each auction's rows are contiguous and share one head object,
+    and each view, built as auction_views builds it, follows on from the
+    one before (follows_on), from auction 1 and record 1. Each view is
+    yielded once its rows are read, until the first that breaks a rule
+    (auction_fault): the views from there on are still built and their
+    shape checked, but not yielded, and that rule's InvariantError is
+    raised after the last row. At the first view off the shape, OffShape
+    is raised. So rows in the shape give the views auction_views
+    returns, or raise what it raises, and no view is held past its own.
+    """
+    fault = None
+    auction_id = record_id = 1
+    for run in _runs(rows):
+        view = _view(*run)
+        if not follows_on(view, auction_id, record_id):
+            raise OffShape(f"auction {view.auction_id} does not follow on")
+        auction_id += 1
+        record_id += len(view.record_ids)
+        if fault is None:
+            fault = auction_fault(view)
+            if fault is None:
+                yield view
+            else:
+                fault = f"auction {view.auction_id}: {fault}"
+    if fault is not None:
+        raise InvariantError(fault)
 
 
 def validate_dataset(records: Iterable[BidRecord]) -> list[AuctionView]:

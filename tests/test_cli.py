@@ -5,6 +5,7 @@ import functools
 import gc
 import io
 import json
+import random
 import re
 import sys
 import tempfile
@@ -12,12 +13,13 @@ import tracemalloc
 from collections import Counter
 from itertools import count
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shillbid import cli, metrics, preprocess
+from shillbid import cli, ingest, metrics, preprocess
 from shillbid.cli import main, write_features
 from shillbid.dataset import build_sb_dataset
 from shillbid.ingest import (
@@ -794,6 +796,168 @@ def test_an_edited_bid_table_never_exits_3(edits):
         "table.csv",
         *_apply_edits(_small_bid_table, "auction_id", "start_time_sec", "end_time_sec", edits),
     )
+
+
+@functools.cache
+def _bid_table_and_features(seed):
+    """Header and rows of the bid table synth -> preprocess writes at seed,
+    and the bytes of the feature table features writes from it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus, clean, sb = (Path(tmp) / name for name in ("corpus.csv", "clean.csv", "sb.csv"))
+        write_corpus(
+            SynthConfig(seed=seed, num_auctions=15, duplicate_row_rate=0.05,
+                        thin_auction_rate=0.1, inconsistent_auction_rate=0.1),
+            corpus,
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["preprocess", "--in", str(corpus), "--out", str(clean)]) == 0
+            assert main(["features", "--in", str(clean), "--out", str(sb)]) == 0
+        with open(clean, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        return header, rows, sb.read_bytes()
+
+
+_RECORD, _AUCTION, _NUM_BIDS = map(
+    PREPROCESSED_COLUMNS.index, ("record_id", "auction_id", "num_bids")
+)
+_HEAD_CELLS = [
+    PREPROCESSED_COLUMNS.index(name)
+    for name in ("seller_id", "num_bidders", "starting_price", "start_time_sec")
+]
+
+
+def _edit_bid_table(rows, kind, rng):
+    """Apply one edit of kind, placed by rng, to rows, a bid table's rows."""
+    if not rows:
+        return
+    auctions = sorted({cells[_AUCTION] for cells in rows})
+    if kind == "shuffle":
+        rng.shuffle(rows)
+    elif kind == "split":
+        # The later rows of one auction move to the end of the table.
+        auction = rng.choice(auctions)
+        at = [i for i, cells in enumerate(rows) if cells[_AUCTION] == auction]
+        moved = at[rng.randrange(len(at)):]
+        rows[:] = [c for i, c in enumerate(rows) if i not in moved] + [rows[i] for i in moved]
+    elif kind == "renumber":
+        # Two auctions, or an auction and an id no row has, trade ids.
+        a, b = rng.choice(auctions), rng.choice(auctions + [str(len(rows) + 1)])
+        for cells in rows:
+            cells[_AUCTION] = {a: b, b: a}.get(cells[_AUCTION], cells[_AUCTION])
+    elif kind == "repeat_record_id":
+        rng.choice(rows)[_RECORD] = rng.choice(rows)[_RECORD]
+    elif kind == "disagree":
+        # A row other than its auction's first gets another head text:
+        # "0" before it keeps a number's value, "1" after it does not.
+        later = [c for i, c in enumerate(rows) if i and c[_AUCTION] == rows[i - 1][_AUCTION]]
+        cells, at = rng.choice(later or rows), rng.choice(_HEAD_CELLS)
+        cells[at] = rng.choice(["0" + cells[at], cells[at] + "1"])
+    elif kind == "bad_last_cell":
+        rows[-1][rng.randrange(len(PREPROCESSED_COLUMNS))] = rng.choice(["x", "1.5", ""])
+    elif kind == "fault":
+        # Every row of one auction claims ten times its bids, so its rows agree.
+        auction = rng.choice(auctions)
+        for cells in rows:
+            if cells[_AUCTION] == auction:
+                cells[_NUM_BIDS] += "0"
+    elif kind == "header_only":
+        rows.clear()
+
+
+_BID_TABLE_EDITS = [
+    "shuffle", "split", "renumber", "repeat_record_id", "disagree", "bad_last_cell",
+    "fault", "header_only",
+]
+
+
+def _every_bid_table_reader(folder, table, sb):
+    """Each command that reads the bid table, run on table: for each, the
+    exit code, what it printed and the files it left in folder/out."""
+    out = folder / "out"
+    out.mkdir(exist_ok=True)
+    results = []
+    for argv in (
+        ["features", "--in", table, "--out", out / "sb.csv", "--scores", out / "scores.csv"],
+        ["stats", "--in", sb, "--preprocessed", table, "--report", out / "stats.json"],
+        ["validate", "--in", table],
+    ):
+        printed, errors = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(errors):
+            code = main(list(map(str, argv)))
+        left = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        for path in out.iterdir():
+            path.unlink()
+        results.append((argv[0], code, printed.getvalue(), errors.getvalue(), left))
+    return results
+
+
+def _read_whole(path, fold):
+    return fold(read_auctions(path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 2]),
+    st.lists(st.tuples(st.sampled_from(_BID_TABLE_EDITS), st.integers(0, 2**32)), max_size=2),
+)
+@example(1, [("fault", 3), ("disagree", 5)])
+@example(2, [("fault", 0), ("bad_last_cell", 1)])
+@example(1, [("fault", 1)])
+@example(1, [("split", 2)])
+@example(2, [("header_only", 0)])
+def test_the_streamed_bid_table_reads_as_read_auctions_does(seed, edits):
+    # features, stats --preprocessed and validate read a bid table in
+    # the pipeline's shape one auction at a time, and any other through
+    # read_auctions: on any table, each gives the same exit code, text
+    # and output bytes as reading the whole table through read_auctions.
+    header, rows, sb_bytes = _bid_table_and_features(seed)
+    rows = [list(cells) for cells in rows]
+    for kind, n in edits:
+        _edit_bid_table(rows, kind, random.Random(n))
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        table = _write_rows(folder / "clean.csv", header, rows)
+        sb = folder / "sb.csv"
+        sb.write_bytes(sb_bytes)
+        streamed = _every_bid_table_reader(folder, table, sb)
+        with mock.patch.object(cli, "fold_auctions", _read_whole):
+            whole = _every_bid_table_reader(folder, table, sb)
+    assert streamed == whole
+    if not edits:
+        assert [code for _, code, *_ in streamed] == [0, 0, 0]
+
+
+def test_a_pipeline_bid_table_is_not_read_whole(chain, monkeypatch, capsys):
+    def refuse(path):
+        raise AssertionError("the bid table was read through read_auctions")
+
+    monkeypatch.setattr(ingest, "read_auctions", refuse)
+    clean, sb = str(chain / "clean.csv"), str(chain / "sb.csv")
+    assert run("features", "--in", clean, "--out", str(chain / "again.csv")) == 0
+    assert (chain / "again.csv").read_bytes() == (chain / "sb.csv").read_bytes()
+    assert run("stats", "--in", sb, "--preprocessed", clean) == 0
+    assert run("validate", "--in", clean) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+def test_validate_holds_one_auction_of_a_bid_table_at_a_time(tmp_path):
+    # The traced peak of validate on a bid table does not grow with the
+    # table: ten times the auctions, well under 1.5 times the peak. Read
+    # whole, the peak grew about eightfold.
+    peaks = []
+    for auctions in (100, 100, 1000):
+        corpus, clean = tmp_path / f"{auctions}.csv", tmp_path / f"{auctions}.clean.csv"
+        if not clean.exists():
+            write_corpus(SynthConfig(seed=3, num_auctions=auctions), corpus)
+            assert run("preprocess", "--in", str(corpus), "--out", str(clean)) == 0
+        tracemalloc.start()
+        try:
+            # The first run of the small table sets up what any run would.
+            assert run("validate", "--in", str(clean)) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] < 1.5 * peaks[1], peaks
 
 
 _GOLDEN_RAW = Path(__file__).parent / "golden" / "raw_corpus.csv"

@@ -2,7 +2,7 @@
 import math
 import random
 from collections import Counter
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given
@@ -256,8 +256,29 @@ def test_auction_bids_values():
 
 
 def test_compute_global_aggregates_empty():
-    with pytest.raises(EmptyDatasetError):
-        compute_global_aggregates([])
+    for auctions in ([], iter([])):
+        with pytest.raises(EmptyDatasetError):
+            compute_global_aggregates(auctions)
+
+
+def test_aggregates_of_a_stream_keep_no_bid_columns():
+    # A one-shot stream's views are not held by the caller, so the
+    # aggregates keep each one's fields but not its bids, and the
+    # instances and winners are the ones a list of the views gives.
+    views = random_micro_corpus(random.Random(5), 12)
+    held, streamed = compute_global_aggregates(views), compute_global_aggregates(iter(views))
+    assert streamed == held
+    assert streamed.winners == held.winners == {
+        view.auction_id: view.bidder_ids[-1] for view in views
+    }
+    kept = [view for view, _ in streamed.participation.values()]
+    assert [view.bid_times + view.record_ids for view in kept] == [()] * len(views)
+    assert [replace(view, bid_times=(), bid_amounts=(), bidder_ids=(), record_ids=())
+            for view in views] == kept
+    assert [auction_instances(view, streamed) for view in kept] == [
+        auction_instances(view, held) for view in views
+    ]
+    assert not streamed.participation and not held.participation
 
 
 def test_unknown_bidder_raises_key_error():

@@ -1,4 +1,4 @@
-"""tools/time_pipeline.py: its runs agree, and each run's peak is its own."""
+"""tools/time_pipeline.py: its runs agree, and each command's peak is its own."""
 import json
 import subprocess
 import sys
@@ -38,7 +38,12 @@ def test_runs_agree_across_trees_and_orders(tmp_path):
     assert sorted(run["order"] for run in runs) == ["as-is", "as-is", "shuffled", "shuffled"]
     assert len({(run["report_sha256"], run["kept_rows"]) for run in runs}) == 1
     assert len({run["table_sha256"] for run in runs}) == 1
+    assert len({run["sb_sha256"] for run in runs}) == 1
     assert runs[0]["kept_rows"] > 0
+    for run in runs:
+        for command in ("features", "stats", "validate"):
+            assert set(run[command]) == {"seconds", "peak_rss_mb"}
+            assert run[command]["seconds"] > 0 and run[command]["peak_rss_mb"] > 0
 
 
 def test_a_run_peak_is_not_raised_by_the_shuffled_copy(tmp_path):

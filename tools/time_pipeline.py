@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Time `shillbid preprocess` in-process on a corpus and on a shuffled copy.
+"""Time the `shillbid` chain in-process on a corpus and on a shuffled copy.
 
 Each run is a fresh child process that calls shillbid.cli.main with
 ["preprocess", "--in", corpus, "--out", table], the table and its report
 written under --work, so its peak RSS is the command's own plus the
-modules this tool imports. Each run prints one JSON line: the source
-tree, the corpus order, seconds, peak RSS in MB, the rows kept, the
-sha256 of the cleansing report (its JSON with sorted keys) and the
-sha256 of the bid table's bytes. Equal digests mean equal reports and
-equal tables.
+modules this tool imports. After it, `features` (writing the feature
+table beside the bid table), `stats --preprocessed` and `validate` on
+the bid table each run the same way, in a child of their own. Each run
+prints one JSON line: the source tree, the corpus order, preprocess's
+seconds and peak RSS in MB, the rows kept, the sha256 of the cleansing
+report (its JSON with sorted keys) and of the bid table's bytes, then
+the seconds and peak RSS of features, stats and validate, each under
+its name, and the sha256 of the feature table's bytes. Equal digests
+mean equal reports and equal tables.
 
 The shuffled copy holds the corpus's lines after the header in an order
 drawn from --shuffle-seed; it is written once, under --work, by a child
@@ -38,6 +42,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = ("preprocess", "features", "stats", "validate")
 
 
 def table_path(work: Path, corpus: Path) -> Path:
@@ -45,43 +50,61 @@ def table_path(work: Path, corpus: Path) -> Path:
     return work / f"{corpus.stem}.preprocessed.csv"
 
 
-def child(src: str, corpus: Path, work: Path) -> dict:
-    """One timed `preprocess` in this process, against the package under src."""
+def features_path(work: Path, corpus: Path) -> Path:
+    """Where a run of corpus writes its feature table (and its report, beside it)."""
+    return work / f"{corpus.stem}.sb.csv"
+
+
+def child(src: str, corpus: Path, work: Path, command: str) -> dict:
+    """One timed command of the chain in this process, against the package under src."""
     sys.path.insert(0, src)
     from shillbid.cli import main
 
     work.mkdir(parents=True, exist_ok=True)
-    table = table_path(work, corpus)
+    table, sb = str(table_path(work, corpus)), str(features_path(work, corpus))
+    argv = {
+        "preprocess": ["preprocess", "--in", str(corpus), "--out", table],
+        "features": ["features", "--in", table, "--out", sb],
+        "stats": ["stats", "--in", sb, "--preprocessed", table],
+        "validate": ["validate", "--in", table],
+    }[command]
     started = time.perf_counter()
-    # The command's own line would break this one's JSON output.
+    # The command's own lines would break this one's JSON output.
     with contextlib.redirect_stdout(sys.stderr):
-        code = main(["preprocess", "--in", str(corpus), "--out", str(table)])
+        code = main(argv)
     seconds = time.perf_counter() - started
     if code:
-        raise SystemExit(f"preprocess exited {code}")
+        raise SystemExit(f"{command} exited {code}")
     return {
         "seconds": round(seconds, 3),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
 
 
-def outputs(table: Path) -> dict:
-    """The rows a run kept and the digests of its cleansing report and its table."""
+def file_sha256(path: Path) -> str:
+    """The sha256 of path's bytes."""
     # Imported here, not by a child: hashlib loads OpenSSL, a few MB that
     # would count in every child's peak.
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def outputs(table: Path) -> dict:
+    """The rows a run kept and the digests of its cleansing report and its table."""
     import hashlib
 
     with open(f"{table}.report.json", encoding="utf-8") as handle:
         report = json.load(handle)["cleansing"]
     text = json.dumps(report, sort_keys=True)
-    digest = hashlib.sha256()
-    with open(table, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
     return {
         "kept_rows": report["after"]["records"],
         "report_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-        "table_sha256": digest.hexdigest(),
+        "table_sha256": file_sha256(table),
     }
 
 
@@ -124,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         "--work", type=Path, default=Path(".time_pipeline"),
         help="where the shuffled copy and each run's table go (default .time_pipeline)",
     )
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--child", choices=COMMANDS, help=argparse.SUPPRESS)
     parser.add_argument("--write-shuffled", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     srcs = [str(Path(s).resolve()) for s in args.src or [ROOT / "src"]]
@@ -132,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         write_shuffled(args.corpus, args.shuffle_seed, args.write_shuffled)
         return 0
     if args.child:
-        print(json.dumps(child(srcs[0], args.corpus, args.work)))
+        print(json.dumps(child(srcs[0], args.corpus, args.work, args.child)))
         return 0
     orders = [("as-is", args.corpus)]
     if not args.no_shuffle:
@@ -142,14 +165,18 @@ def main(argv: list[str] | None = None) -> int:
             # Alternate which tree runs first, so a slow stretch of the
             # host does not always fall on the same one.
             for src in srcs if run % 2 else srcs[::-1]:
-                out = subprocess.run(
-                    [sys.executable, __file__, str(path), "--src", src, "--work",
-                     str(args.work), "--child"],
-                    check=True, capture_output=True, text=True,
-                ).stdout
+                timed = {
+                    command: json.loads(subprocess.run(
+                        [sys.executable, __file__, str(path), "--src", src, "--work",
+                         str(args.work), "--child", command],
+                        check=True, capture_output=True, text=True,
+                    ).stdout)
+                    for command in COMMANDS
+                }
                 result = {
-                    "run": run, "src": src, "order": order, **json.loads(out),
-                    **outputs(table_path(args.work, path)),
+                    "run": run, "src": src, "order": order, **timed.pop("preprocess"),
+                    **outputs(table_path(args.work, path)), **timed,
+                    "sb_sha256": file_sha256(features_path(args.work, path)),
                 }
                 print(json.dumps(result), flush=True)
     return 0
