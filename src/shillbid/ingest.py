@@ -554,14 +554,15 @@ def bid_rows(
     a line with a quote or a CR, the wrong comma count, no final LF or
     more characters than csv.field_size_limit() goes to one csv.reader,
     which reads the record that starts there, so rows are numbered as
-    csv records. A split row repeating the seller and auction-level text
-    of the first split row of its auction_id text shares that row's head
-    and has only its bid cells parsed; any other row is parsed in full,
-    its own head. Each id and amount text is read into one object. A row
-    that does not parse raises what read_preprocessed raises.
+    csv records. A row repeating the seller and auction-level text of the
+    first row of its auction_id text, a quoted cell read unquoted, shares
+    that row's head and has only its bid cells parsed; any other row is
+    parsed in full, its own head. Each id and amount text is read into
+    one object. A row that does not parse raises what read_preprocessed
+    raises.
 
     With per_auction, the heads and amounts kept are dropped whenever a
-    split row brings an auction_id text they hold no head for: a table
+    row brings an auction_id text they hold no head for: a table
     whose auctions' rows are contiguous then holds one auction's at a
     time, and a row of an auction read before gets a head of its own.
     """
@@ -592,19 +593,24 @@ def bid_rows(
                 or line.count(",") != commas or line[-1] != "\n"
             ):
                 cells = record(n, line)[0]
-                head = head_of(n, cells)
-                record_id, _, _, bidder, amount, submitted = cells[:6]
+                if len(cells) != len(PREPROCESSED_COLUMNS):
+                    head_of(n, cells)  # raises the cell count's error
+                record_id, aid, seller, bidder, amount, submitted, *level = cells
+                # As a split row holds it. A first row's text has six
+                # commas, so seven cells joined to it are that row's cells.
+                level = ",".join(level) + "\n"
             else:
+                cells = None
                 record_id, aid, seller, bidder, amount, submitted, level = line.split(",", 6)
-                first = firsts.get(aid)
-                if first is not None and seller == first[0] and level == first[1]:
-                    head = first[2]
-                else:
-                    if first is None and per_auction:
-                        firsts.clear()
-                        amounts.clear()
-                    head = head_of(n, line[:-1].split(","))
-                    firsts.setdefault(aid, (seller, level, head))
+            first = firsts.get(aid)
+            if first is not None and seller == first[0] and level == first[1]:
+                head = first[2]
+            else:
+                if first is None and per_auction:
+                    firsts.clear()
+                    amounts.clear()
+                head = head_of(n, cells or line[:-1].split(","))
+                firsts.setdefault(aid, (seller, level, head))
             try:
                 value = amounts.get(amount)
                 if value is None:
@@ -613,7 +619,7 @@ def bid_rows(
             except (ValueError, ParseError):
                 # Only a row that shares its head gets here, as a row
                 # parsed in full has passed: reparse it for the exact error.
-                _parse_preprocessed_row(line[:-1].split(","), f"{path}:row {n}")
+                _parse_preprocessed_row(cells or line[:-1].split(","), f"{path}:row {n}")
                 raise
             yield head, bid
 

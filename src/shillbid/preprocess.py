@@ -1,13 +1,13 @@
 """Cleansing pipeline: raw scrape rows to a validated bid table.
 
 Stage order is fixed. One streaming row pass applies the optional
-winning-price floor, collapses exact duplicates (a row whose bid text
-is in the scrape's own form by its parsed bid, any other by its text),
-drops rows with a blank bidder id and groups the rest into auctions,
-checking that each auction's rows agree. Inside the cleanse an auction
-is (head, times, amounts, bidders): head holds AuctionView's fields
-before its bid columns, with the auction's key where the id goes, and
-the lists hold each bid's time, amount and bidder id at one position.
+winning-price floor, collapses exact duplicates (a row with a bidder by
+its auction and parsed bid, a blank-bidder row by its text), drops rows
+with a blank bidder id and groups the rest into auctions, checking that
+each auction's rows agree. Inside the cleanse an auction is (head,
+times, amounts, bidders): head holds AuctionView's fields before its
+bid columns, with the auction's key where the id goes, and the lists
+hold each bid's time, amount and bidder id at one position.
 Then one walk in start order, assign_identifiers, reconciles each
 auction's scraped counts with its rows, drops it when it has too few
 bids, else when its built view breaks a rule of the bid table, filed
@@ -136,41 +136,24 @@ def parse_money(text: str) -> Decimal:
         raise ParseError(f"money {text!r}: amount out of range") from None
 
 
-# The scrape's own forms of an amount and a clock, "123.45 $" and
-# "23:21:07 PDT", which their values render back to. ASCII digits only,
-# as int and Decimal read others too; 22 digits fit the decimal context.
-_SCRAPE_MONEY = re.compile(r"(?:0|[1-9][0-9]{0,19})\.[0-9]{2} \$")
-_scrape_clock = re.compile(r"(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9] PDT").fullmatch
-
-
-def money_parser(in_form: dict[str, Decimal] | None = None) -> Callable[[str], Decimal]:
+def money_parser() -> Callable[[str], Decimal]:
     """Return parse_money behind a text -> Decimal cache.
 
     Each distinct text is parsed once and every row with the same text
-    shares one Decimal. A text in the scrape's own form skips the search
-    for the number and goes to in_form, when given (two texts there are
-    equal exactly when their amounts are), any other to a dict of its own.
+    shares one Decimal.
     """
-    plain = {} if in_form is None else in_form
-    other: dict[str, Decimal] = {}
+    cache: dict[str, Decimal] = {}
 
     def parse(text: str) -> Decimal:
-        value = plain.get(text)
+        value = cache.get(text)
         if value is None:
-            value = other.get(text)
-            if value is None:
-                if _SCRAPE_MONEY.fullmatch(text):
-                    value = plain[text] = Decimal(text[:-2])
-                else:
-                    value = other[text] = parse_money(text)
+            value = cache[text] = parse_money(text)
         return value
 
     return parse
 
 
-def countdown_parser(
-    reference: datetime, in_form: set[str] | None = None
-) -> Callable[[str, str], int]:
+def countdown_parser(reference: datetime) -> Callable[[str, str], int]:
     """Return parse(date_text, time_text) for countdown seconds.
 
     parse gives what to_countdown_seconds(merge_datetime(date_text,
@@ -178,9 +161,7 @@ def countdown_parser(
     once per date text and the clock is read arithmetically; any text
     the fast path does not take as-is (a malformed or out-of-range
     value, an event after the reference) goes through those two
-    functions, so the result or the ParseError is theirs. A date text
-    that is its date's Mon-DD-YY text joins in_form, when given: two
-    texts there are equal exactly when their dates are.
+    functions, so the result or the ParseError is theirs.
     """
     midnights: dict[str, int] = {}
 
@@ -194,9 +175,6 @@ def countdown_parser(
                 base = -1
             else:
                 midnights[date_text] = base
-                text = f"{_MONTH_NAMES[midnight.month - 1]}-{midnight:%d-%y}"
-                if in_form is not None and text == date_text and midnight.year // 100 == 20:
-                    in_form.add(date_text)
         if base >= 0:
             try:
                 hour, minute, second = map(int, time_text.split(None, 1)[0].split(":"))
@@ -458,7 +436,6 @@ def _group_rows(
     dedup_key: Callable[[tuple], object],
     new_head: Callable[[tuple], tuple],
     new_bid: Callable[[tuple], tuple[int, Decimal, str]],
-    in_form: Callable[[tuple], bool] | None,
 ) -> tuple[list[_Auction], _Counters, Totals]:
     """The row-wise stages, one streaming pass shared by both layouts.
 
@@ -477,15 +454,14 @@ def _group_rows(
     "same head" is tested by identity first, then by ==. Each auction
     key keeps one entry, the head of its first row past the floor, for
     the grouping check, unless the group's first row has another (every
-    earlier row was dropped, for a blank bidder or as a copy): then that
-    group's head is held apart. A row with a blank bidder or a bid
-    in_form refuses is keyed by dedup_key of its bid cells and a short
-    token of its auction, or its head if not its entry's (more cells).
-    Any other row holds no key: its text is the one its parsed bid
-    renders back to (in_form None passes every bid) and a group's rows
-    share one head, so it copies an earlier such row exactly when their
-    (time, amount, bidder) are equal; those go once the pass ends. Rows
-    are grouped and parsed before keyed, a copy as its first copy was.
+    earlier row had a blank bidder): then that group's head is held
+    apart. A row with a blank bidder is never parsed: it is keyed by
+    dedup_key of its bid cells and a short token of its auction, or its
+    head if not its entry's (more cells). Any other row holds no key: a
+    group's rows share one head, so it copies an earlier row of its
+    group exactly when their (time, amount, bidder) are equal, and those
+    go once the pass ends. Every row with a bidder is grouped and parsed
+    before any is found to be a copy.
     """
     min_price = config.min_winning_price
     counters = _Counters()
@@ -494,9 +470,8 @@ def _group_rows(
     entries: dict = {}
     # auction key -> head of a group that differs from its auction's entry
     apart: dict = {}
-    # auction key -> its token in keys; positions of its group's keyed bids
+    # auction key -> its token in the keys of blank-bidder rows
     tokens: dict = {}
-    keyed: dict = {}
     bidders_seen: set[str] = set()
     sellers_seen: set[str] = set()
     rows_before = 0
@@ -518,32 +493,28 @@ def _group_rows(
             same = head is entry or head == entry
             times = None
         bidder = bid[-1]
-        blank = not bidder or bidder.isspace()
-        if not blank:
-            bidders_seen.add(bidder)
-            if times is None:
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = group = (new_head(head), [], [], [])
-                    if not same:
-                        apart[key] = head
-                elif (not same or key in apart) and apart.get(key) != head:
-                    raise DataConsistencyError(
-                        f"auction {key!r}: rows disagree on auction-level fields"
-                    )
-                _, times, amounts, bidders = group
-            time, amount, bidder = new_bid(bid)
-        if blank or in_form is not None and not in_form(bid):
+        if not bidder or bidder.isspace():
             mark = (tokens.setdefault(key, str(len(tokens))),) if same else head
             dup = dedup_key(mark + bid)
             if dup in seen:
                 counters.duplicates += 1
-                continue
-            seen.add(dup)
-            if blank:
+            else:
+                seen.add(dup)
                 counters.missing_bidder += 1
-                continue
-            keyed.setdefault(key, []).append(len(times))
+            continue
+        bidders_seen.add(bidder)
+        if times is None:
+            group = groups.get(key)
+            if group is None:
+                groups[key] = group = (new_head(head), [], [], [])
+                if not same:
+                    apart[key] = head
+            elif (not same or key in apart) and apart.get(key) != head:
+                raise DataConsistencyError(
+                    f"auction {key!r}: rows disagree on auction-level fields"
+                )
+            _, times, amounts, bidders = group
+        time, amount, bidder = new_bid(bid)
         times.append(time)
         amounts.append(amount)
         bidders.append(bidder)
@@ -553,14 +524,13 @@ def _group_rows(
     # A copy repeats its first copy's time: only bids of a repeated time are compared.
     times_of = list(map(itemgetter(1), auctions))
     repeats = map(ne, map(len, times_of), map(len, map(set, times_of)))
-    for head, times, amounts, bidders in compress(auctions, repeats):
+    for _, times, amounts, bidders in compress(auctions, repeats):
         ordered = sorted(times)
         tied = set(compress(ordered, map(eq, ordered, ordered[1:])))
-        keep, first = set(keyed.get(head[0], ())), {}
+        first: dict = {}
         copies = [
             at for at, time in enumerate(times)
-            if time in tied and at not in keep
-            and first.setdefault((time, amounts[at], bidders[at]), at) != at
+            if time in tied and first.setdefault((time, amounts[at], bidders[at]), at) != at
         ]
         counters.duplicates += len(copies)
         for at in reversed(copies):
@@ -733,10 +703,8 @@ def stream_pipeline(
     """
     config = config or PipelineConfig()
     config.validate()
-    plain_amounts: dict[str, Decimal] = {}
-    plain_dates: set[str] = set()
-    money = money_parser(plain_amounts)
-    countdown = countdown_parser(config.reference_epoch, plain_dates)
+    money = money_parser()
+    countdown = countdown_parser(config.reference_epoch)
     if isinstance(records, RawScanner) and records.schema == dict(config.schema):
         rows, source = records.pairs(), records.report
     else:
@@ -759,10 +727,6 @@ def stream_pipeline(
             raise
         return (when, money(amount), ids.setdefault(bidder, bidder))
 
-    def in_form(bid: tuple[str, ...]) -> bool:
-        date, clock, amount, _ = bid
-        return amount in plain_amounts and date in plain_dates and _scrape_clock(clock) is not None
-
     auctions, counters, before = _group_rows(
         rows,
         config,
@@ -770,14 +734,13 @@ def stream_pipeline(
         _dedup_key,
         lambda head: _parse_auction_level(head, config, money, ids),
         new_bid,
-        in_form,
     )
     raw_width = len(source.columns) if source.accepted_count else 0
     counters.columns_dropped = max(0, raw_width - len(LOGICAL_FIELDS))
     before = replace(before, attributes=raw_width)
     # Free the parse caches and the id map before _finish builds the
     # views, so they add nothing to the peak.
-    del money, countdown, ids, plain_amounts, plain_dates
+    del money, countdown, ids
     return _finish(auctions, before, counters, config, sink)
 
 
@@ -788,9 +751,9 @@ def _run_typed(
 ) -> CleansingReport:
     config = config or PipelineConfig()
     config.validate()
-    # tuple() of a tuple is that tuple: a bid is its own key cells, and
-    # a head and a bid are kept as they are. No typed bid needs a key.
-    auctions, counters, before = _group_rows(rows, config, itemgetter(5), tuple, tuple, tuple, None)
+    # tuple() of a tuple is that tuple: a blank-bidder row's cells are
+    # its own key, and a head and a bid are kept as they are.
+    auctions, counters, before = _group_rows(rows, config, itemgetter(5), tuple, tuple, tuple)
     return _finish(auctions, before, counters, config, sink)
 
 

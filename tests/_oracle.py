@@ -253,16 +253,54 @@ def dataset_violations(records: list) -> list[str]:
     return bad
 
 
-# --- exact copies among raw rows ----------------------------------------------
+# --- copies among raw rows ----------------------------------------------------
 
-def drop_text_copies(rows: list, columns) -> tuple[list, int]:
-    """rows without each row whose cells in columns equal, as text, an
-    earlier row's; and how many rows that dropped."""
+_MONTHS = "jan feb mar apr may jun jul aug sep oct nov dec".split()
+_BID_FIELDS = ("bid_date", "bid_time", "bid_amount", "bidder_id")
+
+
+def raw_bid_value(date: str, clock: str, amount: str) -> tuple:
+    """A raw bid's moment and amount: (year, month, day, h, m, s, amount).
+
+    Reads the forms the tests write: a Mon-DD-YY or Mon-DD-YYYY date in
+    any case; an HH:MM:SS clock, whose zone token, if any, is ignored, as
+    the pipeline reads every clock in the site's one zone; and a number
+    with a "$" before or after it.
+    """
+    month, day, year = date.split("-")
+    year = int(year)
+    if year < 100:
+        year += 2000
+    hour, minute, second = clock.split()[0].split(":")
+    return (
+        year, _MONTHS.index(month.lower()) + 1, int(day),
+        int(hour), int(minute), int(second), Decimal(amount.strip("$ ")),
+    )
+
+
+def drop_copies(rows: list, schema) -> tuple[list, int]:
+    """rows without each copy of an earlier row; and how many rows that dropped.
+
+    schema maps the logical fields to the rows' column names. Every
+    field but the bid's four is the row's head. A row with a bidder
+    copies an earlier row whose head is equal as text, whose bidder is
+    the same and whose raw_bid_value is equal. A row with a blank bidder
+    copies an earlier row whose every field is equal as text.
+    """
+    head = [schema[name] for name in schema if name not in _BID_FIELDS]
+    date, clock, amount, bidder = (schema[name] for name in _BID_FIELDS)
     kept: list = []
     for row in rows:
-        if not any(all(row[name] == other[name] for name in columns) for other in kept):
-            kept.append(row)
-    return kept, len(rows) - len(kept)
+        if row[bidder].strip():
+            bid = (raw_bid_value(row[date], row[clock], row[amount]), row[bidder])
+        else:
+            bid = (row[date], row[clock], row[amount], row[bidder])
+        if not any(
+            all(row[name] == other[name] for name in head) and bid == other_bid
+            for other, other_bid in kept
+        ):
+            kept.append((row, bid))
+    return [row for row, _ in kept], len(rows) - len(kept)
 
 
 def sb_check_outcome(instances: list, metric_columns) -> tuple:

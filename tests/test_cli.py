@@ -817,8 +817,8 @@ def _bid_table_and_features(seed):
         return header, rows, sb.read_bytes()
 
 
-_RECORD, _AUCTION, _NUM_BIDS = map(
-    PREPROCESSED_COLUMNS.index, ("record_id", "auction_id", "num_bids")
+_RECORD, _AUCTION, _SELLER, _BIDDER, _NUM_BIDS = map(
+    PREPROCESSED_COLUMNS.index, ("record_id", "auction_id", "seller_id", "bidder_id", "num_bids")
 )
 _HEAD_CELLS = [
     PREPROCESSED_COLUMNS.index(name)
@@ -862,11 +862,19 @@ def _edit_bid_table(rows, kind, rng):
                 cells[_NUM_BIDS] += "0"
     elif kind == "header_only":
         rows.clear()
+    elif kind == "quote":
+        # The bidder id of every row of one bidder, or the seller id of
+        # every row of one auction, gets a text that csv.writer quotes.
+        by, column = rng.choice([(_BIDDER, _BIDDER), (_AUCTION, _SELLER)])
+        text, value = rng.choice([",", '"', "\r", "\n"]), rng.choice(rows)[by]
+        for cells in rows:
+            if cells[by] == value:
+                cells[column] += text
 
 
 _BID_TABLE_EDITS = [
     "shuffle", "split", "renumber", "repeat_record_id", "disagree", "bad_last_cell",
-    "fault", "header_only",
+    "fault", "header_only", "quote",
 ]
 
 
@@ -937,6 +945,19 @@ def test_a_pipeline_bid_table_is_not_read_whole(chain, monkeypatch, capsys):
     assert (chain / "again.csv").read_bytes() == (chain / "sb.csv").read_bytes()
     assert run("stats", "--in", sb, "--preprocessed", clean) == 0
     assert run("validate", "--in", clean) == 0
+    # A bidder id holding a comma is quoted, so its rows are read as csv;
+    # they share their auctions' heads all the same.
+    with open(clean, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    bidder = rows[0][_BIDDER]
+    for cells in rows:
+        if cells[_BIDDER] == bidder:
+            cells[_BIDDER] = "a,b"
+    quoted = str(_write_rows(chain / "quoted.csv", header, rows))
+    sb = str(chain / "quoted.sb.csv")
+    assert run("features", "--in", quoted, "--out", sb) == 0
+    assert run("stats", "--in", sb, "--preprocessed", quoted) == 0
+    assert run("validate", "--in", quoted) == 0
     assert "error" not in capsys.readouterr().err
 
 

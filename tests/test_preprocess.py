@@ -44,6 +44,7 @@ from shillbid.preprocess import (
     parse_money,
     run_pipeline,
     run_pipeline_records,
+    run_pipeline_table,
     to_countdown_seconds,
 )
 from shillbid.synth import SynthConfig, write_corpus
@@ -663,8 +664,7 @@ def test_run_pipeline_counts_duplicates_and_blanks():
 
 
 def test_run_pipeline_dedups_a_bid_cell_holding_the_key_separator():
-    # With its amount in the scrape's own form, rows[0] holds no key; as
-    # "$20.00" it is keyed, by its cells' tuple.
+    # rows[0] is compared by its parsed bid, whatever its amount's text.
     for amount in ("20.00 $", "$20.00"):
         rows = five_bid_auction()
         rows[0][DEFAULT_RAW_SCHEMA["bidder_id"]] = "x\x1fy"
@@ -678,6 +678,20 @@ def test_run_pipeline_dedups_a_bid_cell_holding_the_key_separator():
         assert report.duplicate_records_removed == 1
         assert report.after.records == 6
         assert set(auctions[0].bidder_ids) >= {"y", "x\x1fy"}
+
+
+def test_run_pipeline_keys_a_blank_bidder_row_holding_the_key_separator():
+    # A blank-bidder row is compared by its text. Joined with the
+    # separator, the two edited rows' cells read the same; only the
+    # last row copies one of them.
+    s = DEFAULT_RAW_SCHEMA
+    rows = five_bid_auction() + [raw_row(bidder="") for _ in range(3)]
+    rows[5][s["bid_date"]], rows[5][s["bid_time"]] = "a\x1fb", "c"
+    rows[6][s["bid_date"]], rows[6][s["bid_time"]] = "a", "b\x1fc"
+    rows[7] = dict(rows[6])
+    _, report = run_pipeline(rows)
+    assert report.missing_bidder_rows_removed == 2
+    assert report.duplicate_records_removed == 1
 
 
 @pytest.mark.parametrize("copy_at", [1, 3, 6])
@@ -971,7 +985,7 @@ def test_run_pipeline_ignores_order_and_copies(rng, picks):
 
 
 # Edits of a bid cell that keep its parsed value but leave the
-# scrape's own form, so the edited row is keyed by its text.
+# scrape's own form: the edited row is its source row's bid in another text.
 _FORM_EDITS = (
     ("bid_amount", lambda text: "$" + text[:-2]),
     ("bid_amount", lambda text: "0" + text),
@@ -996,7 +1010,7 @@ _FORM_EDITS = (
 )
 @example(random.Random(0), [(0, n) for n in range(len(_FORM_EDITS))], [0, 1, 2, 19, 20], False)
 @example(random.Random(1), [(6, 0), (6, 0), (7, 2)], [0, 0, 1, 7, 18, 24, 25], True)
-def test_run_pipeline_drops_exactly_the_rows_equal_as_text(rng, edits, picks, shuffle):
+def test_run_pipeline_drops_exactly_the_rows_equal_by_value(rng, edits, picks, shuffle):
     schema = DEFAULT_RAW_SCHEMA
     bidding = (
         five_bid_auction()
@@ -1026,10 +1040,10 @@ def test_run_pipeline_drops_exactly_the_rows_equal_as_text(rng, edits, picks, sh
     if shuffle:
         rng.shuffle(rows)
 
-    kept, copies = _oracle.drop_text_copies(rows, list(schema.values()))
+    kept, copies = _oracle.drop_copies(rows, schema)
     auctions, report = run_pipeline(rows)
     expected_auctions, expected = run_pipeline(kept)
-    # No two kept rows are equal as text, whatever their parsed values.
+    # No two kept rows are one bid of one auction, whatever their texts.
     assert expected.duplicate_records_removed == 0
     assert auctions == expected_auctions
     assert report == replace(
@@ -1037,6 +1051,47 @@ def test_run_pipeline_drops_exactly_the_rows_equal_as_text(rng, edits, picks, sh
         duplicate_records_removed=copies,
         before=replace(expected.before, records=expected.before.records + copies),
     )
+
+
+@given(
+    st.randoms(use_true_random=False),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=14),
+            st.integers(min_value=0, max_value=len(_FORM_EDITS) - 1),
+        ),
+        max_size=8,
+    ),
+)
+@example(random.Random(0), [(0, 0), (1, 1), (2, 2), (3, 4), (3, 5), (4, 3)])
+def test_preprocess_of_its_own_output_is_a_no_op_on_mixed_text_forms(rng, edits):
+    # A scrape that holds some bids in two or more texts ("$20.00" and
+    # "020.00 $", "jun-02-17", a clock without " PDT"): its bid table,
+    # cleansed again, loses nothing and is written to the same bytes.
+    schema = DEFAULT_RAW_SCHEMA
+    rows = (
+        five_bid_auction()
+        + five_bid_auction(
+            url="https://x.example/itm/2", seller="s2", base_amount=40, winning="50.00 $"
+        )
+        + five_bid_auction(url="https://x.example/itm/3", seller="s1", base_amount=9)
+    )
+    for at, edit in edits:
+        name, change = _FORM_EDITS[edit]
+        row = dict(rows[at])
+        row[schema[name]] = change(row[schema[name]])
+        rows.append(row)
+    rng.shuffle(rows)
+    auctions, _ = run_pipeline(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        table, again = Path(tmp, "clean.csv"), Path(tmp, "again.csv")
+        write_preprocessed(auctions, table)
+        views, report = run_pipeline_table(table)
+        write_preprocessed(views, again)
+        assert again.read_bytes() == table.read_bytes()
+    assert views == auctions
+    assert set(report.to_dict()["removed"].values()) == {0}
+    assert report.before.records == report.after.records
 
 
 def test_pipeline_config_validation():
@@ -1077,11 +1132,12 @@ def test_custom_epoch_shifts_all_times_equally():
         assert b.auction_duration_sec == a.auction_duration_sec
 
 
-def test_run_pipeline_peak_memory_per_raw_row(tmp_path):
-    # The criterion-10 corpus shape at 300 auctions. The row pass holds
-    # one duplicate key per distinct row, so its peak grows with the
-    # rows; this bound (about 530 bytes a row measured) fails a pass
-    # that keys each row by its whole text (about 680).
+@pytest.mark.parametrize("dollar_first", [False, True], ids=["scrape-form", "dollar-first"])
+def test_run_pipeline_holds_no_key_for_a_row_with_a_bidder(tmp_path, dollar_first):
+    # The criterion-10 corpus shape at 300 auctions, its amounts as
+    # written ("123.45 $") or as "$123.45". A row with a bidder holds no
+    # duplicate key: the row pass keeps about 390 bytes a raw row, where
+    # keying each "$123.45" row by its text takes about 510.
     raw = tmp_path / "raw.csv"
     rows, _ = write_corpus(
         SynthConfig(
@@ -1094,32 +1150,14 @@ def test_run_pipeline_peak_memory_per_raw_row(tmp_path):
         ),
         raw,
     )
-    config = PipelineConfig()
-    tracemalloc.start()
-    try:
-        run_pipeline(RawScanner(raw, config.schema), config)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / rows < 600, f"{peak / rows:.0f} bytes per raw row"
-
-
-def test_run_pipeline_holds_no_key_for_a_scrape_form_row(tmp_path):
-    # The corpus of the test above. A row in the scrape's own form holds
-    # no duplicate key: the row pass keeps about 390 bytes a raw row,
-    # where keying every row takes about 510.
-    raw = tmp_path / "raw.csv"
-    rows, _ = write_corpus(
-        SynthConfig(
-            seed=5,
-            num_auctions=300,
-            duplicate_row_rate=0.02,
-            missing_bidder_rate=0.02,
-            thin_auction_rate=0.02,
-            inconsistent_auction_rate=0.02,
-        ),
-        raw,
-    )
+    if dollar_first:
+        with open(raw, newline="", encoding="utf-8") as fh:
+            header, *cells = csv.reader(fh)
+        at = header.index(DEFAULT_RAW_SCHEMA["bid_amount"])
+        for row in cells:
+            row[at] = "$" + row[at].removesuffix(" $")
+        with open(raw, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *cells])
     config = PipelineConfig()
     tracemalloc.start()
     try:
