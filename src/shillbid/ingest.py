@@ -28,7 +28,7 @@ it. A line that split may not read as csv does goes to _csv_records
 too, so each line of either table is read once. The commands that read
 a bid table back (features, stats --preprocessed, validate) go through
 fold_auctions: a table in the pipeline's own shape is read one auction
-at a time, with bid_rows keeping one auction's heads and amounts, and
+at a time, with bid_rows keeping one auction's head and amounts, and
 any other table through read_auctions, with the same result.
 read_preprocessed, which reads every row with csv.reader and parses it
 in full and on its own, is the reference that bid_rows is tested
@@ -554,22 +554,25 @@ def bid_rows(
     a line with a quote or a CR, the wrong comma count, no final LF or
     more characters than csv.field_size_limit() goes to one csv.reader,
     which reads the record that starts there, so rows are numbered as
-    csv records. A row repeating the seller and auction-level text of the
-    first row of its auction_id text, a quoted cell read unquoted, shares
-    that row's head and has only its bid cells parsed; any other row is
-    parsed in full, its own head. Each id and amount text is read into
-    one object. A row that does not parse raises what read_preprocessed
-    raises.
+    csv records. One head is kept: that of the first row of the run of
+    rows with one auction_id text that the row is in. A row repeating
+    that row's seller and auction-level text, a quoted cell read
+    unquoted, shares its head and has only its bid cells parsed; any
+    other row is parsed in full, its own head. So an auction whose rows
+    are split, or a row of a table that is not sorted, gets a head of
+    its own, equal to the first one's when its text is. Each id and
+    amount text is read into one object. A row that does not parse
+    raises what read_preprocessed raises.
 
-    With per_auction, the heads and amounts kept are dropped whenever a
-    row brings an auction_id text they hold no head for: a table
-    whose auctions' rows are contiguous then holds one auction's at a
-    time, and a row of an auction read before gets a head of its own.
+    With per_auction, the amounts kept are dropped whenever a row starts
+    a run: a table whose auctions' rows are contiguous then holds one
+    auction's at a time.
     """
     limit = csv.field_size_limit()
     commas = len(PREPROCESSED_COLUMNS) - 1
-    # auction_id text -> (seller text, auction-level text, head)
-    firsts: dict[str, tuple[str, str, tuple]] = {}
+    # The auction_id text of the current run, and the seller text,
+    # auction-level text and head of its first row.
+    current = seller_text = level_text = shared = None
     amounts: dict[str, Decimal] = {}
     ids: dict[str, str] = {}
 
@@ -602,15 +605,15 @@ def bid_rows(
             else:
                 cells = None
                 record_id, aid, seller, bidder, amount, submitted, level = line.split(",", 6)
-            first = firsts.get(aid)
-            if first is not None and seller == first[0] and level == first[1]:
-                head = first[2]
-            else:
-                if first is None and per_auction:
-                    firsts.clear()
-                    amounts.clear()
+            if aid == current and seller == seller_text and level == level_text:
+                head = shared
+            elif aid == current:
                 head = head_of(n, cells or line[:-1].split(","))
-                firsts.setdefault(aid, (seller, level, head))
+            else:
+                if per_auction:
+                    amounts.clear()
+                head = shared = head_of(n, cells or line[:-1].split(","))
+                current, seller_text, level_text = aid, seller, level
             try:
                 value = amounts.get(amount)
                 if value is None:

@@ -6,8 +6,10 @@ its auction and parsed bid, a blank-bidder row by its text), drops rows
 with a blank bidder id and groups the rest into auctions, checking that
 each auction's rows agree. Inside the cleanse an auction is (head,
 times, amounts, bidders): head holds AuctionView's fields before its
-bid columns, with the auction's key where the id goes, and the lists
-hold each bid's time, amount and bidder id at one position.
+bid columns, with the auction's key where the id goes, and the three
+columns hold each bid's time, amount and bidder id at one position.
+times is an int64 array('q'), 8 bytes a bid, or a list for an auction
+with a time that does not fit one; amounts and bidders are lists.
 Then one walk in start order, assign_identifiers, reconciles each
 auction's scraped counts with its rows, drops it when it has too few
 bids, else when its built view breaks a rule of the bid table, filed
@@ -20,8 +22,8 @@ stream_* functions take the sink; the run_* ones collect the views.
 
 The row pass is written once and shared by both input layouts, as
 (head, bid) pairs of an auction's cells and a bid's; the readers give
-all rows of an auction one head object, so the pass compares heads by
-identity first. stream_pipeline feeds it the pairs of
+each run of an auction's rows one head object, so the pass looks at a
+head once a run. stream_pipeline feeds it the pairs of
 ingest.RawScanner.pairs, or of any other raw records, parsing date,
 clock and money text only for rows with a bidder, once per text.
 stream_pipeline_table feeds it the typed rows of a bid table as
@@ -33,6 +35,7 @@ defect manifest of a synthetic corpus.
 """
 from __future__ import annotations
 
+from array import array
 import logging
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
@@ -219,7 +222,7 @@ def to_countdown_seconds(event: datetime, reference: datetime) -> int:
 
 # One auction inside the cleanse, as the module docstring describes it;
 # the key is the URL text or the bid-table id.
-_Auction = tuple[tuple, list[int], list[Decimal], list[str]]
+_Auction = tuple[tuple, "array[int] | list[int]", list[Decimal], list[str]]
 
 
 def _bid_order(bid: tuple[int, Decimal, str]) -> tuple[int, Decimal, str]:
@@ -253,7 +256,7 @@ def assign_identifiers(
     1..M; a dropped one takes none. Both numberings depend only on row
     content, never on input order, and along each view the record ids
     ascend, so its bids are in AuctionView's canonical order. A kept
-    auction's lists are emptied once its view holds the bids.
+    auction's three columns are emptied once its view holds the bids.
     """
     thin: list[_Auction] = []
     inconsistent: list[_Auction] = []
@@ -279,7 +282,8 @@ def assign_identifiers(
             auction_id += 1
             record_id += num_bids
             for column in columns:
-                column.clear()
+                # An array has no clear() before Python 3.13.
+                del column[:]
             sink(view)
         elif fault.startswith(INCONSISTENT_PRICE):
             inconsistent.append(auction)
@@ -446,16 +450,20 @@ def _group_rows(
     row, then if its bidder is blank. What is left joins its auction's
     group, (new_head(head), times, amounts, bidders) made from the
     first such row's head, which every later row must repeat, and adds
-    new_bid(bid), a (time, amount, bidder), to the three lists.
+    new_bid(bid), a (time, amount, bidder), to the three columns. times
+    starts as an array('q'); a time that does not fit one (a bid table
+    may hold any integer) moves that auction's times to a list.
     before.attributes is the bid table's width; the raw adapter sets the
     scrape's.
 
-    Readers share one head object among the rows of an auction, so
-    "same head" is tested by identity first, then by ==. Each auction
-    key keeps one entry, the head of its first row past the floor, for
-    the grouping check, unless the group's first row has another (every
-    earlier row had a blank bidder): then that group's head is held
-    apart. A row with a blank bidder is never parsed: it is keyed by
+    Readers share one head object among a run of an auction's rows, so
+    a head is looked at once a run. Each auction key keeps one entry,
+    dedup_key of the head of its first row past the floor (one joined
+    text for a raw head, the head itself for a typed one), for the
+    grouping check: a head is its entry's when its dedup_key equals it.
+    The group's first row may have another head (every earlier row had
+    a blank bidder): then that group's head is held apart, whole. A row
+    with a blank bidder is never parsed: it is keyed by
     dedup_key of its bid cells and a short token of its auction, or its
     head if not its entry's (more cells). Any other row holds no key: a
     group's rows share one head, so it copies an earlier row of its
@@ -466,7 +474,7 @@ def _group_rows(
     min_price = config.min_winning_price
     counters = _Counters()
     seen: set = set()
-    # auction key -> head of its first row
+    # auction key -> dedup_key of the head of its first row
     entries: dict = {}
     # auction key -> head of a group that differs from its auction's entry
     apart: dict = {}
@@ -489,8 +497,9 @@ def _group_rows(
             last = head
             key = head[0]
             sellers_seen.add(head[1])
-            entry = entries.setdefault(key, head)
-            same = head is entry or head == entry
+            text = dedup_key(head)
+            entry = entries.setdefault(key, text)
+            same = text is entry or text == entry
             times = None
         bidder = bid[-1]
         if not bidder or bidder.isspace():
@@ -506,7 +515,7 @@ def _group_rows(
         if times is None:
             group = groups.get(key)
             if group is None:
-                groups[key] = group = (new_head(head), [], [], [])
+                groups[key] = group = (new_head(head), array("q"), [], [])
                 if not same:
                     apart[key] = head
             elif (not same or key in apart) and apart.get(key) != head:
@@ -515,7 +524,15 @@ def _group_rows(
                 )
             _, times, amounts, bidders = group
         time, amount, bidder = new_bid(bid)
-        times.append(time)
+        try:
+            times.append(time)
+        except (OverflowError, TypeError):
+            # A bid-table time may be any integer, and a caller's record
+            # any value: past int64, or not an int, this auction's times
+            # move to a list.
+            times = list(times)
+            times.append(time)
+            groups[key] = group = (group[0], times, amounts, bidders)
         amounts.append(amount)
         bidders.append(bidder)
 

@@ -798,6 +798,45 @@ def test_an_edited_bid_table_never_exits_3(edits):
     )
 
 
+def test_preprocess_keeps_bid_table_times_past_int64(tmp_path, capsys):
+    # A bid table's times may be any integer. One auction moved 10**20
+    # seconds back in time is kept as it is, and comes first; one with
+    # a bid at -1 and one with a bid at -10**20 break the bid window and
+    # are dropped as contradictory. The rest are renumbered in start order.
+    header, rows, _ = _bid_table_and_features(1)
+    rows = [list(cells) for cells in rows]
+    times = [PREPROCESSED_COLUMNS.index(name) for name in (
+        "bid_submit_time_sec", "start_time_sec", "end_time_sec"
+    )]
+    moved, negative, past = sorted({cells[_AUCTION] for cells in rows}, key=int)[:3]
+    for cells in rows:
+        if cells[_AUCTION] == moved:
+            for at in times:
+                cells[at] = str(int(cells[at]) + 10**20)
+    for auction, time in ((negative, "-1"), (past, str(-10**20))):
+        next(cells for cells in rows if cells[_AUCTION] == auction)[times[0]] = time
+    table, out = _write_rows(tmp_path / "table.csv", header, rows), tmp_path / "out.csv"
+    assert run("preprocess", "--in", str(table), "--out", str(out)) == 0
+    assert capsys.readouterr().err == ""
+
+    dropped = [cells for cells in rows if cells[_AUCTION] in (negative, past)]
+    kept = [cells for cells in rows if cells not in dropped]
+    start = {cells[_AUCTION]: int(cells[times[1]]) for cells in kept}
+    expected = []
+    for auction_id, auction in enumerate(sorted(start, key=lambda a: (-start[a], int(a))), 1):
+        for cells in kept:
+            if cells[_AUCTION] == auction:
+                expected.append([str(len(expected) + 1), str(auction_id), *cells[2:]])
+    assert out.read_text(encoding="utf-8") == "".join(
+        ",".join(cells) + "\n" for cells in [header, *expected]
+    )
+    removed = json.loads(Path(f"{out}.report.json").read_text())["cleansing"]["removed"]
+    assert {name: count for name, count in removed.items() if count} == {
+        "contradictory_auctions_removed": 2,
+        "contradictory_rows_removed": len(dropped),
+    }
+
+
 @functools.cache
 def _bid_table_and_features(seed):
     """Header and rows of the bid table synth -> preprocess writes at seed,

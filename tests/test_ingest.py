@@ -626,7 +626,10 @@ _EDITS = [
 
 @st.composite
 def counted_mutations(draw):
-    """A valid table under a few edits, drops, copies, moves and ragged rows.
+    """A valid table under a few edits, drops, copies, moves, shuffles and ragged rows.
+
+    A move or a shuffle splits auctions' rows, so a reader that keeps
+    one auction's head at a time meets an auction again after another.
 
     Returns the rows and how many changes were drawn.
     """
@@ -638,7 +641,7 @@ def counted_mutations(draw):
         op = draw(
             st.sampled_from(
                 ["edit"] * 4
-                + ["auction", "record_id", "auction_id", "drop", "duplicate", "move"]
+                + ["auction", "record_id", "auction_id", "drop", "duplicate", "move", "shuffle"]
             )
         )
         # Any column, the bid-level ones twice as often.
@@ -662,6 +665,8 @@ def counted_mutations(draw):
             rows.insert(i, list(rows[i]))
         elif op == "move":
             rows.insert(draw(st.integers(min_value=0, max_value=len(rows) - 1)), rows.pop(i))
+        elif op == "shuffle":
+            rows[:] = draw(st.permutations(rows))
     width = draw(st.sampled_from([None] * 27 + [1, 12, 14]))
     if width is not None:
         # A ragged row: one copied row cut short or given an extra cell.

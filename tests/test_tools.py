@@ -1,4 +1,5 @@
-"""tools/time_pipeline.py: its runs agree, and each command's peak is its own."""
+"""tools/time_pipeline.py: its runs agree, each command's peak is its own,
+and a re-cleanse that changes the bid table stops it."""
 import json
 import subprocess
 import sys
@@ -41,9 +42,39 @@ def test_runs_agree_across_trees_and_orders(tmp_path):
     assert len({run["sb_sha256"] for run in runs}) == 1
     assert runs[0]["kept_rows"] > 0
     for run in runs:
-        for command in ("features", "stats", "validate"):
+        for command in ("recleanse", "features", "stats", "validate"):
             assert set(run[command]) == {"seconds", "peak_rss_mb"}
             assert run[command]["seconds"] > 0 and run[command]["peak_rss_mb"] > 0
+
+
+def test_a_recleanse_that_changes_the_bid_table_stops_the_tool(tmp_path):
+    # A stand-in package whose preprocess writes its input's name: the
+    # re-cleanse of the bid table then differs from it.
+    package = tmp_path / "src" / "shillbid"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import json, sys\n"
+        "def main(argv):\n"
+        "    args = dict(zip(argv[1::2], argv[2::2]))\n"
+        "    if '--out' in args:\n"
+        "        with open(args['--out'], 'w') as out:\n"
+        "            out.write(args['--in'])\n"
+        "        report = {'cleansing': {'after': {'records': 1}}}\n"
+        "        with open(args['--out'] + '.report.json', 'w') as out:\n"
+        "            json.dump(report, out)\n"
+        "    return 0\n"
+    )
+    corpus = tmp_path / "raw.csv"
+    corpus.write_text("a\n1\n")
+    done = subprocess.run(
+        [sys.executable, str(TOOL), str(corpus), "--runs", "1", "--no-shuffle",
+         "--src", str(tmp_path / "src"), "--work", str(tmp_path / "work")],
+        capture_output=True, text=True, cwd=ROOT,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == f"{tmp_path / 'src'}: re-cleansing the as-is bid table changed it\n"
 
 
 def test_a_run_peak_is_not_raised_by_the_shuffled_copy(tmp_path):

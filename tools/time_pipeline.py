@@ -4,15 +4,18 @@
 Each run is a fresh child process that calls shillbid.cli.main with
 ["preprocess", "--in", corpus, "--out", table], the table and its report
 written under --work, so its peak RSS is the command's own plus the
-modules this tool imports. After it, `features` (writing the feature
-table beside the bid table), `stats --preprocessed` and `validate` on
-the bid table each run the same way, in a child of their own. Each run
+modules this tool imports. After it, `preprocess` on the bid table
+(the re-cleanse, writing a second table beside it), `features`
+(writing the feature table beside the bid table), `stats
+--preprocessed` and `validate` on the bid table each run the same way,
+in a child of their own. The re-cleansed table must hold the bid
+table's bytes: if it does not, the tool stops with an error. Each run
 prints one JSON line: the source tree, the corpus order, preprocess's
 seconds and peak RSS in MB, the rows kept, the sha256 of the cleansing
 report (its JSON with sorted keys) and of the bid table's bytes, then
-the seconds and peak RSS of features, stats and validate, each under
-its name, and the sha256 of the feature table's bytes. Equal digests
-mean equal reports and equal tables.
+the seconds and peak RSS of recleanse, features, stats and validate,
+each under its name, and the sha256 of the feature table's bytes.
+Equal digests mean equal reports and equal tables.
 
 The shuffled copy holds the corpus's lines after the header in an order
 drawn from --shuffle-seed; it is written once, under --work, by a child
@@ -42,12 +45,17 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COMMANDS = ("preprocess", "features", "stats", "validate")
+COMMANDS = ("preprocess", "recleanse", "features", "stats", "validate")
 
 
 def table_path(work: Path, corpus: Path) -> Path:
     """Where a run of corpus writes its bid table (and its report, beside it)."""
     return work / f"{corpus.stem}.preprocessed.csv"
+
+
+def recleansed_path(work: Path, corpus: Path) -> Path:
+    """Where a run of corpus writes the bid table's re-cleanse (and its report, beside it)."""
+    return work / f"{corpus.stem}.recleansed.csv"
 
 
 def features_path(work: Path, corpus: Path) -> Path:
@@ -64,6 +72,7 @@ def child(src: str, corpus: Path, work: Path, command: str) -> dict:
     table, sb = str(table_path(work, corpus)), str(features_path(work, corpus))
     argv = {
         "preprocess": ["preprocess", "--in", str(corpus), "--out", table],
+        "recleanse": ["preprocess", "--in", table, "--out", str(recleansed_path(work, corpus))],
         "features": ["features", "--in", table, "--out", sb],
         "stats": ["stats", "--in", sb, "--preprocessed", table],
         "validate": ["validate", "--in", table],
@@ -178,6 +187,8 @@ def main(argv: list[str] | None = None) -> int:
                     **outputs(table_path(args.work, path)), **timed,
                     "sb_sha256": file_sha256(features_path(args.work, path)),
                 }
+                if file_sha256(recleansed_path(args.work, path)) != result["table_sha256"]:
+                    raise SystemExit(f"{src}: re-cleansing the {order} bid table changed it")
                 print(json.dumps(result), flush=True)
     return 0
 
