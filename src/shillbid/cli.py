@@ -33,7 +33,6 @@ from .dataset import (
     check_threshold,
     format_stats_table,
     pattern_stats,
-    sb_batches,
 )
 from .errors import (
     ConfigError,
@@ -55,7 +54,13 @@ from .ingest import (
     scores_writer,
     write_rejects,
 )
-from .metrics import GlobalAggregates, compute_global_aggregates, load_weights, weight_scorer
+from .metrics import (
+    GlobalAggregates,
+    compute_global_aggregates,
+    load_weights,
+    sb_batches,
+    weight_scorer,
+)
 from .model import PREPROCESSED_COLUMNS, SB_COLUMNS, AuctionView, SBInstance, winner_of
 from .preprocess import (
     REFERENCE_EPOCH,
@@ -173,23 +178,22 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def write_features(
-    auctions: list[AuctionView],
     aggregates: GlobalAggregates,
     out: str | Path,
     scores: tuple[str | Path, Callable[[SBInstance], float]] | None = None,
     threshold: float = 0.7,
 ) -> PatternStats:
-    """Write the feature table of views in auction-id order; return its statistics.
+    """Write the feature table of aggregated auctions; return its statistics.
 
-    aggregates are compute_global_aggregates over these auctions, and
-    give the winners; the views may be the ones the aggregates kept.
+    aggregates are compute_global_aggregates over views in auction-id
+    order, and give the rows (sb_batches) and the winners.
 
     One walk builds each auction's instances, checks them, writes their
     rows to out and, given scores as (path, score), to that scores
     table, and counts them into the statistics; it holds one auction's
-    instances and a chunk of pattern_stats', never the table. The views
-    have distinct ids, so a pair can only repeat within one auction and
-    checking each auction's instances checks the table.
+    instances and a chunk of pattern_stats', never the table. The
+    auctions have distinct ids, so a pair can only repeat within one
+    auction and checking each auction's instances checks the table.
     """
     with ExitStack() as stack:
         writers = [stack.enter_context(sb_writer(out))]
@@ -197,7 +201,7 @@ def write_features(
             writers.append(stack.enter_context(scores_writer(*scores)))
 
         def walk() -> Iterator[SBInstance]:
-            for batch in sb_batches(auctions, aggregates):
+            for batch in sb_batches(aggregates):
                 check_sb_dataset(batch)
                 for write in writers:
                     write(batch)
@@ -216,10 +220,9 @@ def cmd_features(args: argparse.Namespace) -> int:
         scores_path = args.scores and staged(args.scores)
         report_path = staged(args.report or args.out + ".report.json")
         # On a table in the pipeline's shape the aggregate pass reads one
-        # auction at a time and keeps no view's bid columns.
+        # auction at a time; it keeps each auction's numbers, no view.
         aggregates = fold_auctions(args.input, compute_global_aggregates)
         stats = write_features(
-            [view for view, _ in aggregates.participation.values()],
             aggregates,
             out,
             (scores_path, score) if scores_path else None,

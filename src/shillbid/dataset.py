@@ -1,8 +1,8 @@
 """Feature-dataset assembly and descriptive statistics.
 
-sb_batches turns auction views plus global aggregates into one list of
-SBInstances per auction, one per (auction, bidder) pair, reusing the
-participation the aggregate pass walked; pattern_stats summarizes a
+build_sb_dataset lists the SBInstances of auction views, one per
+(auction, bidder) pair (metrics.sb_batches builds them from the
+aggregates alone, one auction at a time); pattern_stats summarizes a
 dataset in one pass the way a fraud analyst would eyeball it, counting
 column by column.
 """
@@ -11,9 +11,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from operator import attrgetter, lt
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import ConfigError
 from .metrics import GlobalAggregates, auction_instances
@@ -26,35 +26,18 @@ AGGRESSIVE_BR_FLOOR = 0.1
 EARLY_FLOOR = 0.7
 
 
-def sb_batches(
-    auctions: Iterable[AuctionView], aggregates: GlobalAggregates
-) -> Iterator[list[SBInstance]]:
-    """Each auction's SBInstances, one list per auction, in auction order.
-
-    Within an auction the bidders come in id order, so views in
-    auction-id order (as read_auctions returns them) give instances in
-    (auction_id, bidder_id) order. Each auction's participation_map is
-    the one compute_global_aggregates kept for that view.
-
-    Values are not range-checked here: the feature table's writers run
-    check_sb_dataset on each auction's instances before its rows.
-    """
-    for auction in auctions:
-        yield auction_instances(auction, aggregates)
-
-
 def build_sb_dataset(
     auctions: Iterable[AuctionView],
     aggregates: GlobalAggregates,
     jobs: int = 1,
 ) -> list[SBInstance]:
-    """Every instance sb_batches gives, in one list.
+    """Every auction's auction_instances, in one list, in the views' order.
 
     The build is one in-process pass. jobs is accepted for interface
     symmetry and ignored: a worker pool would pickle the aggregates and
     every view, which costs more than the build itself.
     """
-    return list(chain.from_iterable(sb_batches(auctions, aggregates)))
+    return [i for auction in auctions for i in auction_instances(auction, aggregates)]
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,23 +1,22 @@
 """The eight bidder-behavior metrics, each scaled into [0, 1].
 
-auction_instances is the one place the eight metrics are computed: it
-builds every (auction, bidder) row of the feature table. Per-pair
-metrics read one auction; the cross-auction ones (tendency, winning
-ratio, starting price, bid volume) read GlobalAggregates built once
-over the whole retained auction set. Each auction's bids are walked
-once, into one record per bidder: compute_global_aggregates keeps
-every auction's participation_map, and auction_instances takes it
-from there. Aggregated from a one-shot stream of views, the aggregates
-keep each auction's fields but not its bid columns, so the bid table
-is never held whole. All arithmetic is plain double precision;
-weight_scorer checks a weight table once and returns the one scoring
-function.
+One builder makes every (auction, bidder) row of the feature table:
+sb_batches from the aggregates, auction_instances from one view.
+Per-pair metrics read one auction; the cross-auction ones (tendency,
+winning ratio, starting price, bid volume) read GlobalAggregates built
+once over the whole retained auction set. Each auction's bids are
+walked once, into one record per bidder, which compute_global_aggregates
+folds into numbers it keeps instead of the view: the sorted bidder ids,
+their four per-pair metrics and the fields the cross-auction metrics
+read. All arithmetic is plain double precision; weight_scorer checks a
+weight table once and returns the one scoring function.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ConfigError, EmptyDatasetError
 from .model import (
@@ -25,7 +24,6 @@ from .model import (
     METRIC_COLUMNS,
     AuctionView,
     SBInstance,
-    record_head,
     validate_weights,
     winner_of,
 )
@@ -81,24 +79,24 @@ class BidderAggregate:
     wins_in_high_participation: int
 
 
+# auction_id, seller_id, float starting price, num_bids, sorted bidder ids,
+# then each bidder's early, ratio, last and run-band values in turn.
+AuctionNumbers = tuple[int, str, float, int, tuple[str, ...], array]
+
+
 @dataclass(frozen=True, slots=True)
 class GlobalAggregates:
     """Corpus-wide numbers the cross-auction metrics depend on.
 
-    participation holds, per auction_id in the order aggregated, the
-    view kept for that auction and its participation_map.
-    auction_instances takes an entry out for that same view, so each
-    auction's bids are walked once and each map is freed as its
-    instances are built. winners maps each auction_id to its winner's
-    bidder_id.
+    auctions holds each aggregated auction's AuctionNumbers, in the
+    order aggregated: sb_batches builds the rows from them, with no
+    view. winners maps each auction_id to its winner's bidder_id.
     """
 
     avg_auctions_start_price: float
     avg_bid_all_auctions: float
     bidders: Mapping[str, BidderAggregate]
-    participation: dict[int, tuple[AuctionView, dict[str, BidderParticipation]]] = field(
-        repr=False, compare=False
-    )
+    auctions: list[AuctionNumbers] = field(repr=False, compare=False)
     winners: dict[int, str] = field(repr=False, compare=False)
 
 
@@ -106,13 +104,10 @@ def compute_global_aggregates(auctions: Iterable[AuctionView]) -> GlobalAggregat
     """One pass over all auctions to build the shared aggregate table.
 
     Each bidder's record is built on first sight and updated in place.
-    The views are read once. Each is kept as given, unless auctions is
-    an iterator, whose views the caller does not hold: then each is kept
-    as a view of the same auction fields with empty bid columns.
+    The views are read once; each is kept only as its AuctionNumbers.
     """
-    one_shot = iter(auctions) is auctions
     bidders: dict[str, BidderAggregate] = {}
-    participation: dict[int, tuple[AuctionView, dict[str, BidderParticipation]]] = {}
+    numbers: list[AuctionNumbers] = []
     winners: dict[int, str] = {}
 
     start_price_total = 0.0
@@ -123,19 +118,18 @@ def compute_global_aggregates(auctions: Iterable[AuctionView]) -> GlobalAggregat
         start_price_total += float(auction.starting_price)
         bid_count_total += auction.num_bids
         winner = winners[auction.auction_id] = winner_of(auction).bidder_id
-        parts = participation_map(auction)
-        participation[auction.auction_id] = (
-            AuctionView(*record_head(auction), (), (), (), ()) if one_shot else auction,
-            parts,
-        )
-        for bidder, part in parts.items():
+        kept = _auction_numbers(auction, participation_map(auction))
+        numbers.append(kept)
+        *_, ids, values = kept
+        # values[1::4]: each bidder's bidding_ratio, its share of the bids.
+        for bidder, ratio in zip(ids, values[1::4]):
             agg = bidders.get(bidder)
             if agg is None:
                 agg = bidders[bidder] = BidderAggregate(0, {}, 0, 0)
             agg.auctions_entered += 1
             sellers = agg.auctions_by_seller
             sellers[auction.seller_id] = sellers.get(auction.seller_id, 0) + 1
-            if part.bid_count / auction.num_bids > HIGH_PARTICIPATION_RATIO:
+            if ratio > HIGH_PARTICIPATION_RATIO:
                 agg.high_participation_auctions += 1
                 if bidder == winner:
                     agg.wins_in_high_participation += 1
@@ -146,7 +140,7 @@ def compute_global_aggregates(auctions: Iterable[AuctionView]) -> GlobalAggregat
         avg_auctions_start_price=start_price_total / count,
         avg_bid_all_auctions=bid_count_total / count,
         bidders=bidders,
-        participation=participation,
+        auctions=numbers,
         winners=winners,
     )
 
@@ -222,50 +216,66 @@ def _bid_volume_value(num_bids: int, average: float) -> float:
     return 1.0 - average / num_bids
 
 
-def auction_instances(
-    auction: AuctionView, aggregates: GlobalAggregates
-) -> list[SBInstance]:
-    """One SBInstance per bidder of the auction, in bidder-id order.
-
-    The participation_map comes from the aggregates when they were
-    computed over this same view object; otherwise it is walked here.
-    """
-    auction_id = auction.auction_id
-    seller_id = auction.seller_id
-    num_bids = auction.num_bids
+def _auction_numbers(
+    auction: AuctionView, parts: dict[str, BidderParticipation]
+) -> AuctionNumbers:
+    """The auction's AuctionNumbers, given its participation_map."""
     start = auction.start_time_sec
     end = auction.end_time_sec
     duration = auction.auction_duration_sec
-    asp = _starting_price_value(
-        float(auction.starting_price), aggregates.avg_auctions_start_price
-    )
-    ab = _bid_volume_value(num_bids, aggregates.avg_bid_all_auctions)
-    kept = aggregates.participation.pop(auction_id, None)
-    if kept is not None and kept[0] is auction:
-        parts = kept[1]
-    else:
-        parts = participation_map(auction)
-    instances: list[SBInstance] = []
-    for bidder in sorted(parts):
+    num_bids = auction.num_bids
+    bidders = sorted(parts)
+    values: list[float] = []
+    for bidder in bidders:
         part = parts[bidder]
-        # Positional, in METRIC_COLUMNS order: keyword calls cost over
-        # twice as much per instance.
-        instances.append(
-            SBInstance(
-                auction_id,
-                bidder,
-                bidder_tendency(bidder, seller_id, aggregates),
-                _early_value(part.first_bid_time_sec, start, duration),
-                # bidding_ratio: the bidder's share of all bids in the auction.
-                part.bid_count / num_bids,
-                _last_value(part.last_bid_time_sec, end, duration),
-                asp,
-                _run_band(part.longest_run),
-                winning_ratio(bidder, aggregates),
-                ab,
-            )
+        values += (
+            _early_value(part.first_bid_time_sec, start, duration),
+            # bidding_ratio: the bidder's share of all bids in the auction.
+            part.bid_count / num_bids,
+            _last_value(part.last_bid_time_sec, end, duration),
+            _run_band(part.longest_run),
         )
-    return instances
+    return (
+        auction.auction_id, auction.seller_id, float(auction.starting_price), num_bids,
+        tuple(bidders), array("d", values),
+    )
+
+
+def _instances(numbers: AuctionNumbers, aggregates: GlobalAggregates) -> list[SBInstance]:
+    """One SBInstance per bidder of the auction whose numbers these are, in bidder-id order."""
+    auction_id, seller_id, starting_price, num_bids, bidders, values = numbers
+    asp = _starting_price_value(starting_price, aggregates.avg_auctions_start_price)
+    ab = _bid_volume_value(num_bids, aggregates.avg_bid_all_auctions)
+    own = iter(values)
+    # Positional, in METRIC_COLUMNS order: keyword calls cost over
+    # twice as much per instance.
+    return [
+        SBInstance(
+            auction_id, bidder, bidder_tendency(bidder, seller_id, aggregates),
+            early, ratio, last, asp, band, winning_ratio(bidder, aggregates), ab,
+        )
+        for bidder, early, ratio, last, band in zip(bidders, own, own, own, own)
+    ]
+
+
+def auction_instances(auction: AuctionView, aggregates: GlobalAggregates) -> list[SBInstance]:
+    """One SBInstance per bidder of the view, in bidder-id order, from the view's own bids."""
+    return _instances(_auction_numbers(auction, participation_map(auction)), aggregates)
+
+
+def sb_batches(aggregates: GlobalAggregates) -> Iterator[list[SBInstance]]:
+    """Each aggregated auction's SBInstances, one list per auction, in aggregation order.
+
+    The rows are built from the numbers the aggregates kept, walking no
+    view. Within an auction the bidders come in id order, so aggregates
+    of views in auction-id order (as read_auctions returns them) give
+    instances in (auction_id, bidder_id) order.
+
+    Values are not range-checked here: the feature table's writers run
+    check_sb_dataset on each auction's instances before its rows.
+    """
+    for numbers in aggregates.auctions:
+        yield _instances(numbers, aggregates)
 
 
 def weight_scorer(

@@ -195,11 +195,8 @@ def test_features_walks_each_auction_once(chain, monkeypatch):
     assert walked == Counter(a.auction_id for a in auctions)
 
 
-def test_write_features_peak_memory_per_instance(tmp_path):
-    # The criterion-10 corpus shape at 1,000 auctions (4,371 instances).
-    # The walk holds one auction's instances and a chunk of the stats',
-    # not the table: about 83 bytes an instance measured, where building
-    # the list, then writing and counting it, takes about 330.
+def criterion_10_shape_table(tmp_path) -> Path:
+    """The bid table of the criterion-10 corpus shape at 1,000 auctions (4,371 instances)."""
     raw, clean = tmp_path / "raw.csv", tmp_path / "clean.csv"
     write_corpus(
         SynthConfig(
@@ -214,18 +211,41 @@ def test_write_features_peak_memory_per_instance(tmp_path):
     )
     config = PipelineConfig()
     write_preprocessed(run_pipeline(RawScanner(raw, config.schema), config)[0], clean)
-    auctions = read_auctions(clean)
-    aggregates = compute_global_aggregates(auctions)
+    return clean
+
+
+def test_write_features_peak_memory_per_instance(tmp_path):
+    # The walk holds one auction's instances and a chunk of the stats',
+    # not the table: about 77 bytes an instance measured, where building
+    # the list, then writing and counting it, takes about 330.
+    aggregates = compute_global_aggregates(read_auctions(criterion_10_shape_table(tmp_path)))
     scores = (tmp_path / "scores.csv", weight_scorer())
     tracemalloc.start()
     try:
-        stats = write_features(auctions, aggregates, tmp_path / "sb.csv", scores)
+        stats = write_features(aggregates, tmp_path / "sb.csv", scores)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak / stats.total_instances < 150, (
         f"{peak / stats.total_instances:.0f} bytes per instance"
     )
+
+
+def test_the_aggregates_hold_numbers_not_views(tmp_path):
+    # The aggregate pass keeps each auction's ids, prices, sorted bidder
+    # ids and four per-pair values in an array: about 119 bytes a pair
+    # measured, where a kept head-only view and participation map per
+    # auction took about 293.
+    clean = criterion_10_shape_table(tmp_path)
+    tracemalloc.start()
+    try:
+        aggregates = ingest.fold_auctions(clean, compute_global_aggregates)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pairs = sum(agg.auctions_entered for agg in aggregates.bidders.values())
+    assert pairs == 4371
+    assert held / pairs < 180, f"{held / pairs:.0f} bytes per pair"
 
 
 def test_custom_weights_change_scores(chain, tmp_path):

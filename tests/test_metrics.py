@@ -2,7 +2,7 @@
 import math
 import random
 from collections import Counter
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given
@@ -15,6 +15,7 @@ from shillbid.metrics import (
     compute_global_aggregates,
     load_weights,
     participation_map,
+    sb_batches,
     weighted_score,
     winning_ratio,
 )
@@ -151,8 +152,7 @@ def test_auction_instances_walk_a_view_the_aggregates_did_not_keep():
     views = corpus_for_tendency()
     agg = compute_global_aggregates(views)
     kept = auction_instances(views[0], agg)
-    # The kept walk is handed out once and let go; a second call walks again.
-    assert views[0].auction_id not in agg.participation
+    # Each call walks the view it is given, so a second call gives the same rows.
     assert auction_instances(views[0], agg) == kept
     assert [i.bidder_id for i in kept] == ["joe", "other"]
     assert kept[0].bidder_tendency == pytest.approx(0.6)
@@ -262,23 +262,17 @@ def test_compute_global_aggregates_empty():
 
 
 def test_aggregates_of_a_stream_keep_no_bid_columns():
-    # A one-shot stream's views are not held by the caller, so the
-    # aggregates keep each one's fields but not its bids, and the
-    # instances and winners are the ones a list of the views gives.
+    # The aggregates keep each auction's numbers, never a view, so a
+    # one-shot stream of views aggregates as a list of them does, and
+    # the rows built from the kept numbers are each view's own.
     views = random_micro_corpus(random.Random(5), 12)
     held, streamed = compute_global_aggregates(views), compute_global_aggregates(iter(views))
     assert streamed == held
+    assert streamed.auctions == held.auctions
     assert streamed.winners == held.winners == {
         view.auction_id: view.bidder_ids[-1] for view in views
     }
-    kept = [view for view, _ in streamed.participation.values()]
-    assert [view.bid_times + view.record_ids for view in kept] == [()] * len(views)
-    assert [replace(view, bid_times=(), bid_amounts=(), bidder_ids=(), record_ids=())
-            for view in views] == kept
-    assert [auction_instances(view, streamed) for view in kept] == [
-        auction_instances(view, held) for view in views
-    ]
-    assert not streamed.participation and not held.participation
+    assert list(sb_batches(streamed)) == [auction_instances(view, held) for view in views]
 
 
 def test_unknown_bidder_raises_key_error():
